@@ -6,8 +6,8 @@ reference on a large generated design, checks 1e-9 relative equivalence
 scratch-reuse delta (bit-identity gated), races the electrostatic engine
 against the flat B2B quadratic engine on a ~100k-cell design (speed and
 HPWL gates — see ``ELECTRO_*``), and measures end-to-end
-``StructureAwarePlacer`` wall time at three sizes.  All kernels run
-through the array backend selected by ``REPRO_BACKEND`` (numpy default).
+``StructureAwarePlacer`` wall time at three sizes.  The config block
+records the Python and numpy versions the timings were taken on.
 Results merge into ``BENCH_PERF.json`` (repo root by default; existing
 sections from other benchmarks are preserved) for the CI artifact
 upload.
@@ -34,12 +34,10 @@ import numpy as np
 
 from repro.core import PlacerOptions, StructureAwarePlacer
 from repro.gen import datapath_fraction_design
-from repro.kernels import (IncrementalHPWL, bell_value_grad, expand_pin_net,
-                           hpwl_kernel, hpwl_per_net_kernel,
+from repro.kernels import (IncrementalHPWL, Workspace, bell_value_grad,
+                           expand_pin_net, hpwl_kernel, hpwl_per_net_kernel,
                            rasterize_overlap)
 from repro.kernels.b2b import b2b_pairs
-from repro.kernels.backend import (Workspace, get_backend,
-                                   resolve_backend_name, use_backend)
 from repro.kernels.reference import (bell_value_grad_reference,
                                      hpwl_per_net_reference, hpwl_reference,
                                      incident_cost_reference,
@@ -165,7 +163,7 @@ def bench_kernels(n_cells: int, failures: list[str], *,
 
     # workspace reuse: same kernel, scratch served from a per-design
     # arena instead of fresh allocations — must stay bit-identical
-    ws = Workspace(get_backend("numpy"))
+    ws = Workspace()
     got_ws = bell_value_grad(bx, by, bw, bh, ba, workspace=ws, **bell)
     ws_err = max(_rel_err(got_ws[0], got[0]), _rel_err(got_ws[1], got[1]),
                  _rel_err(got_ws[2], got[2]))
@@ -387,20 +385,18 @@ def main(argv: list[str] | None = None) -> int:
     engine_cells = 3000 if args.quick else 68000
     failures: list[str] = []
 
-    backend = get_backend(resolve_backend_name(None))
     kernels = engines = end_to_end = None
-    with use_backend(backend):
-        if "kernels" in sections:
-            print(f"== kernel timings vs retained references "
-                  f"[backend={backend.name}] ==")
-            kernels = bench_kernels(n_cells, failures, n_moves=n_moves)
-        if "engines" in sections:
-            print("== placement engines: flat B2B vs electrostatic ==")
-            engines = bench_engines(engine_cells, failures,
-                                    gate_speedup=not args.quick)
-        if "e2e" in sections:
-            print("== end-to-end structure-aware placement ==")
-            end_to_end = bench_end_to_end(sizes)
+    if "kernels" in sections:
+        print(f"== kernel timings vs retained references "
+              f"[numpy {np.__version__}] ==")
+        kernels = bench_kernels(n_cells, failures, n_moves=n_moves)
+    if "engines" in sections:
+        print("== placement engines: flat B2B vs electrostatic ==")
+        engines = bench_engines(engine_cells, failures,
+                                gate_speedup=not args.quick)
+    if "e2e" in sections:
+        print("== end-to-end structure-aware placement ==")
+        end_to_end = bench_end_to_end(sizes)
 
     report: dict = {
         "config": {
@@ -408,8 +404,6 @@ def main(argv: list[str] | None = None) -> int:
             "equivalence_rtol": EQUIV_RTOL,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "backend": {"name": backend.name,
-                        "version": backend.version},
         },
         "notes": ("Kernel/reference equivalence (1e-9 rtol), workspace "
                   "bit-identity, and the electro-engine speed/quality "

@@ -1,23 +1,17 @@
-"""Engine comparison: quadratic vs nonlinear vs simulated annealing.
+"""Engine comparison: quadratic vs nonlinear.
 
 Run::
 
     python examples/engine_comparison.py
 
-Places one small adder design with the three engines this library ships —
-the SimPL-style quadratic flow, the NTUplace-style nonlinear flow (the
-paper authors' engine family, with their weighted-average wirelength
-model), and a simulated-annealing baseline — and prints quality/runtime.
-Illustrates why the quadratic engine is the default for a pure-Python
-prototype.
+Places one small adder design with the SimPL-style quadratic flow and
+the NTUplace-style nonlinear flow (the paper authors' engine family,
+with their weighted-average wirelength model) and prints
+quality/runtime.
 """
-
-import time
 
 from repro import (BaselinePlacer, PlacerOptions, UnitSpec, compose_design,
                    evaluate_placement, format_table)
-from repro.place import (AnnealOptions, anneal_place, check_legal,
-                         detailed_place)
 
 
 def make_design():
@@ -41,19 +35,6 @@ def main() -> None:
                      "steiner": round(report.steiner, 0),
                      "legal": outcome.legal,
                      "time_s": round(outcome.runtime_s, 1)})
-
-    design = make_design()
-    start = time.perf_counter()
-    anneal_place(design.netlist, design.region,
-                 AnnealOptions(moves_per_cell=40, cooling=0.8, seed=1))
-    detailed_place(design.netlist, design.region)
-    elapsed = time.perf_counter() - start
-    report = evaluate_placement(design.netlist, design.region)
-    rows.append({"engine": "annealing",
-                 "hpwl": round(design.netlist.hpwl(), 0),
-                 "steiner": round(report.steiner, 0),
-                 "legal": not check_legal(design.netlist, design.region),
-                 "time_s": round(elapsed, 1)})
 
     print(format_table(rows, title="engine comparison (8-bit adder design)"))
 

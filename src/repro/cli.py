@@ -53,7 +53,6 @@ from .core import BaselinePlacer, PlacerOptions, StructureAwarePlacer, \
 from .errors import ReproError, ValidationError, exit_code_for
 from .eval import evaluate_placement, format_table, score_extraction
 from .gen import build_design, design_names, suite_names
-from .kernels.backend import resolve_backend_name
 from .netlist import compute_stats
 from .netlist.validate import errors as validation_errors, validate
 from .place.multilevel import MultilevelOptions
@@ -103,7 +102,6 @@ def _emit(rows: list[dict], title: str, as_json: bool) -> None:
 def _placer_options(args: argparse.Namespace) -> PlacerOptions:
     options = PlacerOptions(
         engine=getattr(args, "engine", "quadratic"),
-        backend=resolve_backend_name(getattr(args, "backend", None)),
         structure_weight=args.structure_weight,
         structure_legalization=args.legalization,
         seed=args.seed,
@@ -428,10 +426,6 @@ def main(argv: list[str] | None = None) -> int:
                        choices=["quadratic", "nonlinear", "electro"],
                        help="global-placement engine (electro = FFT "
                             "electrostatic spreading, Nesterov loop)")
-        p.add_argument("--backend", default=None,
-                       help="array backend for the compute kernels "
-                            "(numpy default; cupy/torch when installed; "
-                            "falls back to $REPRO_BACKEND)")
         p.add_argument("--structure-weight", type=float, default=1.0)
         p.add_argument("--legalization", default="slices",
                        choices=["slices", "blocks", "none"],

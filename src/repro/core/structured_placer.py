@@ -31,7 +31,6 @@ from ..place.abacus import abacus_legalize
 from ..place.arrays import PlacementArrays
 from ..place.detailed import detailed_place
 from ..place.legalize import check_legal, tetris_legalize
-from ..kernels.backend import get_backend, resolve_backend_name
 from ..place.electrostatic import ElectroOptions, ElectrostaticPlacer
 from ..place.multilevel import MultilevelOptions, multilevel_place
 from ..place.nonlinear import NonlinearOptions, NonlinearPlacer
@@ -51,10 +50,6 @@ class PlacerOptions:
         engine: ``"quadratic"`` (default, fast), ``"nonlinear"``, or
             ``"electro"`` (FFT electrostatic spreading with a Nesterov
             gradient loop — the fast choice on large flat designs).
-        backend: array-backend name for the compute kernels
-            (``"numpy"`` default; ``"cupy"``/``"torch"`` when
-            installed).  ``""`` defers to the ``REPRO_BACKEND``
-            environment variable.
         structure_weight: λ for the alignment forces (structure-aware
             only).
         use_fusion: move arrays through global placement as rigid macros
@@ -84,7 +79,6 @@ class PlacerOptions:
     """
 
     engine: str = "quadratic"
-    backend: str = ""
     structure_weight: float = 1.0
     use_fusion: bool = False
     use_alignment: bool = True
@@ -417,7 +411,6 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
     if resume is not None and resume.matches(arrays.num_cells):
         resume_x, resume_y = resume.x, resume.y
         resume_iteration = resume.iteration
-    backend = get_backend(resolve_backend_name(options.backend or None))
     if options.multilevel.enabled:
         result = multilevel_place(
             arrays, region,
@@ -430,7 +423,7 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
             guard=options.guard, checkpoint=checkpoint,
             atomic_groups=atomic_groups,
             resume_x=resume_x, resume_y=resume_y,
-            resume_iteration=resume_iteration, backend=backend)
+            resume_iteration=resume_iteration)
         return result.x, result.y, result.history
     if options.engine == "quadratic":
         placer = QuadraticPlacer(
@@ -438,7 +431,7 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
             extra_pairs_x=forces.pairs_x if forces else None,
             extra_pairs_y=forces.pairs_y if forces else None,
             groups=groups, post_solve=post_solve, tracer=tracer,
-            guard=options.guard, checkpoint=checkpoint, backend=backend)
+            guard=options.guard, checkpoint=checkpoint)
         result = placer.place(resume_x, resume_y,
                               resume_iteration=resume_iteration)
         return result.x, result.y, result.history
@@ -447,7 +440,7 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
             arrays, region, options=options.nonlinear,
             extra_pairs_x=forces.pairs_x if forces else None,
             extra_pairs_y=forces.pairs_y if forces else None,
-            guard=options.guard, checkpoint=checkpoint, backend=backend)
+            guard=options.guard, checkpoint=checkpoint)
         result = placer.place(resume_x, resume_y)
         history = [IterationStat(iteration=i + 1, hpwl_lower=h,
                                  hpwl_upper=h, overflow=o, elapsed_s=0.0)
@@ -458,8 +451,7 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
             arrays, region, options=options.electro,
             extra_pairs_x=forces.pairs_x if forces else None,
             extra_pairs_y=forces.pairs_y if forces else None,
-            guard=options.guard, checkpoint=checkpoint, tracer=tracer,
-            backend=backend)
+            guard=options.guard, checkpoint=checkpoint, tracer=tracer)
         result = placer.place(resume_x, resume_y)
         history = [IterationStat(iteration=i + 1, hpwl_lower=h,
                                  hpwl_upper=h, overflow=o, elapsed_s=0.0)

@@ -8,26 +8,23 @@ used by the equivalence tests and the perf-regression harness
 (``benchmarks/bench_kernels.py``) — the vectorized and reference paths
 must agree to 1e-9 relative tolerance or CI fails.
 
-Every kernel is written against the pluggable array backend of
-:mod:`repro.kernels.backend` (the ``xp`` facade): numpy by default,
-cupy/torch when installed and selected via ``PlacerOptions.backend``,
-``--backend``, or ``REPRO_BACKEND``.  Structured primitives a backend
-lacks (see :class:`~repro.kernels.backend.Capabilities`) run on the
-host through *declared*, byte-counted transfer points — no kernel ever
-silently round-trips.
+The kernels call numpy directly.  The allocation-heavy ones (bell
+density, B2B pair enumeration) accept an optional
+:class:`~repro.kernels.workspace.Workspace` that reuses their scratch
+arrays across calls without changing a bit of the result.
 
 Kernel inventory:
 
 - :mod:`~repro.kernels.segment` — per-net (CSR segment) reductions via
-  the backend's ``reduceat`` primitive: HPWL, per-net HPWL, net bounds,
-  pin→net expansion.  Subsumes the former ``_segment_reduce`` helper of
+  ``ufunc.reduceat``: HPWL, per-net HPWL, net bounds, pin→net
+  expansion.  Subsumes the former ``_segment_reduce`` helper of
   ``repro.place.wirelength``.
 - :mod:`~repro.kernels.density` — rasterized density accumulation and
   the NTUplace bell potential (value + gradient gather) via
-  clipped-overlap vectorization and the backend's scatter-add.
+  clipped-overlap vectorization and ``np.add.at`` scatter.
 - :mod:`~repro.kernels.incremental` — :class:`IncrementalHPWL`:
   per-net cached bounds with touched-net invalidation, so detailed
-  placement and annealing rescore only affected nets per move.
+  placement rescores only affected nets per move.
 - :mod:`~repro.kernels.b2b` — bound-to-bound boundary-pin selection,
   pair/system assembly for the quadratic engine, and the direct pair
   gradient (:func:`b2b_grad`) for the electrostatic engine.
@@ -37,38 +34,25 @@ Kernel inventory:
 
 from .arena import compact_csr
 from .b2b import assemble_pairs, b2b_grad, b2b_pairs, boundary_pins
-from .backend import (Backend, Capabilities, Workspace, active_backend,
-                      available_backends, get_backend, kernel_span,
-                      register_backend, resolve_backend_name, set_backend,
-                      use_backend)
 from .density import bell_value_grad, rasterize_overlap
 from .incremental import IncrementalHPWL
 from .segment import (expand_pin_net, hpwl_kernel, hpwl_per_net_kernel,
                       net_bounds, segment_reduce)
+from .workspace import Workspace
 
 __all__ = [
-    "Backend",
-    "Capabilities",
     "IncrementalHPWL",
     "Workspace",
-    "active_backend",
     "assemble_pairs",
-    "available_backends",
     "b2b_grad",
     "b2b_pairs",
     "bell_value_grad",
     "boundary_pins",
     "compact_csr",
     "expand_pin_net",
-    "get_backend",
     "hpwl_kernel",
     "hpwl_per_net_kernel",
-    "kernel_span",
     "net_bounds",
     "rasterize_overlap",
-    "register_backend",
-    "resolve_backend_name",
     "segment_reduce",
-    "set_backend",
-    "use_backend",
 ]

@@ -12,35 +12,27 @@ filter cell indices and offsets in the same pass.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .backend import Backend, active_backend
-
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = ["compact_csr"]
 
 
-def compact_csr(net_start: np.ndarray, keep: np.ndarray,
-                backend: Backend | None = None
+def compact_csr(net_start: np.ndarray, keep: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Compact CSR offsets to the nets selected by a boolean mask.
 
     Args:
         net_start: (M+1,) CSR offsets over all nets.
         keep: (M,) boolean mask of nets to retain.
-        backend: array backend (defaults to the active one).
 
     Returns:
         ``(new_start, pin_keep)`` — the (K+1,) offsets of the kept nets
         (K = ``keep.sum()``) and the (P,) per-pin boolean mask selecting
         their pins in the original flat order.
     """
-    xp = (backend or active_backend()).xp
-    degrees = xp.diff(net_start)
-    pin_keep = xp.repeat(keep, degrees)
-    new_start = xp.concatenate(
-        [xp.zeros(1, dtype=net_start.dtype),
-         xp.cumsum(degrees[keep])])
+    degrees = np.diff(net_start)
+    pin_keep = np.repeat(keep, degrees)
+    new_start = np.concatenate(
+        [np.zeros(1, dtype=net_start.dtype),
+         np.cumsum(degrees[keep])])
     return new_start, pin_keep

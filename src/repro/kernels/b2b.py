@@ -4,13 +4,12 @@ The B2B model connects every pin of a net to the net's min and max
 (boundary) pins with distance-normalised weights.  The scalar assembly
 in :mod:`repro.place.b2b` walked every net in Python; these kernels
 compute boundary pins, enumerate all B2B pairs, and scatter them into
-the sparse-system triplets with the backend's weighted bincount — one
-pass over flat arrays per axis.
+the sparse-system triplets with a weighted ``np.bincount`` — one pass
+over flat arrays per axis.
 
-Array math routes through the :mod:`repro.kernels.backend` facade.  The
-pair-enumeration scratch (three ~2P-element concatenations per axis per
-call) can be reused across calls through an optional
-:class:`~repro.kernels.backend.Workspace`; slice-assignment into the
+The pair-enumeration scratch (three ~2P-element concatenations per axis
+per call) can be reused across calls through an optional
+:class:`~repro.kernels.workspace.Workspace`; slice-assignment into the
 reused buffers produces the same values as the concatenations it
 replaces, so results are bit-identical.  :func:`b2b_grad` evaluates the
 gradient of the B2B quadratic form directly from the pair list — no
@@ -20,17 +19,13 @@ loop consumes every iteration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import numpy as np
 
-from .backend import Backend, Workspace, active_backend
-
-if TYPE_CHECKING:
-    import numpy as np
+from .workspace import Workspace
 
 
 def boundary_pins(pin_pos: np.ndarray, net_start: np.ndarray,
-                  pin_net: np.ndarray, backend: Backend | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  pin_net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-net (lo, hi) boundary pin indices, first occurrence.
 
     Matches ``argmin`` / ``argmax`` tie-breaking of the scalar code: the
@@ -38,32 +33,30 @@ def boundary_pins(pin_pos: np.ndarray, net_start: np.ndarray,
     are all coincident get ``hi = lo + 1`` (the scalar fallback), which
     is safe because callers only pass nets of degree >= 2.
     """
-    b = backend or active_backend()
-    xp = b.xp
     if len(net_start) <= 1:
-        empty = xp.empty(0, dtype=xp.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     seeds = net_start[:-1]
-    net_min = b.reduceat("min", pin_pos, seeds)
-    net_max = b.reduceat("max", pin_pos, seeds)
-    idx = xp.arange(pin_pos.shape[0], dtype=xp.int64)
+    net_min = np.minimum.reduceat(pin_pos, seeds)
+    net_max = np.maximum.reduceat(pin_pos, seeds)
+    idx = np.arange(pin_pos.shape[0], dtype=np.int64)
     big = pin_pos.shape[0]
-    lo = b.reduceat("min", xp.where(pin_pos == net_min[pin_net], idx, big),
-                    seeds)
-    hi = b.reduceat("min", xp.where(pin_pos == net_max[pin_net], idx, big),
-                    seeds)
+    lo = np.minimum.reduceat(
+        np.where(pin_pos == net_min[pin_net], idx, big), seeds)
+    hi = np.minimum.reduceat(
+        np.where(pin_pos == net_max[pin_net], idx, big), seeds)
     degenerate = lo == hi
     hi[degenerate] = lo[degenerate] + 1
     return lo, hi
 
 
-def _stack3(xp, ws: Workspace | None, tag: str, dtype,
+def _stack3(ws: Workspace | None, tag: str, dtype,
             first: np.ndarray, second: np.ndarray,
             third: np.ndarray) -> np.ndarray:
     """``concatenate([first, second, third])``, through the workspace
     when one is given (identical values, reused storage)."""
     if ws is None:
-        return xp.concatenate([first, second, third])
+        return np.concatenate([first, second, third])
     n1, n2 = first.shape[0], second.shape[0]
     total = n1 + n2 + third.shape[0]
     out = ws.take(tag, (total,), dtype=dtype)
@@ -76,7 +69,6 @@ def _stack3(xp, ws: Workspace | None, tag: str, dtype,
 def b2b_pairs(pin_pos: np.ndarray, net_start: np.ndarray,
               net_weight: np.ndarray, pin_cell: np.ndarray,
               offsets: np.ndarray, pin_net: np.ndarray, eps: float,
-              backend: Backend | None = None,
               workspace: Workspace | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All B2B pair terms for one axis.
@@ -92,32 +84,30 @@ def b2b_pairs(pin_pos: np.ndarray, net_start: np.ndarray,
         Always freshly allocated (the final same-cell compression
         copies), so they survive workspace reuse.
     """
-    b = backend or active_backend()
-    xp = b.xp
-    degrees = xp.diff(net_start)
+    degrees = np.diff(net_start)
     if degrees.size == 0:
-        empty_i = xp.empty(0, dtype=xp.int64)
-        return empty_i, empty_i.copy(), xp.empty(0), xp.empty(0)
+        empty_i = np.empty(0, dtype=np.int64)
+        return empty_i, empty_i.copy(), np.empty(0), np.empty(0)
     live = degrees >= 2
-    lo, hi = boundary_pins(pin_pos, net_start, pin_net, backend=b)
-    wnet = xp.zeros(len(degrees))
+    lo, hi = boundary_pins(pin_pos, net_start, pin_net)
+    wnet = np.zeros(len(degrees))
     wnet[live] = net_weight[live] * 2.0 / (degrees[live] - 1)
 
-    pin_idx = xp.arange(pin_pos.shape[0], dtype=xp.int64)
+    pin_idx = np.arange(pin_pos.shape[0], dtype=np.int64)
     lo_of = lo[pin_net]
     hi_of = hi[pin_net]
     interior = (pin_idx != lo_of) & (pin_idx != hi_of) & live[pin_net]
 
-    a = _stack3(xp, workspace, "b2b.a", xp.int64,
+    a = _stack3(workspace, "b2b.a", np.int64,
                 lo[live], pin_idx[interior], pin_idx[interior])
-    bb = _stack3(xp, workspace, "b2b.b", xp.int64,
+    bb = _stack3(workspace, "b2b.b", np.int64,
                  hi[live], lo_of[interior], hi_of[interior])
-    wn = _stack3(xp, workspace, "b2b.wn", xp.float64,
+    wn = _stack3(workspace, "b2b.wn", np.float64,
                  wnet[live], wnet[pin_net[interior]],
                  wnet[pin_net[interior]])
 
-    dist = xp.abs(pin_pos[a] - pin_pos[bb])
-    w = wn / xp.maximum(dist, eps)
+    dist = np.abs(pin_pos[a] - pin_pos[bb])
+    w = wn / np.maximum(dist, eps)
     const = offsets[a] - offsets[bb]
     ca = pin_cell[a]
     cb = pin_cell[bb]
@@ -127,8 +117,7 @@ def b2b_pairs(pin_pos: np.ndarray, net_start: np.ndarray,
 
 def assemble_pairs(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
                    const: np.ndarray, row_of: np.ndarray,
-                   coords: np.ndarray, m: int,
-                   backend: Backend | None = None
+                   coords: np.ndarray, m: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray, np.ndarray]:
     """Scatter pair terms ``w * (p_a - p_b + const)^2`` into triplets.
@@ -138,14 +127,11 @@ def assemble_pairs(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
         row_of: (N,) dense row of each movable cell, -1 for fixed.
         coords: (N,) current axis coordinates (fixed-side constants).
         m: number of movable rows.
-        backend: array backend (defaults to the active one).
 
     Returns:
         ``(diag, b, rows, cols, vals)`` — diagonal and right-hand-side
         accumulators plus off-diagonal COO triplets.
     """
-    bk = backend or active_backend()
-    xp = bk.xp
     ra = row_of[cell_a]
     rb = row_of[cell_b]
     both = (ra >= 0) & (rb >= 0)
@@ -153,7 +139,7 @@ def assemble_pairs(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
     only_b = (ra < 0) & (rb >= 0)
 
     def bc(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return bk.bincount(rows, weights, m)
+        return np.bincount(rows, weights=weights, minlength=m)
 
     diag = (bc(ra[both], w[both]) + bc(rb[both], w[both])
             + bc(ra[only_a], w[only_a]) + bc(rb[only_b], w[only_b]))
@@ -163,15 +149,14 @@ def assemble_pairs(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
               w[only_a] * (coords[cell_b[only_a]] - const[only_a]))
          + bc(rb[only_b],
               w[only_b] * (coords[cell_a[only_b]] + const[only_b])))
-    rows = xp.concatenate([ra[both], rb[both]])
-    cols = xp.concatenate([rb[both], ra[both]])
-    vals = xp.concatenate([-w[both], -w[both]])
+    rows = np.concatenate([ra[both], rb[both]])
+    cols = np.concatenate([rb[both], ra[both]])
+    vals = np.concatenate([-w[both], -w[both]])
     return diag, b, rows, cols, vals
 
 
 def b2b_grad(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
-             const: np.ndarray, coords: np.ndarray,
-             backend: Backend | None = None
+             const: np.ndarray, coords: np.ndarray
              ) -> tuple[float, np.ndarray]:
     """Value and per-cell gradient of ``sum w * (p_a - p_b + const)^2``.
 
@@ -189,13 +174,12 @@ def b2b_grad(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
         ``(value, grad)`` where ``grad`` is (N,) over *all* cells —
         callers mask out the fixed ones.
     """
-    b = backend or active_backend()
-    xp = b.xp
     n = coords.shape[0]
     if cell_a.shape[0] == 0:
-        return 0.0, xp.zeros(n)
+        return 0.0, np.zeros(n)
     d = coords[cell_a] - coords[cell_b] + const
-    value = float(xp.dot(w, d * d))
+    value = float(np.dot(w, d * d))
     wd = 2.0 * w * d
-    grad = b.bincount(cell_a, wd, n) - b.bincount(cell_b, wd, n)
+    grad = (np.bincount(cell_a, weights=wd, minlength=n)
+            - np.bincount(cell_b, weights=wd, minlength=n))
     return value, grad

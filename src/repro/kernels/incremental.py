@@ -1,8 +1,8 @@
 """Incremental HPWL: per-net cached bounds with touched-net invalidation.
 
-Detailed placement and annealing evaluate millions of candidate moves,
-each touching a handful of cells.  Rescoring through the object model
-(``Netlist.nets_of`` + ``Net.hpwl``) per candidate dominates their
+Detailed placement evaluates millions of candidate moves, each touching
+a handful of cells.  Rescoring through the object model
+(``Netlist.nets_of`` + ``Net.hpwl``) per candidate dominates its
 runtime.  :class:`IncrementalHPWL` caches each net's weighted cost and
 exposes a propose/commit/rollback protocol:
 
@@ -44,10 +44,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .backend import Backend, get_backend
+import numpy as np
 
 if TYPE_CHECKING:
-    import numpy as np
     from ..netlist import Netlist
 
 # nets up to this degree are rescanned directly on every touch; the
@@ -61,19 +60,11 @@ class IncrementalHPWL:
     Args:
         netlist: source design; positions are snapshotted at build time.
         skip_zero_weight: drop weight-0 nets (the clock convention).
-        backend: array backend for the bulk operations.  Defaults to the
-            *numpy* backend regardless of the active selection: the
-            propose/commit hot path is host-resident Python by design
-            (list indexing beats per-call device dispatch by orders of
-            magnitude at a handful of pins per move), so the bulk resync
-            arrays live on the host with it.
     """
 
     def __init__(self, netlist: Netlist, *,
-                 skip_zero_weight: bool = True,
-                 backend: Backend | None = None) -> None:
+                 skip_zero_weight: bool = True) -> None:
         self.netlist = netlist
-        self.backend = backend or get_backend("numpy")
         pin_cell: list[int] = []
         pin_ox: list[float] = []
         pin_oy: list[float] = []
@@ -108,12 +99,11 @@ class IncrementalHPWL:
             net_weight.append(net.weight)
             net_pins.append(pins)
 
-        xp = self.backend.xp
-        self.pin_cell = xp.asarray(pin_cell, dtype=xp.int64)
-        self.pin_ox = xp.asarray(pin_ox, dtype=float)
-        self.pin_oy = xp.asarray(pin_oy, dtype=float)
-        self.net_start = xp.asarray(net_start, dtype=xp.int64)
-        self.net_weight = xp.asarray(net_weight, dtype=float)
+        self.pin_cell = np.asarray(pin_cell, dtype=np.int64)
+        self.pin_ox = np.asarray(pin_ox, dtype=float)
+        self.pin_oy = np.asarray(pin_oy, dtype=float)
+        self.net_start = np.asarray(net_start, dtype=np.int64)
+        self.net_weight = np.asarray(net_weight, dtype=float)
         self._net_pins = net_pins
         self._cell_nets = cell_nets
         self._cell_pins = cell_pins
@@ -158,19 +148,17 @@ class IncrementalHPWL:
         if not self.num_nets:
             self._total = 0.0
             return 0.0
-        bk = self.backend
-        xp = bk.xp
-        x = xp.asarray(self._x)
-        y = xp.asarray(self._y)
+        x = np.asarray(self._x)
+        y = np.asarray(self._y)
         px = x[self.pin_cell] + self.pin_ox
         py = y[self.pin_cell] + self.pin_oy
         seeds = self.net_start[:-1]
-        pin_net = xp.repeat(xp.arange(self.num_nets),
-                            xp.diff(self.net_start))
-        min_x = bk.reduceat("min", px, seeds)
-        max_x = bk.reduceat("max", px, seeds)
-        min_y = bk.reduceat("min", py, seeds)
-        max_y = bk.reduceat("max", py, seeds)
+        pin_net = np.repeat(np.arange(self.num_nets),
+                            np.diff(self.net_start))
+        min_x = np.minimum.reduceat(px, seeds)
+        max_x = np.maximum.reduceat(px, seeds)
+        min_y = np.minimum.reduceat(py, seeds)
+        max_y = np.maximum.reduceat(py, seeds)
         self._min_x = min_x.tolist()
         self._max_x = max_x.tolist()
         self._min_y = min_y.tolist()
@@ -178,9 +166,8 @@ class IncrementalHPWL:
         for counts, pos, bound in ((
                 "_cnt_min_x", px, min_x), ("_cnt_max_x", px, max_x),
                 ("_cnt_min_y", py, min_y), ("_cnt_max_y", py, max_y)):
-            at = (pos == bound[pin_net]).astype(xp.int64)
-            setattr(self, counts,
-                    bk.reduceat("sum", at, seeds).tolist())
+            at = (pos == bound[pin_net]).astype(np.int64)
+            setattr(self, counts, np.add.reduceat(at, seeds).tolist())
         costs = self.net_weight * ((max_x - min_x) + (max_y - min_y))
         self._net_cost = costs.tolist()
         self._total = float(costs.sum())
@@ -188,19 +175,17 @@ class IncrementalHPWL:
 
     def _bulk_costs(self) -> np.ndarray:
         """(num_nets,) weighted net costs, vectorized."""
-        bk = self.backend
-        xp = bk.xp
         if not self.num_nets:
-            return xp.zeros(0)
-        x = xp.asarray(self._x)
-        y = xp.asarray(self._y)
+            return np.zeros(0)
+        x = np.asarray(self._x)
+        y = np.asarray(self._y)
         px = x[self.pin_cell] + self.pin_ox
         py = y[self.pin_cell] + self.pin_oy
         seeds = self.net_start[:-1]
-        spans = ((bk.reduceat("max", px, seeds)
-                  - bk.reduceat("min", px, seeds))
-                 + (bk.reduceat("max", py, seeds)
-                    - bk.reduceat("min", py, seeds)))
+        spans = ((np.maximum.reduceat(px, seeds)
+                  - np.minimum.reduceat(px, seeds))
+                 + (np.maximum.reduceat(py, seeds)
+                    - np.minimum.reduceat(py, seeds)))
         return self.net_weight * spans
 
     # ------------------------------------------------------------------

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-# references are the numpy ground truth by definition — they must never
-# route through the backend facade they validate
-# repro-lint: disable=NUM04
 import numpy as np
 
 if TYPE_CHECKING:

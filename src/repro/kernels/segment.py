@@ -6,24 +6,17 @@ All kernels operate on the flat CSR layout of
 ``j`` occupy ``values[net_start[j]:net_start[j+1]]``.  Segments must be
 non-empty (``ufunc.reduceat`` is undefined on empty segments; degree-0
 nets never reach these kernels because the array builders drop them).
-
-Array math routes through the :mod:`repro.kernels.backend` facade; the
-``reduceat`` primitive is capability-gated there (backends without
-native segment-reduce take a declared, counted host detour).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import numpy as np
 
-from .backend import Backend, active_backend
-
-if TYPE_CHECKING:
-    import numpy as np
+from ..errors import OptionsError
 
 
 def segment_reduce(values: np.ndarray, starts: np.ndarray,
-                   op: str, backend: Backend | None = None) -> np.ndarray:
+                   op: str) -> np.ndarray:
     """Per-segment max, min, or sum of a per-pin array via ``reduceat``.
 
     Args:
@@ -31,49 +24,47 @@ def segment_reduce(values: np.ndarray, starts: np.ndarray,
         starts: (M+1,) CSR offsets; only ``starts[:-1]`` seeds the
             reduction.
         op: ``"max"``, ``"min"``, or ``"sum"``.
-        backend: array backend (defaults to the active one).
     """
-    b = backend or active_backend()
     if len(starts) <= 1:
-        return b.xp.empty(0, dtype=values.dtype)
-    return b.reduceat(op, values, starts[:-1])
+        return np.empty(0, dtype=values.dtype)
+    seeds = starts[:-1]
+    if op == "max":
+        return np.maximum.reduceat(values, seeds)
+    if op == "min":
+        return np.minimum.reduceat(values, seeds)
+    if op == "sum":
+        return np.add.reduceat(values, seeds)
+    raise OptionsError(f"unknown op {op!r}")
 
 
-def expand_pin_net(net_start: np.ndarray,
-                   backend: Backend | None = None) -> np.ndarray:
+def expand_pin_net(net_start: np.ndarray) -> np.ndarray:
     """(P,) net index of every pin — the inverse of the CSR ranges."""
-    xp = (backend or active_backend()).xp
-    degrees = xp.diff(net_start)
-    return xp.repeat(xp.arange(len(degrees), dtype=xp.int64), degrees)
+    degrees = np.diff(net_start)
+    return np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
 
 
-def net_bounds(coords: np.ndarray, starts: np.ndarray,
-               backend: Backend | None = None
+def net_bounds(coords: np.ndarray, starts: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Per-net (min, max) of a per-pin coordinate array."""
-    return (segment_reduce(coords, starts, "min", backend),
-            segment_reduce(coords, starts, "max", backend))
+    return (segment_reduce(coords, starts, "min"),
+            segment_reduce(coords, starts, "max"))
 
 
 def hpwl_per_net_kernel(px: np.ndarray, py: np.ndarray,
-                        starts: np.ndarray,
-                        backend: Backend | None = None) -> np.ndarray:
+                        starts: np.ndarray) -> np.ndarray:
     """(M,) unweighted HPWL of each net from flat pin positions."""
-    b = backend or active_backend()
     if len(starts) <= 1:
-        return b.xp.empty(0)
+        return np.empty(0)
     seeds = starts[:-1]
-    return ((b.reduceat("max", px, seeds) - b.reduceat("min", px, seeds))
-            + (b.reduceat("max", py, seeds)
-               - b.reduceat("min", py, seeds)))
+    return ((np.maximum.reduceat(px, seeds)
+             - np.minimum.reduceat(px, seeds))
+            + (np.maximum.reduceat(py, seeds)
+               - np.minimum.reduceat(py, seeds)))
 
 
 def hpwl_kernel(px: np.ndarray, py: np.ndarray, starts: np.ndarray,
-                weights: np.ndarray,
-                backend: Backend | None = None) -> float:
+                weights: np.ndarray) -> float:
     """Total weighted HPWL from flat pin positions."""
-    b = backend or active_backend()
     if len(starts) <= 1:
         return 0.0
-    return float(b.xp.dot(weights,
-                          hpwl_per_net_kernel(px, py, starts, backend=b)))
+    return float(np.dot(weights, hpwl_per_net_kernel(px, py, starts)))

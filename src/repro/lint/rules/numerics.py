@@ -159,62 +159,3 @@ class OverbroadExcept(Rule):
         elif isinstance(type_node, ast.Name):
             names = [type_node.id]
         return any(n in ("Exception", "BaseException") for n in names)
-
-
-#: modules that must route array math through the backend facade.
-_BACKEND_SCOPES = ("repro/kernels/", "repro/place/electrostatic.py")
-
-#: the facade itself (and the reference module, which is the numpy
-#: ground truth by definition and carries an inline suppression).
-_BACKEND_EXEMPT = ("repro/kernels/backend.py",)
-
-
-@register
-class DirectNumpyImport(Rule):
-    id = "NUM04"
-    summary = "direct numpy import bypassing the backend facade"
-    invariant = ("Kernels and the electrostatic engine run on the "
-                 "pluggable array backend (repro.kernels.backend); a "
-                 "runtime numpy import hard-wires the host path and "
-                 "silently defeats --backend/REPRO_BACKEND selection.")
-    fix = ("Use backend.xp (or the structured primitives on Backend) "
-           "instead; keep numpy imports under `if TYPE_CHECKING:` for "
-           "annotations, or sanction a deliberate host-only module with "
-           "# repro-lint: disable=NUM04 and a justification.")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.relpath.startswith(_BACKEND_SCOPES):
-            return
-        if ctx.relpath.startswith(_BACKEND_EXEMPT):
-            return
-        for node in ctx.walk():
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if not any(n == "numpy" or n.startswith("numpy.")
-                       for n in names):
-                continue
-            if self._type_checking_only(ctx, node):
-                continue
-            yield ctx.finding(
-                self.id, node,
-                "runtime numpy import in backend-routed code; use the "
-                "backend facade (backend.xp) or move the import under "
-                "if TYPE_CHECKING:")
-
-    @staticmethod
-    def _type_checking_only(ctx: FileContext, node: ast.AST) -> bool:
-        """True when the import sits under an ``if TYPE_CHECKING:``."""
-        parent = ctx.parent(node)
-        while parent is not None:
-            if isinstance(parent, ast.If):
-                test = parent.test
-                name = test.id if isinstance(test, ast.Name) else \
-                    test.attr if isinstance(test, ast.Attribute) else None
-                if name == "TYPE_CHECKING":
-                    return True
-            parent = ctx.parent(parent)
-        return False

@@ -2,11 +2,10 @@
 
 Submodules: region geometry, flattened arrays, wirelength and density
 models, B2B quadratic and nonlinear global placers, Tetris/Abacus
-legalization, detailed placement, and a simulated-annealing baseline.
+legalization, and detailed placement.
 """
 
 from .abacus import abacus_legalize
-from .anneal import AnnealOptions, AnnealResult, anneal_place
 from .arrays import PlacementArrays
 from .b2b import B2BBuilder, QuadraticSystem
 from .density import BellDensity, density_map, overflow
@@ -24,8 +23,6 @@ from .wirelength import (hpwl, hpwl_per_net, lse_wirelength,
                          wa_wirelength_grad)
 
 __all__ = [
-    "AnnealOptions",
-    "AnnealResult",
     "B2BBuilder",
     "BellDensity",
     "BinGrid",
@@ -45,7 +42,6 @@ __all__ = [
     "QuadraticSystem",
     "Row",
     "abacus_legalize",
-    "anneal_place",
     "check_legal",
     "conjugate_gradient",
     "default_grid",

@@ -26,8 +26,7 @@ import scipy.sparse as sp
 from typing import TYPE_CHECKING
 
 from ..errors import NumericalError
-from ..kernels import assemble_pairs, b2b_pairs, expand_pin_net
-from ..kernels.backend import Backend, Workspace, active_backend
+from ..kernels import Workspace, assemble_pairs, b2b_pairs, expand_pin_net
 from .arrays import PlacementArrays
 
 if TYPE_CHECKING:
@@ -191,25 +190,21 @@ def _as_pair_arrays(extra_pairs) -> tuple[np.ndarray, np.ndarray,
 class B2BBuilder:
     """Reusable builder for per-axis B2B systems plus anchor terms.
 
+    A per-builder :class:`~repro.kernels.workspace.Workspace` reuses the
+    pair enumeration scratch across axis builds — same values, no
+    per-call allocation.
+
     Args:
         arrays: flattened netlist.
-        backend: array backend the pair/assembly kernels run on
-            (defaults to the active one).  A per-builder
-            :class:`~repro.kernels.backend.Workspace` reuses the pair
-            enumeration scratch across axis builds — same values, no
-            per-call allocation.
     """
 
-    def __init__(self, arrays: PlacementArrays,
-                 backend: Backend | None = None) -> None:
+    def __init__(self, arrays: PlacementArrays) -> None:
         self.arrays = arrays
-        self.backend = backend or active_backend()
-        self.workspace = Workspace(self.backend)
+        self.workspace = Workspace()
         self.movable_cells = np.nonzero(arrays.movable)[0]
         self._row_of = np.full(arrays.num_cells, -1, dtype=np.int64)
         self._row_of[self.movable_cells] = np.arange(len(self.movable_cells))
-        self._pin_net = expand_pin_net(arrays.net_start,
-                                       backend=self.backend)
+        self._pin_net = expand_pin_net(arrays.net_start)
 
     @property
     def num_movable(self) -> int:
@@ -253,7 +248,7 @@ class B2BBuilder:
         ca, cb, w, const = b2b_pairs(
             pin_pos, arrays.net_start, arrays.net_weight, arrays.pin_cell,
             offsets, self._pin_net, min_distance,
-            backend=self.backend, workspace=self.workspace)
+            workspace=self.workspace)
         eca, ecb, ew, econst = _as_pair_arrays(extra_pairs)
         if eca.size:
             ca = np.concatenate([ca, eca])
@@ -262,8 +257,7 @@ class B2BBuilder:
             const = np.concatenate([const, econst])
 
         diag, b, rows, cols, vals = assemble_pairs(
-            ca, cb, w, const, self._row_of, coords, m,
-            backend=self.backend)
+            ca, cb, w, const, self._row_of, coords, m)
 
         if anchors is not None:
             aw = np.broadcast_to(np.asarray(anchor_weight, dtype=float),
@@ -298,14 +292,14 @@ class B2BBuilder:
         ca, cb, w, const = b2b_pairs(
             pin_pos, arrays.net_start, arrays.net_weight, arrays.pin_cell,
             offsets, self._pin_net, min_distance,
-            backend=self.backend, workspace=self.workspace)
+            workspace=self.workspace)
         eca, ecb, ew, econst = _as_pair_arrays(extra_pairs)
         if eca.size:
             ca = np.concatenate([ca, eca])
             cb = np.concatenate([cb, ecb])
             w = np.concatenate([w, ew])
             const = np.concatenate([const, econst])
-        return b2b_grad(ca, cb, w, const, coords, backend=self.backend)
+        return b2b_grad(ca, cb, w, const, coords)
 
     # ------------------------------------------------------------------
     def build_axis_reference(self, coords: np.ndarray, offsets: np.ndarray,

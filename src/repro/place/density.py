@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import bell_value_grad, rasterize_overlap
-from ..kernels.backend import Backend, Workspace, active_backend
+from ..kernels import Workspace, bell_value_grad, rasterize_overlap
 from .arrays import PlacementArrays
 from .region import BinGrid
 from ..errors import OptionsError
 
 
 def density_map(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
-                grid: BinGrid, include_fixed: bool = False,
-                backend: Backend | None = None) -> np.ndarray:
+                grid: BinGrid, include_fixed: bool = False) -> np.ndarray:
     """Exact overlap-area density map, (nx, ny), as utilization in [0, inf).
 
     Args:
@@ -36,7 +34,6 @@ def density_map(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
         x / y: cell centers.
         grid: bin grid.
         include_fixed: also deposit fixed-cell area (terminals).
-        backend: array backend (defaults to the active one).
     """
     sel = np.ones(arrays.num_cells, dtype=bool) if include_fixed \
         else arrays.movable
@@ -46,16 +43,15 @@ def density_map(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
         y[sel] - arrays.height[sel] / 2.0,
         y[sel] + arrays.height[sel] / 2.0,
         nx=grid.nx, ny=grid.ny, bin_w=grid.bin_w, bin_h=grid.bin_h,
-        origin_x=grid.region.x, origin_y=grid.region.y, backend=backend)
+        origin_x=grid.region.x, origin_y=grid.region.y)
     return area / grid.bin_area
 
 
 def overflow(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
-             grid: BinGrid, target: float = 1.0,
-             backend: Backend | None = None) -> float:
+             grid: BinGrid, target: float = 1.0) -> float:
     """Total density overflow: sum over bins of max(u_b - target, 0) * bin
     area, normalised by total movable area.  0 means fully spread."""
-    u = density_map(arrays, x, y, grid, backend=backend)
+    u = density_map(arrays, x, y, grid)
     excess = np.maximum(u - target, 0.0) * grid.bin_area
     movable_area = float(arrays.area[arrays.movable].sum())
     if movable_area <= 0:
@@ -78,15 +74,13 @@ class BellDensity:
     """
 
     def __init__(self, arrays: PlacementArrays, grid: BinGrid,
-                 target_density: float = 1.0,
-                 backend: Backend | None = None) -> None:
+                 target_density: float = 1.0) -> None:
         self.arrays = arrays
         self.grid = grid
         self.target_density = target_density
-        self.backend = backend or active_backend()
         # per-design scratch arena: the bell kernel's (C, Sx, Sy)
         # contribution tensor and friends are reused across iterations
-        self.workspace = Workspace(self.backend)
+        self.workspace = Workspace()
         self._cx, self._cy = grid.centers()
         self._movable_idx = np.nonzero(arrays.movable)[0]
         # supply per bin: bin area minus fixed blockage, capped at target
@@ -112,8 +106,7 @@ class BellDensity:
             y[fixed] - self.arrays.height[fixed] / 2.0,
             y[fixed] + self.arrays.height[fixed] / 2.0,
             nx=g.nx, ny=g.ny, bin_w=g.bin_w, bin_h=g.bin_h,
-            origin_x=g.region.x, origin_y=g.region.y,
-            backend=self.backend)
+            origin_x=g.region.x, origin_y=g.region.y)
 
     def value_grad(self, x: np.ndarray, y: np.ndarray
                    ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -127,7 +120,7 @@ class BellDensity:
             arrays.area[idx],
             cx=self._cx, cy=self._cy, bin_w=g.bin_w, bin_h=g.bin_h,
             origin_x=g.region.x, origin_y=g.region.y, target=self.target,
-            backend=self.backend, workspace=self.workspace)
+            workspace=self.workspace)
         gx = np.zeros(arrays.num_cells)
         gy = np.zeros(arrays.num_cells)
         gx[idx] = gxm

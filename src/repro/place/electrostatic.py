@@ -14,10 +14,10 @@ which simultaneously pushes cells out of overfilled bins and pulls them
 into underfilled ones — a *global* spreading signal, unlike the local
 bell penalty of :class:`~repro.place.density.BellDensity`.
 
-The Poisson solve runs in the spectral domain through the backend's FFT
-capability: the charge grid is even-extended (mirror images across both
-axes), which turns the zero-flux Neumann boundary condition into plain
-periodicity, and each Fourier mode is divided by the eigenvalue of the
+The Poisson solve runs in the spectral domain through ``np.fft``: the
+charge grid is even-extended (mirror images across both axes), which
+turns the zero-flux Neumann boundary condition into plain periodicity,
+and each Fourier mode is divided by the eigenvalue of the
 discrete 5-point Laplacian.  Cost per iteration is O(B log B) in the
 bin count B — independent of how badly cells overlap — which is what
 makes the engine fast on large flat designs where the quadratic
@@ -27,20 +27,17 @@ The outer loop is Nesterov's accelerated gradient method with a
 Barzilai–Borwein steplength (ePlace Algorithm 1), using the B2B
 wirelength gradient evaluated directly from the pair list
 (:meth:`~repro.place.b2b.B2BBuilder.grad_axis` — no sparse assembly).
-
-All array math routes through :mod:`repro.kernels.backend`; this module
-never imports numpy at runtime (lint rule NUM04).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import OptionsError
 from ..kernels import b2b_grad, rasterize_overlap
-from ..kernels.backend import Backend, active_backend, kernel_span
 from ..robust.checkpoint import CheckpointHook
 from ..robust.faults import fault_fires
 from ..robust.guards import GuardOptions, IterateGuard
@@ -50,9 +47,6 @@ from .b2b import B2BBuilder, _as_pair_arrays
 from .density import overflow
 from .region import BinGrid, PlacementRegion, default_grid
 from .wirelength import hpwl
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -108,18 +102,15 @@ class ElectrostaticDensity:
     """
 
     def __init__(self, arrays: PlacementArrays, grid: BinGrid,
-                 target_density: float = 1.0,
-                 backend: Backend | None = None) -> None:
+                 target_density: float = 1.0) -> None:
         self.arrays = arrays
         self.grid = grid
-        self.backend = backend or active_backend()
-        xp = self.backend.xp
-        self._movable_idx = xp.nonzero(arrays.movable)[0]
+        self._movable_idx = np.nonzero(arrays.movable)[0]
 
         # blockage-aware per-bin target area (same recipe as BellDensity:
         # fixed cells consume supply, the remainder shares movable area)
         blockage = self._fixed_blockage()
-        usable = xp.maximum(grid.bin_area * target_density - blockage, 0.0)
+        usable = np.maximum(grid.bin_area * target_density - blockage, 0.0)
         movable_area = float(arrays.area[arrays.movable].sum())
         total_usable = float(usable.sum())
         if total_usable <= 0:
@@ -129,11 +120,11 @@ class ElectrostaticDensity:
         # spectral eigenvalues of the discrete 5-point Laplacian on the
         # even-extended (2nx, 2ny) periodic grid: mode k has angle
         # pi*k/n per axis, eigenvalue (2 - 2cos(angle)) / pitch^2
-        kx = xp.arange(2 * grid.nx)
-        ky = xp.arange(2 * grid.ny)
-        lam_x = (2.0 - 2.0 * xp.cos(math.pi * kx / grid.nx)) \
+        kx = np.arange(2 * grid.nx)
+        ky = np.arange(2 * grid.ny)
+        lam_x = (2.0 - 2.0 * np.cos(math.pi * kx / grid.nx)) \
             / (grid.bin_w * grid.bin_w)
-        lam_y = (2.0 - 2.0 * xp.cos(math.pi * ky / grid.ny)) \
+        lam_y = (2.0 - 2.0 * np.cos(math.pi * ky / grid.ny)) \
             / (grid.bin_h * grid.bin_h)
         lam = lam_x[:, None] + lam_y[None, :]
         lam[0, 0] = 1.0  # DC mode is zeroed explicitly after the divide
@@ -142,10 +133,9 @@ class ElectrostaticDensity:
     def _fixed_blockage(self) -> np.ndarray:
         g = self.grid
         arrays = self.arrays
-        xp = self.backend.xp
         fixed = ~arrays.movable
         if not bool(fixed.any()):
-            return xp.zeros((g.nx, g.ny))
+            return np.zeros((g.nx, g.ny))
         pos = arrays.netlist.positions()
         x, y = pos[:, 0], pos[:, 1]
         return rasterize_overlap(
@@ -154,8 +144,7 @@ class ElectrostaticDensity:
             y[fixed] - arrays.height[fixed] / 2.0,
             y[fixed] + arrays.height[fixed] / 2.0,
             nx=g.nx, ny=g.ny, bin_w=g.bin_w, bin_h=g.bin_h,
-            origin_x=g.region.x, origin_y=g.region.y,
-            backend=self.backend)
+            origin_x=g.region.x, origin_y=g.region.y)
 
     # ------------------------------------------------------------------
     def charge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -169,8 +158,7 @@ class ElectrostaticDensity:
             y[idx] - arrays.height[idx] / 2.0,
             y[idx] + arrays.height[idx] / 2.0,
             nx=g.nx, ny=g.ny, bin_w=g.bin_w, bin_h=g.bin_h,
-            origin_x=g.region.x, origin_y=g.region.y,
-            backend=self.backend)
+            origin_x=g.region.x, origin_y=g.region.y)
         return (demand - self.target) / g.bin_area
 
     def solve_poisson(self, rho: np.ndarray) -> np.ndarray:
@@ -182,26 +170,23 @@ class ElectrostaticDensity:
         ``poisson_reference`` solve).  The DC mode — undetermined for a
         pure-Neumann problem — is pinned to zero (zero-mean gauge).
         """
-        b = self.backend
-        xp = b.xp
         nx, ny = self.grid.nx, self.grid.ny
-        ext = xp.empty((2 * nx, 2 * ny))
+        ext = np.empty((2 * nx, 2 * ny))
         ext[:nx, :ny] = rho
         ext[nx:, :ny] = rho[::-1, :]
         ext[:nx, ny:] = rho[:, ::-1]
         ext[nx:, ny:] = rho[::-1, ::-1]
-        rho_hat = b.fft2(ext)
+        rho_hat = np.fft.fft2(ext)
         psi_hat = rho_hat / self._lam
         psi_hat[0, 0] = 0.0
-        psi = b.ifft2(psi_hat).real[:nx, :ny]
+        psi = np.fft.ifft2(psi_hat).real[:nx, :ny]
         return psi
 
     def field(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E = -grad(psi): central differences, one-sided at the edges."""
-        xp = self.backend.xp
         g = self.grid
-        ex = xp.empty_like(psi)
-        ey = xp.empty_like(psi)
+        ex = np.empty_like(psi)
+        ey = np.empty_like(psi)
         ex[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2.0 * g.bin_w)
         ex[0, :] = (psi[1, :] - psi[0, :]) / g.bin_w
         ex[-1, :] = (psi[-1, :] - psi[-2, :]) / g.bin_w
@@ -213,16 +198,15 @@ class ElectrostaticDensity:
     def _gather(self, grid_vals: np.ndarray, x: np.ndarray, y: np.ndarray
                 ) -> np.ndarray:
         """Bilinear interpolation of a bin-center field at cell centers."""
-        xp = self.backend.xp
         g = self.grid
         fx = (x - g.region.x) / g.bin_w - 0.5
         fy = (y - g.region.y) / g.bin_h - 0.5
-        i0 = xp.clip(xp.floor(fx).astype(xp.int64), 0, g.nx - 1)
-        j0 = xp.clip(xp.floor(fy).astype(xp.int64), 0, g.ny - 1)
-        i1 = xp.clip(i0 + 1, 0, g.nx - 1)
-        j1 = xp.clip(j0 + 1, 0, g.ny - 1)
-        tx = xp.clip(fx - i0, 0.0, 1.0)
-        ty = xp.clip(fy - j0, 0.0, 1.0)
+        i0 = np.clip(np.floor(fx).astype(np.int64), 0, g.nx - 1)
+        j0 = np.clip(np.floor(fy).astype(np.int64), 0, g.ny - 1)
+        i1 = np.clip(i0 + 1, 0, g.nx - 1)
+        j1 = np.clip(j0 + 1, 0, g.ny - 1)
+        tx = np.clip(fx - i0, 0.0, 1.0)
+        ty = np.clip(fy - j0, 0.0, 1.0)
         return ((1.0 - tx) * (1.0 - ty) * grid_vals[i0, j0]
                 + tx * (1.0 - ty) * grid_vals[i1, j0]
                 + (1.0 - tx) * ty * grid_vals[i0, j1]
@@ -236,7 +220,6 @@ class ElectrostaticDensity:
         ``-q_i * E(x_i)`` (charge times field, ePlace eq. 6); descending
         it moves each cell along the field, out of dense regions.
         """
-        xp = self.backend.xp
         g = self.grid
         rho = self.charge(x, y)
         psi = self.solve_poisson(rho)
@@ -244,8 +227,8 @@ class ElectrostaticDensity:
         value = 0.5 * float((rho * psi).sum()) * g.bin_area
         idx = self._movable_idx
         q = self.arrays.area[idx]
-        gx = xp.zeros(self.arrays.num_cells)
-        gy = xp.zeros(self.arrays.num_cells)
+        gx = np.zeros(self.arrays.num_cells)
+        gy = np.zeros(self.arrays.num_cells)
         gx[idx] = -q * self._gather(ex, x[idx], y[idx])
         gy[idx] = -q * self._gather(ey, x[idx], y[idx])
         return value, gx, gy
@@ -269,19 +252,16 @@ class ElectrostaticPlacer:
                  extra_pairs_y: list[tuple[int, int, float, float]] | None = None,
                  guard: GuardOptions | None = None,
                  checkpoint: CheckpointHook | None = None,
-                 tracer: Tracer | None = None,
-                 backend: Backend | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self.arrays = arrays
         self.region = region
         self.options = options or ElectroOptions()
         self.guard = guard or GuardOptions()
         self.checkpoint = checkpoint
         self.tracer = tracer or Tracer()
-        self.backend = backend or active_backend()
         self.grid = grid or default_grid(region, arrays.netlist)
-        self.density = ElectrostaticDensity(arrays, self.grid,
-                                            backend=self.backend)
-        self.builder = B2BBuilder(arrays, backend=self.backend)
+        self.density = ElectrostaticDensity(arrays, self.grid)
+        self.builder = B2BBuilder(arrays)
         self.extra_pairs_x = extra_pairs_x or []
         self.extra_pairs_y = extra_pairs_y or []
         self._pairs_x = _as_pair_arrays(extra_pairs_x)
@@ -289,13 +269,12 @@ class ElectrostaticPlacer:
 
     # ------------------------------------------------------------------
     def _clamp(self, x: np.ndarray, y: np.ndarray) -> None:
-        xp = self.backend.xp
         mv = self.arrays.movable
         hw = self.arrays.width / 2.0
         hh = self.arrays.height / 2.0
-        x[mv] = xp.clip(x[mv], self.region.x + hw[mv],
+        x[mv] = np.clip(x[mv], self.region.x + hw[mv],
                         self.region.x_end - hw[mv])
-        y[mv] = xp.clip(y[mv], self.region.y + hh[mv],
+        y[mv] = np.clip(y[mv], self.region.y + hh[mv],
                         self.region.y_top - hh[mv])
 
     def _wl_grad(self, x: np.ndarray, y: np.ndarray
@@ -303,29 +282,28 @@ class ElectrostaticPlacer:
         """B2B wirelength value and gradient, both axes, plus the
         structure-alignment pair terms."""
         opts = self.options
-        with kernel_span(self.tracer, "kernel.wl_grad", self.backend):
+        with self.tracer.phase("kernel.wl_grad"):
             wx, gx = self.builder.grad_axis(
                 x, self.arrays.pin_dx, min_distance=opts.min_distance)
             wy, gy = self.builder.grad_axis(
                 y, self.arrays.pin_dy, min_distance=opts.min_distance)
-        px, pgx = b2b_grad(*self._pairs_x, x, backend=self.backend)
-        py, pgy = b2b_grad(*self._pairs_y, y, backend=self.backend)
+        px, pgx = b2b_grad(*self._pairs_x, x)
+        py, pgy = b2b_grad(*self._pairs_y, y)
         return wx + wy + px + py, gx + pgx, gy + pgy
 
     def _density_grad(self, x: np.ndarray, y: np.ndarray
                       ) -> tuple[float, np.ndarray, np.ndarray]:
-        with kernel_span(self.tracer, "kernel.fft_poisson", self.backend,
-                         nx=self.grid.nx, ny=self.grid.ny):
+        with self.tracer.phase("kernel.fft_poisson",
+                               nx=self.grid.nx, ny=self.grid.ny):
             return self.density.value_grad(x, y)
 
     def _grad(self, lam: float, x: np.ndarray, y: np.ndarray
               ) -> np.ndarray:
         """Masked objective gradient as one (2N,) vector."""
-        xp = self.backend.xp
         _, gwx, gwy = self._wl_grad(x, y)
         _, gdx, gdy = self._density_grad(x, y)
         n = self.arrays.num_cells
-        g = xp.empty(2 * n)
+        g = np.empty(2 * n)
         g[:n] = gwx + lam * gdx
         g[n:] = gwy + lam * gdy
         mv = self.arrays.movable
@@ -379,12 +357,11 @@ class ElectrostaticPlacer:
         """
         opts = self.options
         arrays = self.arrays
-        xp = self.backend.xp
         if x0 is None or y0 is None:
             x0, y0 = arrays.initial_positions()
             x0, y0 = self._initial_wl_solve(x0, y0)
         n = arrays.num_cells
-        u = xp.empty(2 * n)
+        u = np.empty(2 * n)
         u[:n] = x0
         u[n:] = y0
         self._clamp(u[:n], u[n:])
@@ -392,8 +369,8 @@ class ElectrostaticPlacer:
         # initial multiplier: balance the gradient one-norms
         _, gwx, gwy = self._wl_grad(u[:n], u[n:])
         _, gdx, gdy = self._density_grad(u[:n], u[n:])
-        wl_norm = float(xp.abs(gwx).sum() + xp.abs(gwy).sum())
-        d_norm = float(xp.abs(gdx).sum() + xp.abs(gdy).sum())
+        wl_norm = float(np.abs(gwx).sum() + np.abs(gwy).sum())
+        d_norm = float(np.abs(gdx).sum() + np.abs(gdy).sum())
         lam = (wl_norm / d_norm) * opts.lambda_init_frac \
             if d_norm > 0 else 1.0
 
@@ -413,11 +390,10 @@ class ElectrostaticPlacer:
         v_prev = None
         g_prev = None
         rounds = 0
-        ovf = overflow(arrays, u[:n], u[n:], self.grid,
-                       backend=self.backend)
+        ovf = overflow(arrays, u[:n], u[n:], self.grid)
         for rounds in range(1, opts.max_iterations + 1):
             g = self._grad(lam, v[:n], v[n:])
-            g_inf = float(xp.abs(g).max())
+            g_inf = float(np.abs(g).max())
             if g_inf <= 0:
                 break
             if g_prev is None:
@@ -425,8 +401,8 @@ class ElectrostaticPlacer:
             else:
                 # Barzilai–Borwein steplength, capped so the steepest
                 # cell moves at most step_cap per iteration
-                dv = float(xp.linalg.norm(v - v_prev))
-                dg = float(xp.linalg.norm(g - g_prev))
+                dv = float(np.linalg.norm(v - v_prev))
+                dg = float(np.linalg.norm(g - g_prev))
                 alpha = dv / dg if dg > 0 else step_cap / g_inf
                 alpha = min(alpha, step_cap / g_inf)
             v_prev = v.copy()
@@ -451,12 +427,10 @@ class ElectrostaticPlacer:
                 x, y = u[:n], u[n:]
                 # a poisoned iterate goes straight to the guard — the
                 # exact raster would only cast the NaNs around
-                if bool(xp.isfinite(x[arrays.movable]).all()) \
-                        and bool(xp.isfinite(y[arrays.movable]).all()):
-                    ovf = overflow(arrays, x, y, self.grid,
-                                   backend=self.backend)
-                    wl = hpwl(arrays, self.backend.to_host(x),
-                              self.backend.to_host(y))
+                if bool(np.isfinite(x[arrays.movable]).all()) \
+                        and bool(np.isfinite(y[arrays.movable]).all()):
+                    ovf = overflow(arrays, x, y, self.grid)
+                    wl = hpwl(arrays, x, y)
                 else:
                     ovf = math.inf
                     wl = math.inf
@@ -467,7 +441,5 @@ class ElectrostaticPlacer:
                 if ovf <= opts.target_overflow:
                     break
 
-        x = self.backend.to_host(u[:n])
-        y = self.backend.to_host(u[n:])
-        return ElectroResult(x=x, y=y, rounds=rounds, final_overflow=ovf,
-                             history=history)
+        return ElectroResult(x=u[:n], y=u[n:], rounds=rounds,
+                             final_overflow=ovf, history=history)

@@ -40,7 +40,6 @@ from .coarsen import build_coarse_netlist, interpolate_positions
 from .options import MultilevelOptions
 
 if TYPE_CHECKING:
-    from ...kernels.backend import Backend
     from ...robust.checkpoint import CheckpointHook
     from ...robust.guards import GuardOptions
     from ..electrostatic import ElectroOptions
@@ -140,8 +139,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                      atomic_groups: list[list[int]] | None = None,
                      resume_x: np.ndarray | None = None,
                      resume_y: np.ndarray | None = None,
-                     resume_iteration: int = 0,
-                     backend: Backend | None = None) -> GlobalPlaceResult:
+                     resume_iteration: int = 0) -> GlobalPlaceResult:
     """Run multilevel global placement; drop-in for a flat engine call.
 
     Args:
@@ -162,7 +160,6 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
         resume_x / resume_y / resume_iteration: a checkpoint — taken
             during finest-level refinement, so resumption continues flat
             from those positions (coarser levels are already paid for).
-        backend: array backend threaded into every level's engine.
 
     Returns:
         The finest-level result; ``history`` concatenates every level's
@@ -180,7 +177,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 arrays, region,
                 options=nonlinear_options or NonlinearOptions(),
                 extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-                guard=guard, checkpoint=checkpoint, backend=backend)
+                guard=guard, checkpoint=checkpoint)
             res = placer.place(x0, y0)
             return GlobalPlaceResult(x=res.x, y=res.y,
                                      history=_nl_history(res.history, 0))
@@ -190,8 +187,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 arrays, region,
                 options=electro_options or ElectroOptions(),
                 extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-                guard=guard, checkpoint=checkpoint, tracer=tracer,
-                backend=backend)
+                guard=guard, checkpoint=checkpoint, tracer=tracer)
             res = placer.place(x0, y0)
             return GlobalPlaceResult(x=res.x, y=res.y,
                                      history=_nl_history(res.history, 0))
@@ -199,8 +195,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             arrays, region, options=gp,
             extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
             groups=groups, post_solve=post_solve, tracer=tracer,
-            guard=guard, checkpoint=checkpoint, warm_seed=warm_seed,
-            backend=backend)
+            guard=guard, checkpoint=checkpoint, warm_seed=warm_seed)
         result = placer.place(x0, y0, resume_iteration=resume_it)
         return result
 
@@ -239,7 +234,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                     tracer=tracer, guard=guard,
                     checkpoint=checkpoint if k == 0 else None,
                     warm_seed=warm_seed, preconditioner=preconditioner,
-                    min_distance=min_distance, backend=backend)
+                    min_distance=min_distance)
 
             def nonlinear_place(k: int, x0, y0, offset: int,
                                 refining: bool) -> GlobalPlaceResult:
@@ -252,8 +247,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 placer = NonlinearPlacer(
                     levels[k].arrays, region, options=nl,
                     extra_pairs_x=px, extra_pairs_y=py, guard=guard,
-                    checkpoint=checkpoint if k == 0 else None,
-                    backend=backend)
+                    checkpoint=checkpoint if k == 0 else None)
                 res = placer.place(x0, y0)
                 return GlobalPlaceResult(
                     x=res.x, y=res.y,
@@ -274,7 +268,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                     levels[k].arrays, region, options=eo,
                     extra_pairs_x=px, extra_pairs_y=py, guard=guard,
                     checkpoint=checkpoint if k == 0 else None,
-                    tracer=tracer, backend=backend)
+                    tracer=tracer)
                 res = placer.place(x0, y0)
                 return GlobalPlaceResult(
                     x=res.x, y=res.y,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..kernels.backend import Backend, active_backend
 from ..robust.checkpoint import CheckpointHook
 from ..robust.guards import GuardOptions, IterateGuard
 from ..robust.faults import fault_fires
@@ -75,19 +74,16 @@ class NonlinearPlacer:
                  extra_pairs_x: list[tuple[int, int, float, float]] | None = None,
                  extra_pairs_y: list[tuple[int, int, float, float]] | None = None,
                  guard: GuardOptions | None = None,
-                 checkpoint: CheckpointHook | None = None,
-                 backend: Backend | None = None) -> None:
+                 checkpoint: CheckpointHook | None = None) -> None:
         self.arrays = arrays
         self.region = region
         self.options = options or NonlinearOptions()
         self.guard = guard or GuardOptions()
-        self.backend = backend or active_backend()
         # checkpoint(round, x, y): periodic snapshot hook (resume support
         # mirrors the quadratic engine's)
         self.checkpoint = checkpoint
         self.grid = grid or default_grid(region, arrays.netlist)
-        self.density = BellDensity(arrays, self.grid,
-                                   backend=self.backend)
+        self.density = BellDensity(arrays, self.grid)
         if self.options.wirelength_model not in WL_MODELS:
             raise OptionsError(
                 f"unknown wirelength model {self.options.wirelength_model!r}")
@@ -181,7 +177,7 @@ class NonlinearPlacer:
             movable=arrays.movable)
         history: list[tuple[float, float]] = []
         rounds = 0
-        ovf = overflow(arrays, x, y, self.grid, backend=self.backend)
+        ovf = overflow(arrays, x, y, self.grid)
         n = arrays.num_cells
         cg_opts = opts.cg
         for rounds in range(1, opts.max_rounds + 1):
@@ -199,7 +195,7 @@ class NonlinearPlacer:
                 x = x.copy()
                 x[:] = np.nan
             self._clamp(x, y)
-            ovf = overflow(arrays, x, y, self.grid, backend=self.backend)
+            ovf = overflow(arrays, x, y, self.grid)
             wl = hpwl(arrays, x, y)
             history.append((wl, ovf))
             iterate_guard.check(rounds, x, y, overflow=ovf, hpwl=wl)

@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..kernels.backend import Backend, active_backend, kernel_span
 from ..robust.checkpoint import CheckpointHook
 from ..robust.guards import GuardedSolve, GuardOptions, IterateGuard
 from ..runtime.telemetry import Tracer
@@ -140,9 +139,6 @@ class QuadraticPlacer:
             site: row-aligned spread positions put many pins at
             coincident y, and the default clamp turns those into
             near-singular systems.
-        backend: array backend for the kernel layer (defaults to the
-            active one); threaded into the B2B builder, the density
-            overflow raster, and the spreading transfer point.
     """
 
     def __init__(self, arrays: PlacementArrays, region: PlacementRegion,
@@ -158,10 +154,8 @@ class QuadraticPlacer:
                  checkpoint: CheckpointHook | None = None,
                  warm_seed: str = "direct",
                  preconditioner: str = "jacobi",
-                 min_distance: float | None = None,
-                 backend: Backend | None = None) -> None:
+                 min_distance: float | None = None) -> None:
         self.arrays = arrays
-        self.backend = backend or active_backend()
         self.region = region
         self.options = options or GlobalPlaceOptions()
         self.grid = grid or default_grid(region, arrays.netlist)
@@ -186,7 +180,7 @@ class QuadraticPlacer:
                 f"unknown preconditioner policy: {preconditioner!r}")
         self.preconditioner = preconditioner
         self.min_distance = min_distance
-        self._builder = B2BBuilder(arrays, backend=self.backend)
+        self._builder = B2BBuilder(arrays)
         # previous solve's solution per axis — warm start for the next
         # anchored solve (the GP lower bound moves little late in the ramp)
         self._warm: dict[str, np.ndarray | None] = {"x": None, "y": None}
@@ -202,8 +196,7 @@ class QuadraticPlacer:
                     axis: str) -> np.ndarray:
         kwargs = {} if self.min_distance is None \
             else {"min_distance": float(self.min_distance)}
-        with kernel_span(self.tracer, "kernel.b2b_build", self.backend,
-                         axis=axis):
+        with self.tracer.phase("kernel.b2b_build", axis=axis):
             system = self._builder.build_axis(coords, offsets,
                                               anchors=anchors,
                                               anchor_weight=anchor_w,
@@ -307,12 +300,11 @@ class QuadraticPlacer:
                 anchors_x, anchors_y = spread_positions(
                     arrays, x, y, self.region,
                     target_utilization=opts.target_utilization,
-                    groups=self.groups, backend=self.backend)
+                    groups=self.groups)
                 # convergence is judged on how spread the LOWER bound
                 # already is: the spread solution has ~zero overflow by
                 # construction
-                ovf_lower = overflow(arrays, x, y, self.grid,
-                                     backend=self.backend)
+                ovf_lower = overflow(arrays, x, y, self.grid)
                 stat = IterationStat(
                     iteration=it,
                     hpwl_lower=hpwl(arrays, x, y),
@@ -390,7 +382,7 @@ class QuadraticPlacer:
             anchors_x, anchors_y = spread_positions(
                 arrays, x0, y0, region,
                 target_utilization=opts.target_utilization,
-                groups=self.groups, backend=self.backend)
+                groups=self.groups)
             x, y = anchors_x, anchors_y
             for i in range(1, max(int(iterations), 1) + 1):
                 it = start_iteration + i
@@ -405,9 +397,8 @@ class QuadraticPlacer:
                 anchors_x, anchors_y = spread_positions(
                     arrays, x, y, region,
                     target_utilization=opts.target_utilization,
-                    groups=self.groups, backend=self.backend)
-                ovf = overflow(arrays, x, y, self.grid,
-                               backend=self.backend)
+                    groups=self.groups)
+                ovf = overflow(arrays, x, y, self.grid)
                 stat = IterationStat(
                     iteration=it,
                     hpwl_lower=hpwl(arrays, x, y),

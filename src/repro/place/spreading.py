@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.backend import Backend
 from .arrays import PlacementArrays
 from .region import PlacementRegion
 
@@ -48,8 +47,7 @@ def spread_positions(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
                      region: PlacementRegion, *,
                      target_utilization: float = 0.85,
                      max_cells_per_leaf: int = 4,
-                     groups: np.ndarray | None = None,
-                     backend: Backend | None = None
+                     groups: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Compute spread anchor targets for all movable cells.
 
@@ -63,19 +61,10 @@ def spread_positions(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
             id are treated as one rigid unit — they receive a common
             translation rather than independent spreading (used for fused
             datapath slices).
-        backend: array backend the caller's positions live on.  The
-            bisection recursion is a host-side stage by design (Python
-            recursion over sorted partitions); a non-host backend's
-            coordinates cross here, at one declared, counted transfer
-            point, and the anchors return as host arrays the next solve
-            re-uploads.
 
     Returns:
         (ax, ay): anchor targets; fixed cells keep their coordinates.
     """
-    if backend is not None and backend.name != "numpy":
-        x = backend.to_host(x)
-        y = backend.to_host(y)
     ax = x.copy()
     ay = y.copy()
     movable_idx = np.nonzero(arrays.movable)[0]

@@ -1,12 +1,12 @@
 """Content-addressed on-disk artifact cache for placement results.
 
 A cache key is the SHA-256 of (canonicalized netlist, canonicalized
-placer options, placer name, seed, code version, cache schema).  Identical
-inputs — same design, same knobs, same code — therefore land on the same
-key across sessions and processes, so warm reruns of the T2/T3 benches
-skip placement entirely.  Any change to options, seed, or package version
-produces a new key (invalidation by construction; nothing is ever
-overwritten in place).
+placer options, placer name, seed, code version, numpy version, cache
+schema).  Identical inputs — same design, same knobs, same code — therefore
+land on the same key across sessions and processes, so warm reruns of the
+T2/T3 benches skip placement entirely.  Any change to options, seed,
+package version or numpy build produces a new key (invalidation by
+construction; nothing is ever overwritten in place).
 
 Artifacts are JSON: a positions *snapshot* plus scalar outcome/report
 metrics and slice membership.  Callers re-apply the snapshot to a freshly
@@ -35,19 +35,21 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from ..core import PlacerOptions
 from ..errors import CacheCorruptionError, OptionsError
-from ..kernels.backend import get_backend, resolve_backend_name
 from ..netlist import Netlist
 from ..robust.faults import fault_fires
 from .telemetry import Tracer
 
-# Bumped to 4 when the array backend (name + library version) joined the
-# key material: positions computed by one backend/library build must not
-# be served for a job that would run on another — floating-point results
-# are only bit-reproducible within a single backend build.
-# (3: multilevel options joined the canonical option dict.)
-CACHE_SCHEMA = 4
+# Bumped to 5 when numpy's version replaced the array-backend identity in
+# the key material: positions computed by one numpy build must not be
+# served for a job that would run on another — floating-point results are
+# only bit-reproducible within a single numpy build.
+# (4: array backend name + version; 3: multilevel options joined the
+# canonical option dict.)
+CACHE_SCHEMA = 5
 
 
 def _code_version() -> str:
@@ -84,24 +86,6 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     return h.hexdigest()
 
 
-def _backend_fingerprint(options: PlacerOptions | None) -> dict:
-    """Backend identity for the key: resolved name + library version.
-
-    The name alone is not enough — a numpy (or cupy) upgrade can change
-    bit-level results, so the resolved backend's library version is part
-    of the key material too.
-    """
-    name = resolve_backend_name(
-        (options.backend or None) if options is not None else None)
-    try:
-        version = get_backend(name).version
-    except OptionsError:
-        # unresolvable backend (library missing): still key on the name;
-        # the job itself will fail with the real error
-        version = "unavailable"
-    return {"name": name, "version": version}
-
-
 def job_key_from_digest(digest: str, placer: str,
                         options: PlacerOptions | None, seed: int) -> str:
     """Content-addressed key from a precomputed netlist fingerprint.
@@ -117,7 +101,7 @@ def job_key_from_digest(digest: str, placer: str,
         "netlist": digest,
         "placer": placer,
         "options": canonical_options(options or PlacerOptions()),
-        "backend": _backend_fingerprint(options),
+        "numpy": np.__version__,
         "seed": seed,
     }
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -158,8 +158,6 @@ def render_profile(tracer: Tracer, *, counter_prefixes:
     """
     totals: dict[str, list[float]] = {}
     order: list[str] = []
-    backends: dict[str, str] = {}
-    transferred: dict[str, int] = {}
     for event in tracer.phases():
         path = event["path"]
         if path not in totals:
@@ -167,12 +165,6 @@ def render_profile(tracer: Tracer, *, counter_prefixes:
             order.append(path)
         totals[path][0] += event["elapsed_s"]
         totals[path][1] += 1
-        # kernel spans carry their array backend and host<->device
-        # transfer volume (see repro.kernels.backend.kernel_span)
-        if "backend" in event:
-            backends[path] = str(event["backend"])
-        if "bytes_transferred" in event:
-            transferred[path] = transferred.get(path, 0)                 + int(event["bytes_transferred"])
 
     # nest children under parents, keeping first-closure order per level
     children: dict[str, list[str]] = {"": []}
@@ -188,10 +180,6 @@ def render_profile(tracer: Tracer, *, counter_prefixes:
         name = path.rsplit(PATH_SEP, 1)[-1]
         label = "  " * depth + name
         suffix = f" x{count}" if count > 1 else ""
-        if path in backends:
-            xfer = transferred.get(path, 0)
-            xfer_s = f", {xfer / 1e6:.1f}MB xfer" if xfer else ""
-            suffix += f" [{backends[path]}{xfer_s}]"
         lines.append(f"  {label:<34} {total_s:>9.3f}s{suffix}")
         for child in children.get(path, []):
             emit(child, depth + 1)

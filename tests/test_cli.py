@@ -226,3 +226,11 @@ class TestExitCodes:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[0]["legal"] is True
         assert rows[0]["rung"] == "structure-relaxed"
+
+    def test_unknown_suite_exits_1_without_traceback(self, capsys):
+        code = main(["run", "--suite", "no_such_suite", "--no-cache",
+                     "--no-checkpoint"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[options]" in err and "no_such_suite" in err
+        assert "Traceback" not in err

@@ -1,12 +1,11 @@
-"""Tests for detailed placement, annealing, and the nonlinear engine."""
+"""Tests for detailed placement and the nonlinear engine."""
 
 import pytest
 
 from repro.gen import build_design
-from repro.place import (AnnealOptions, NonlinearOptions, NonlinearPlacer,
-                         PlacementArrays, QuadraticPlacer, anneal_place,
-                         abacus_legalize, check_legal, detailed_place,
-                         global_swap_pass, row_reorder_pass)
+from repro.place import (NonlinearOptions, NonlinearPlacer, PlacementArrays,
+                         QuadraticPlacer, abacus_legalize, check_legal,
+                         detailed_place, global_swap_pass, row_reorder_pass)
 
 
 @pytest.fixture
@@ -56,28 +55,6 @@ class TestDetailedPlace:
         nl, region = legal_design.netlist, legal_design.region
         stats = detailed_place(nl, region)
         assert 0.0 <= stats.gain < 1.0
-
-
-class TestAnneal:
-    def test_anneal_improves_from_legal_start(self):
-        design = build_design("dp_add8")
-        nl, region = design.netlist, design.region
-        opts = AnnealOptions(moves_per_cell=20, cooling=0.7,
-                             min_temperature_ratio=0.01, seed=1)
-        result = anneal_place(nl, region, opts)
-        assert result.final_hpwl <= result.initial_hpwl
-        assert result.moves_accepted <= result.moves_tried
-        assert check_legal(nl, region) == []
-
-    def test_anneal_deterministic_per_seed(self):
-        results = []
-        for _ in range(2):
-            design = build_design("dp_add8")
-            opts = AnnealOptions(moves_per_cell=5, cooling=0.5,
-                                 min_temperature_ratio=0.05, seed=42)
-            res = anneal_place(design.netlist, design.region, opts)
-            results.append(res.final_hpwl)
-        assert results[0] == pytest.approx(results[1])
 
 
 class TestNonlinearEngine:

@@ -10,15 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import OptionsError
 from repro.eval.steiner import rmst_length, steiner_length, total_steiner
 from repro.gen import build_design
 from repro.kernels import (IncrementalHPWL, Workspace, b2b_grad,
-                           bell_value_grad, get_backend, hpwl_kernel,
-                           hpwl_per_net_kernel, rasterize_overlap,
-                           register_backend, resolve_backend_name,
-                           use_backend)
-from repro.kernels.backend import Backend, Capabilities
+                           bell_value_grad, hpwl_kernel,
+                           hpwl_per_net_kernel, rasterize_overlap)
 from repro.kernels.reference import (bell_value_grad_reference,
                                      hpwl_per_net_reference, hpwl_reference,
                                      incident_cost_reference,
@@ -30,29 +26,6 @@ from repro.place.b2b import B2BBuilder
 
 RTOL = 1e-9
 
-
-def _backend_params():
-    """Every registered backend: installed ones run, missing ones skip
-    with a reason (numpy-only environments keep a visible record that
-    the cupy/torch legs were not exercised)."""
-    params = [pytest.param("numpy", id="numpy")]
-    for name in ("cupy", "torch"):
-        try:
-            get_backend(name)
-        except OptionsError:
-            params.append(pytest.param(name, id=name, marks=pytest.mark.skip(
-                reason=f"backend {name!r} not installed in this environment")))
-        else:
-            params.append(pytest.param(name, id=name))
-    return params
-
-
-@pytest.fixture(autouse=True, params=_backend_params())
-def kernel_backend(request):
-    """Run the whole equivalence suite once per installed backend."""
-    backend = get_backend(request.param)
-    with use_backend(backend):
-        yield backend
 
 _coord = st.floats(-500.0, 500.0, allow_nan=False, allow_infinity=False)
 _weight = st.floats(0.0, 8.0, allow_nan=False)
@@ -355,75 +328,9 @@ class TestSteinerKernels:
         assert got == pytest.approx(want, rel=RTOL, abs=1e-12)
 
 
-class _NoCapsBackend(Backend):
-    """numpy wearing a capability-free mask: every structured primitive
-    must take the declared (counted) host detour."""
-
-    def __init__(self):
-        super().__init__("nocaps", np, np.__version__,
-                         Capabilities(fft=False, segment_reduce=False,
-                                      pinned_transfer=False))
-
-
-class TestBackendFacade:
-    def test_unknown_backend_raises(self):
-        with pytest.raises(OptionsError, match="unknown backend"):
-            get_backend("tpu")
-
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend_name(None) == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        assert resolve_backend_name(None) == "cupy"
-        assert resolve_backend_name("torch") == "torch"
-
-    def test_numpy_transfer_counters_tick(self):
-        b = get_backend("numpy")
-        before = b.bytes_transferred
-        arr = np.zeros(128)  # 1024 bytes
-        assert b.to_device(arr) is arr  # identity stand-in, no copy
-        assert b.to_host(arr) is arr
-        assert b.bytes_transferred == before + 2 * arr.nbytes
-
-    def test_capability_fallbacks_detour_through_host(self):
-        b = _NoCapsBackend()
-        values = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
-        seeds = np.array([0, 2, 4], dtype=np.int64)
-        np.testing.assert_array_equal(
-            b.reduceat("max", values, seeds), np.array([3.0, 4.0, 9.0]))
-        assert b.bytes_transferred > 0  # the detour was counted
-        rho = np.arange(12.0).reshape(3, 4)
-        before = b.bytes_transferred
-        got = b.ifft2(b.fft2(rho)).real
-        np.testing.assert_allclose(got, rho, rtol=RTOL, atol=1e-12)
-        assert b.bytes_transferred > before
-
-    def test_registered_backend_runs_kernels(self):
-        register_backend("nocaps", _NoCapsBackend)
-        try:
-            b = get_backend("nocaps")
-            px = np.array([0.0, 3.0, 1.0, 5.0])
-            py = np.array([0.0, 4.0, 2.0, 2.0])
-            starts = np.array([0, 2, 4], dtype=np.int64)
-            w = np.array([1.0, 2.0])
-            got = hpwl_kernel(px, py, starts, w, backend=b)
-            want = hpwl_reference(px, py, starts, w)
-            assert got == pytest.approx(want, rel=RTOL)
-        finally:
-            from repro.kernels.backend import _FACTORIES, _instances
-            _FACTORIES.pop("nocaps", None)
-            _instances.pop("nocaps", None)
-
-    def test_scatter_add_accumulates_duplicates(self, kernel_backend):
-        target = np.zeros(4)
-        kernel_backend.scatter_add(
-            target, np.array([1, 1, 3]), np.array([2.0, 3.0, 7.0]))
-        np.testing.assert_array_equal(target, [0.0, 5.0, 0.0, 7.0])
-
-
 class TestWorkspace:
     def test_take_reuses_and_grows(self):
-        ws = Workspace(get_backend("numpy"))
+        ws = Workspace()
         a = ws.take("t", (4, 3))
         b = ws.take("t", (2, 3))
         assert b.base is a or b.base is a.base  # same storage, sliced
@@ -443,7 +350,7 @@ class TestWorkspace:
                     bin_w=1.0, bin_h=1.0, origin_x=0.0, origin_y=0.0,
                     target=rng.uniform(0.0, 1.0, (8, 6)))
         plain = bell_value_grad(x, y, half_w, half_h, area, **grid)
-        ws = Workspace(get_backend("numpy"))
+        ws = Workspace()
         for _ in range(3):  # reuse across calls must not change bits
             reused = bell_value_grad(x, y, half_w, half_h, area, **grid,
                                      workspace=ws)
@@ -489,7 +396,6 @@ class TestPoissonSolver:
         dens = ElectrostaticDensity.__new__(ElectrostaticDensity)
         dens.arrays = arrays
         dens.grid = grid
-        dens.backend = get_backend("numpy")
         kx = np.arange(2 * nx)
         ky = np.arange(2 * ny)
         lam = ((2.0 - 2.0 * np.cos(np.pi * kx / nx))
@@ -517,7 +423,6 @@ class TestPoissonSolver:
         dens = ElectrostaticDensity.__new__(ElectrostaticDensity)
         dens.arrays = arrays
         dens.grid = grid
-        dens.backend = get_backend("numpy")
         kx = np.arange(18)
         lam = ((2.0 - 2.0 * np.cos(np.pi * kx / 9))
                / grid.bin_w ** 2)[:, None] \

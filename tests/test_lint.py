@@ -199,52 +199,6 @@ class TestNumericalRules:
         assert not rule_hits(tmp_path, src, "NUM03")
 
 
-    def test_num04_runtime_numpy_import_in_kernels(self, tmp_path):
-        hits = rule_hits(tmp_path, """\
-            import numpy as np
-            x = np.zeros(4)
-            """, "NUM04", rel="repro/kernels/segment.py")
-        assert len(hits) == 1
-        assert "backend facade" in hits[0].message
-
-    def test_num04_applies_to_electrostatic(self, tmp_path):
-        src = """\
-            from numpy import fft
-            """
-        assert rule_hits(tmp_path, src, "NUM04",
-                         rel="repro/place/electrostatic.py")
-
-    def test_num04_type_checking_import_is_clean(self, tmp_path):
-        src = """\
-            from typing import TYPE_CHECKING
-            if TYPE_CHECKING:
-                import numpy as np
-            """
-        assert not rule_hits(tmp_path, src, "NUM04",
-                             rel="repro/kernels/density.py")
-
-    def test_num04_scoped_to_backend_routed_code(self, tmp_path):
-        src = """\
-            import numpy as np
-            """
-        assert not rule_hits(tmp_path, src, "NUM04",
-                             rel="repro/place/quadratic.py")
-
-    def test_num04_backend_module_exempt(self, tmp_path):
-        src = """\
-            import numpy
-            """
-        assert not rule_hits(tmp_path, src, "NUM04",
-                             rel="repro/kernels/backend.py")
-
-    def test_num04_suppression_sanctions_module(self, tmp_path):
-        src = """\
-            # repro-lint: disable=NUM04
-            import numpy as np
-            """
-        assert not rule_hits(tmp_path, src, "NUM04",
-                             rel="repro/kernels/reference.py")
-
 class TestTaxonomyRules:
     def test_err01_bare_value_error(self, tmp_path):
         src = """\
