@@ -102,7 +102,9 @@ def extract_datapaths(netlist: Netlist,
         netlist: the design; only connectivity and master types are read.
         options: tuning knobs.
         tracer: telemetry hook; the whole run is one ``extract`` phase
-            and ``elapsed_s`` comes from its timer.
+            (``elapsed_s`` comes from its timer) holding one
+            ``extract.bundles``, ``extract.slices`` and ``extract.arrays``
+            phase each.
 
     Returns:
         The extraction result with arrays sorted largest-first.
@@ -110,62 +112,66 @@ def extract_datapaths(netlist: Netlist,
     opts = options or ExtractionOptions()
     tracer = tracer or Tracer()
     with tracer.phase("extract", design=netlist.name) as ph:
-        final, num_slices = _extract(netlist, opts)
+        final, num_slices = _extract(netlist, opts, tracer)
         tracer.incr("extract.arrays", len(final))
     return ExtractionResult(arrays=final, elapsed_s=ph.elapsed_s,
                             num_slices_considered=num_slices)
 
 
-def _extract(netlist: Netlist, opts: ExtractionOptions
+def _extract(netlist: Netlist, opts: ExtractionOptions, tracer: Tracer
              ) -> tuple[list[ExtractedArray], int]:
-    clocks = detect_clock_nets(netlist, frac=opts.clock_frac)
-    bundles = edge_bundles(netlist, small_net_max=opts.small_net_max,
-                           min_count=opts.min_bundle_count,
-                           exclude_nets=clocks)
-    columns = control_columns(netlist, min_width=opts.min_width,
-                              small_net_max=opts.small_net_max,
-                              exclude_nets=clocks)
+    with tracer.phase("extract.bundles"):
+        clocks = detect_clock_nets(netlist, frac=opts.clock_frac)
+        bundles = edge_bundles(netlist, small_net_max=opts.small_net_max,
+                               min_count=opts.min_bundle_count,
+                               exclude_nets=clocks)
+        columns = control_columns(netlist, min_width=opts.min_width,
+                                  small_net_max=opts.small_net_max,
+                                  exclude_nets=clocks)
 
-    slices = grow_slices(bundles, max_slice_size=opts.max_slice_size)
-    slice_arrays = arrays_from_slices(
-        slices, bundles, columns,
-        min_width=opts.min_width,
-        unconnected_min_width=opts.unconnected_min_width,
-        unconnected_min_size=opts.unconnected_min_size)
+    with tracer.phase("extract.slices"):
+        slices = grow_slices(bundles, max_slice_size=opts.max_slice_size)
 
-    claimed = {name for a in slice_arrays for name in a.cell_names()}
-    column_arrays = arrays_from_columns(
-        netlist, columns, claimed=claimed, exclude_nets=clocks,
-        min_width=opts.min_width, small_net_max=opts.small_net_max)
-    claimed.update(name for a in column_arrays for name in a.cell_names())
+    with tracer.phase("extract.arrays"):
+        slice_arrays = arrays_from_slices(
+            slices, bundles, columns,
+            min_width=opts.min_width,
+            unconnected_min_width=opts.unconnected_min_width,
+            unconnected_min_size=opts.unconnected_min_size)
 
-    # pre-filter before absorption so borderline glue motifs never grow
-    all_arrays = [a for a in slice_arrays + column_arrays
-                  if a.num_cells >= opts.min_cells
-                  and a.width >= opts.min_width]
-    absorb_adjacent(netlist, all_arrays, claimed=claimed,
-                    exclude_nets=clocks, small_net_max=opts.small_net_max,
-                    match_frac=0.75, rounds=2)
+        claimed = {name for a in slice_arrays for name in a.cell_names()}
+        column_arrays = arrays_from_columns(
+            netlist, columns, claimed=claimed, exclude_nets=clocks,
+            min_width=opts.min_width, small_net_max=opts.small_net_max)
+        claimed.update(name for a in column_arrays for name in a.cell_names())
 
-    # overlap resolution (larger arrays keep contested cells)
-    arrays = list(all_arrays)
-    arrays.sort(key=lambda a: -a.num_cells)
-    owned: set[str] = set()
-    final: list[ExtractedArray] = []
-    for a in arrays:
-        kept_slices = []
-        for s in a.slices:
-            kept = [c for c in s if c.name not in owned and c.movable]
-            if kept:
-                kept_slices.append(kept)
-        if not kept_slices:
-            continue
-        pruned = ExtractedArray(name=a.name, slices=kept_slices,
-                                source=a.source, coupled=a.coupled)
-        if pruned.num_cells >= opts.min_cells and \
-                pruned.width >= opts.min_width:
-            owned.update(pruned.cell_names())
-            final.append(pruned)
+        # pre-filter before absorption so borderline glue motifs never grow
+        all_arrays = [a for a in slice_arrays + column_arrays
+                      if a.num_cells >= opts.min_cells
+                      and a.width >= opts.min_width]
+        absorb_adjacent(netlist, all_arrays, claimed=claimed,
+                        exclude_nets=clocks, small_net_max=opts.small_net_max,
+                        match_frac=0.75, rounds=2)
+
+        # overlap resolution (larger arrays keep contested cells)
+        arrays = list(all_arrays)
+        arrays.sort(key=lambda a: -a.num_cells)
+        owned: set[str] = set()
+        final: list[ExtractedArray] = []
+        for a in arrays:
+            kept_slices = []
+            for s in a.slices:
+                kept = [c for c in s if c.name not in owned and c.movable]
+                if kept:
+                    kept_slices.append(kept)
+            if not kept_slices:
+                continue
+            pruned = ExtractedArray(name=a.name, slices=kept_slices,
+                                    source=a.source, coupled=a.coupled)
+            if pruned.num_cells >= opts.min_cells and \
+                    pruned.width >= opts.min_width:
+                owned.update(pruned.cell_names())
+                final.append(pruned)
 
     for i, a in enumerate(final):
         a.name = f"dp{i}"

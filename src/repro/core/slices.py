@@ -15,8 +15,10 @@ stage-by-stage.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..netlist import Cell
 from .bundles import BundleLabel, EdgeBundle
@@ -153,40 +155,74 @@ def _split_oversized(cells: list[Cell],
                      max_size: int
                      ) -> list[tuple[list[Cell],
                                      list[tuple[Cell, Cell, BundleLabel]]]]:
-    """Recursively split an oversized component by peeling weak bundles.
+    """Split an oversized component by peeling weak bundles.
 
     Several bit lanes can short into one giant component through glue-level
     bundles (a register output wired into another lane's coefficient
     input).  Those bridging labels are locally *rare* — the lane's own
     stage labels appear once per lane, i.e. dozens of times — so removing
-    the rarest label's edges and re-splitting isolates the true slices.
+    the rarest label's edges (ties: smallest label) and re-splitting
+    isolates the true slices.  Singletons fall away, pieces still over
+    ``max_size`` are peeled again, and a piece left with one label (or
+    none) is dropped.  Pieces come out in first-cell order, each with its
+    cells and edges in input order.
+
+    The peel runs on integer arrays: cells and edges get local indices
+    and labels their sort rank once, then each level is one ``bincount``,
+    one mask and one connected-components labelling in C.  Pending pieces
+    sit on a stack, so a peel that sheds one cell per level is a loop,
+    never a deep recursion.
     """
     if len(cells) <= max_size:
         return [(cells, edges)]
-    if not edges:
-        return []
-    label_counts: Counter = Counter(label for _u, _v, label in edges)
-    rarest = min(label_counts, key=lambda lab: (label_counts[lab], lab))
-    if len(label_counts) == 1:
-        return []  # homogeneous but oversized: not a slice structure
-    kept = [e for e in edges if e[2] != rarest]
+    # imported here: csgraph pulls in scipy.sparse.linalg, which only an
+    # oversized component needs
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     local = {id(c): i for i, c in enumerate(cells)}
-    uf = _DenseUnionFind(len(cells))
-    for u, v, _label in kept:
-        uf.union(local[id(u)], local[id(v)])
-    comp_cells: dict[int, list[Cell]] = defaultdict(list)
-    for i, c in enumerate(cells):
-        comp_cells[uf.find(i)].append(c)
-    comp_edges: dict[int, list[tuple[Cell, Cell, BundleLabel]]] = \
-        defaultdict(list)
-    for u, v, label in kept:
-        comp_edges[uf.find(local[id(u)])].append((u, v, label))
+    rank_of = {label: r for r, label in
+               enumerate(sorted({label for _u, _v, label in edges}))}
+    src = np.array([local[id(u)] for u, _v, _l in edges], dtype=np.intp)
+    dst = np.array([local[id(v)] for _u, v, _l in edges], dtype=np.intp)
+    rank = np.array([rank_of[label] for _u, _v, label in edges],
+                    dtype=np.intp)
+    pos = np.empty(len(cells), dtype=np.intp)  # cell -> index in its piece
+
     out: list[tuple[list[Cell], list[tuple[Cell, Cell, BundleLabel]]]] = []
-    for root, group in comp_cells.items():
-        if len(group) < 2:
+    stack = [(np.arange(len(cells)), np.arange(len(edges)))]
+    while stack:
+        piece, piece_edges = stack.pop()
+        if len(piece) <= max_size:
+            out.append(([cells[i] for i in piece],
+                        [edges[e] for e in piece_edges]))
             continue
-        out.extend(_split_oversized(group, comp_edges.get(root, []),
-                                    max_size))
+        counts = np.bincount(rank[piece_edges], minlength=len(rank_of))
+        present = np.flatnonzero(counts)
+        if len(present) < 2:
+            continue  # homogeneous but oversized: not a slice structure
+        rarest = present[np.argmin(counts[present])]
+        kept = piece_edges[rank[piece_edges] != rarest]
+        pos[piece] = np.arange(len(piece))
+        u = pos[src[kept]]
+        graph = csr_matrix((np.ones(len(kept)), (u, pos[dst[kept]])),
+                           shape=(len(piece), len(piece)))
+        _n, comp = connected_components(graph, directed=False)
+        # group cells and edges by component, each in input order
+        edge_comp = comp[u]
+        sizes = np.bincount(comp)
+        cell_at = np.concatenate(([0], np.cumsum(sizes)))
+        edge_at = np.concatenate(
+            ([0], np.cumsum(np.bincount(edge_comp, minlength=len(sizes)))))
+        cell_order = np.argsort(comp, kind="stable")
+        by_cell = piece[cell_order]
+        by_edge = kept[np.argsort(edge_comp, kind="stable")]
+        # push components of two or more cells to pop in first-cell order
+        first = cell_order[cell_at[:-1]]
+        for k in np.argsort(first)[::-1]:
+            if sizes[k] >= 2:
+                stack.append((by_cell[cell_at[k]:cell_at[k + 1]],
+                              by_edge[edge_at[k]:edge_at[k + 1]]))
     return out
 
 

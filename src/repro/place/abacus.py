@@ -32,10 +32,13 @@ class _Cluster:
     weight: float = 0.0
     q: float = 0.0        # weighted sum of (desired_x - offset_in_cluster)
     cells: list[Cell] = field(default_factory=list)
+    # (desired x, width) per cell, parallel to ``cells``: what pricing reads
+    spans: list[tuple[float, float]] = field(default_factory=list)
 
     def add_cell(self, cell: Cell, desired_x: float, weight: float = 1.0
                  ) -> None:
         self.cells.append(cell)
+        self.spans.append((desired_x, cell.width))
         self.q += weight * (desired_x - self.width)
         self.width += cell.width
         self.weight += weight
@@ -46,6 +49,7 @@ class _Cluster:
         self.width += other.width
         self.weight += other.weight
         self.cells.extend(other.cells)
+        self.spans.extend(other.spans)
 
     def optimal_x(self, seg_x0: float, seg_x1: float) -> float:
         x = self.q / max(self.weight, 1e-12)
@@ -63,26 +67,33 @@ class _Segment:
     clusters: list[_Cluster] = field(default_factory=list)
     # running total of cluster widths (incremental ``capacity_left``)
     used: float = 0.0
-    # per-cluster displacement cost at its current optimal position,
-    # parallel to ``clusters``, plus its running prefix sum — lets a
+    # running sum of per-cluster displacement costs at their current
+    # optimal positions (``prefix[i]`` covers ``clusters[:i]``) — lets a
     # trial price untouched clusters without walking their cells
-    costs: list[float] = field(default_factory=list)
-    prefix: list[float] = field(default_factory=list)
+    prefix: list[float] = field(default_factory=lambda: [0.0])
 
     def capacity_left(self) -> float:
         return (self.x1 - self.x0) - self.used
 
+    def displacement_floor(self, desired_x: float, width: float) -> float:
+        """Lower bound on a new cell's own displacement in this segment.
+
+        Its left edge lands in ``[x0, x1 - width]``, so it moves at least
+        the distance from ``desired_x`` to that span; the price of any
+        trial is at least this much.
+        """
+        return max(self.x0 - desired_x, desired_x - (self.x1 - width), 0.0)
+
     def _cluster_cost(self, cl: _Cluster) -> float:
-        x = cl.optimal_x(self.x0, self.x1)
-        run = x
+        run = cl.optimal_x(self.x0, self.x1)
         cost = 0.0
-        for c in cl.cells:
-            cost += abs(run - c.x)
-            run += c.width
+        for want, w in cl.spans:
+            cost += abs(run - want)
+            run += w
         return cost
 
     def trial_add(self, cell: Cell, desired_x: float
-                  ) -> tuple[float, int, _Cluster] | None:
+                  ) -> tuple[float, int, tuple[float, float, float]] | None:
         """Price adding ``cell`` at the segment's right end.
 
         Cells arrive in increasing-x order and pre-existing clusters are
@@ -97,17 +108,18 @@ class _Segment:
         cluster list and walking every cell.
 
         Returns:
-            ``(total_cost, keep, merged)`` where ``clusters[:keep]``
-            survive unchanged and ``merged`` replaces the rest, or None
-            if the segment lacks space.
+            ``(total_cost, keep, (q, weight, width))`` where
+            ``clusters[:keep]`` survive unchanged and the composite
+            replaces the rest (see :meth:`commit`), or None if the
+            segment lacks space.
         """
-        if cell.width > self.capacity_left() + 1e-9:
+        width = cell.width
+        if width > self.capacity_left() + 1e-9:
             return None
         # composite of the would-be rightmost cluster, seeded with the
         # new cell exactly as _Cluster.add_cell would
         q = desired_x
         weight = 1.0
-        width = cell.width
         keep = len(self.clusters)
         while keep > 0:
             prev = self.clusters[keep - 1]
@@ -121,28 +133,32 @@ class _Segment:
             width = prev.width + width
             weight = prev.weight + weight
             keep -= 1
-        merged = _Cluster(width=width, weight=weight, q=q)
+        run = min(max(q / max(weight, 1e-12), self.x0), self.x1 - width)
+        cost = self.prefix[keep]
         for cl in self.clusters[keep:]:
-            merged.cells.extend(cl.cells)
-        merged.cells.append(cell)
-        x = merged.optimal_x(self.x0, self.x1)
-        run = x
-        cost = self.prefix[keep] if keep > 0 else 0.0
-        for c in merged.cells:
-            want = desired_x if c is cell else c.x
-            cost += abs(run - want)
-            run += c.width
-        return cost, keep, merged
+            for want, w in cl.spans:
+                cost += abs(run - want)
+                run += w
+        cost += abs(run - desired_x)
+        return cost, keep, (q, weight, width)
 
-    def commit(self, keep: int, merged: _Cluster, width: float) -> None:
-        del self.clusters[keep:]
-        del self.costs[keep:]
-        self.clusters.append(merged)
-        self.costs.append(self._cluster_cost(merged))
-        self.prefix = [0.0]
-        for c in self.costs:
-            self.prefix.append(self.prefix[-1] + c)
-        self.used += width
+    def commit(self, cell: Cell, desired_x: float, keep: int,
+               composite: tuple[float, float, float]) -> None:
+        """Apply a :meth:`trial_add` result: ``cell`` joins the right end
+        and the composite cluster replaces ``clusters[keep:]``."""
+        if keep == len(self.clusters):
+            self.clusters.append(_Cluster())
+        merged = self.clusters[keep]
+        for cl in self.clusters[keep + 1:]:
+            merged.cells.extend(cl.cells)
+            merged.spans.extend(cl.spans)
+        del self.clusters[keep + 1:]
+        merged.q, merged.weight, merged.width = composite
+        merged.cells.append(cell)
+        merged.spans.append((desired_x, cell.width))
+        del self.prefix[keep + 1:]
+        self.prefix.append(self.prefix[keep] + self._cluster_cost(merged))
+        self.used += cell.width
 
     def realize(self, region: PlacementRegion) -> None:
         """Write final, site-snapped positions into the cells."""
@@ -205,8 +221,10 @@ def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
     failed: list[str] = []
     for cell in order:
         want_x, want_y = cell.x, cell.center_y
+        width = cell.width
         base = region.nearest_row(want_y).index
-        best: tuple[float, _Segment, int, _Cluster] | None = None
+        best: tuple[float, _Segment, int,
+                    tuple[float, float, float]] | None = None
         span = row_search_span
         while best is None and span <= 4 * max(region.num_rows,
                                                row_search_span):
@@ -216,32 +234,35 @@ def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
                     continue
                 dy = abs(region.rows[j].y + region.row_height / 2.0 - want_y)
                 for seg in segments[j]:
-                    if best is not None and dy >= best[0]:
-                        continue  # even zero x-cost cannot win
+                    # skip segments where even the new cell's own move
+                    # cannot win (margin: the priced walk rounds)
+                    if best is not None and (
+                            dy >= best[0] or
+                            dy + seg.displacement_floor(want_x, width)
+                            >= best[0] + 1e-6):
+                        continue
                     trial = seg.trial_add(cell, want_x)
                     if trial is None:
                         continue
-                    cost, keep, merged = trial
+                    cost, keep, composite = trial
                     total = cost + dy
                     if best is None or total < best[0]:
-                        best = (total, seg, keep, merged)
+                        best = (total, seg, keep, composite)
             span *= 2
         if best is None:
             failed.append(cell.name)
             continue
-        _cost, seg, keep, merged = best
-        # record the desired position on the committed copy of the cell:
-        # trial_add stored ``cell`` itself inside the cluster, so commit
-        cell.x = want_x  # desired kept until realize()
-        seg.commit(keep, merged, cell.width)
+        _cost, seg, keep, composite = best
+        seg.commit(cell, want_x, keep, composite)
 
     total_disp = 0.0
     max_disp = 0.0
     for row_segs in segments:
         for seg in row_segs:
             seg.realize(region)
+    failed_names = set(failed)
     for cell in order:
-        if cell.name in {f for f in failed}:
+        if cell.name in failed_names:
             continue
         sx, sy = start_pos[cell.name]
         disp = abs(cell.x - sx) + abs(cell.y - sy)

@@ -195,7 +195,9 @@ def row_reorder_pass(netlist: Netlist, region: PlacementRegion, *,
                     run += win[pi].width
                 inc.update_cells(idx, [c.x for c in win], ys)
                 accepted += 1
-                row_cells.sort(key=lambda c: c.x)
+                # the window re-packed inside [left, right], which no other
+                # cell of the (legal) row occupies: the row stays sorted
+                row_cells[i:i + window] = [win[pi] for pi in best_perm]
     return accepted
 
 

@@ -1,12 +1,22 @@
 """Tests for the datapath extraction pipeline."""
 
+import os
+import subprocess
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (ExtractionOptions, control_columns,
                         detect_clock_nets, edge_bundles, extract_datapaths,
                         grow_slices)
+from repro.core.slices import _DenseUnionFind, _split_oversized
 from repro.eval import score_extraction
 from repro.gen import UnitSpec, compose_design
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +186,116 @@ class TestFullExtraction:
         score = score_extraction("sh", design.truth, res.cell_sets())
         assert score.recall >= 0.8
         assert any(a.source == "columns" for a in res.arrays)
+
+
+def _reference_split(cells, edges, max_size):
+    """The recursive union-find split the array peel must reproduce.
+
+    Kept verbatim as the oracle: each level peels the rarest label,
+    re-unions every kept edge and recurses into each component of two or
+    more cells, grouped in first-cell order.
+    """
+    if len(cells) <= max_size:
+        return [(cells, edges)]
+    if not edges:
+        return []
+    label_counts: Counter = Counter(label for _u, _v, label in edges)
+    rarest = min(label_counts, key=lambda lab: (label_counts[lab], lab))
+    if len(label_counts) == 1:
+        return []  # homogeneous but oversized: not a slice structure
+    kept = [e for e in edges if e[2] != rarest]
+    local = {id(c): i for i, c in enumerate(cells)}
+    uf = _DenseUnionFind(len(cells))
+    for u, v, _label in kept:
+        uf.union(local[id(u)], local[id(v)])
+    comp_cells = defaultdict(list)
+    for i, c in enumerate(cells):
+        comp_cells[uf.find(i)].append(c)
+    comp_edges = defaultdict(list)
+    for u, v, label in kept:
+        comp_edges[uf.find(local[id(u)])].append((u, v, label))
+    out = []
+    for root, group in comp_cells.items():
+        if len(group) < 2:
+            continue
+        out.extend(_reference_split(group, comp_edges.get(root, []),
+                                    max_size))
+    return out
+
+
+class _Node:
+    """Stand-in cell: the split reads nothing but object identity."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+@st.composite
+def _lane_graphs(draw):
+    """Bit lanes shorted by rare bridge labels, with pendant singletons.
+
+    Every lane repeats the same stage labels, so stage counts tie at the
+    lane count; bridge and pendant labels come from small pools, so
+    their counts are low and often tie with each other.
+    """
+    lanes = draw(st.integers(1, 8))
+    depth = draw(st.integers(2, 6))
+    stage_labels = draw(st.integers(1, depth - 1))
+    grid = [[_Node(f"l{i}s{k}") for k in range(depth)]
+            for i in range(lanes)]
+    cells = [c for lane in grid for c in lane]
+    edges = []
+    for lane in grid:
+        for k in range(depth - 1):
+            if draw(st.integers(0, 9)):  # a lane sometimes lacks a stage
+                edges.append((lane[k], lane[k + 1],
+                              ("S", str(k % stage_labels), "Y", "A")))
+    for _ in range(draw(st.integers(0, 2 * lanes))):
+        u = draw(st.sampled_from(cells))
+        v = draw(st.sampled_from(cells))
+        if u is not v:
+            edges.append((u, v, ("B", str(draw(st.integers(0, 3))),
+                                 "Q", "D")))
+    for j in range(draw(st.integers(0, lanes + 2))):
+        pendant = _Node(f"p{j}")
+        anchor = draw(st.sampled_from(cells))
+        label = ("P", str(draw(st.integers(0, 2))), "Z", "A")
+        edges.append((anchor, pendant, label) if draw(st.booleans())
+                     else (pendant, anchor, label))
+        cells.append(pendant)
+    cells = draw(st.permutations(cells))
+    edges = draw(st.permutations(edges))
+    max_size = draw(st.integers(1, 2 * depth + 2))
+    return cells, edges, max_size
+
+
+class TestSplitOversized:
+    @settings(max_examples=300, deadline=None)
+    @given(_lane_graphs())
+    def test_matches_recursive_reference(self, graph):
+        cells, edges, max_size = graph
+        got = _split_oversized(cells, edges, max_size)
+        want = _reference_split(cells, edges, max_size)
+        assert [(c, e) for c, e in got] == want
+
+    def test_long_peel_is_not_recursive(self):
+        # one distinct, increasing label per edge: every level sheds one
+        # end cell, 1,136 levels deep -- the recursive version exceeds
+        # Python's default recursion limit here
+        cells = [_Node(f"c{i}") for i in range(1200)]
+        edges = [(cells[i], cells[i + 1], ("L", f"{i:04d}", "Y", "A"))
+                 for i in range(1199)]
+        pieces = _split_oversized(cells, edges, 64)
+        assert len(pieces) == 1
+        piece_cells, piece_edges = pieces[0]
+        assert piece_cells == cells[1136:]
+        assert piece_edges == edges[1136:]
+
+    def test_core_import_leaves_csgraph_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = ("import sys, repro.core; "
+                "assert 'scipy.sparse.csgraph' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

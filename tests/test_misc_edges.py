@@ -2,6 +2,7 @@
 stats, and option plumbing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gen import make_rng
 from repro.gen.rng import choose, sample_without_replacement, weighted_choice
@@ -63,6 +64,64 @@ class TestAbacusCluster:
         seg = _Segment(y=0.0, x0=0.0, x1=5.0, site=1.0)
         wide = nl.add_cell("w", "MUX4")  # width 10 > 5
         assert seg.trial_add(wide, 0.0) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-40.0, 160.0),
+                              st.sampled_from(["INV", "NAND2", "FA",
+                                               "DFF", "MUX4"])),
+                    min_size=1, max_size=30),
+           st.floats(-10.0, 10.0), st.floats(20.0, 120.0))
+    def test_trial_price_matches_brute_force(self, specs, x0, length):
+        nl = Netlist(library=default_library())
+        seg = _Segment(y=0.0, x0=x0, x1=x0 + length, site=1.0)
+        desired: dict[int, float] = {}
+        for i, (x, master) in enumerate(sorted(specs)):
+            cell = nl.add_cell(f"c{i}", master)
+            desired[id(cell)] = x
+            brute = _brute_price(seg, cell, desired)
+            trial = seg.trial_add(cell, x)
+            if brute is None:
+                assert trial is None
+                continue
+            price, clusters = brute
+            cost, keep, composite = trial
+            assert cost == pytest.approx(price, rel=1e-12, abs=1e-9)
+            assert seg.displacement_floor(x, cell.width) <= price + 1e-9
+            seg.commit(cell, x, keep, composite)
+            assert [cl.cells for cl in seg.clusters] == \
+                [cl.cells for cl in clusters]
+
+
+def _brute_price(seg, cell, desired):
+    """Price ``cell`` the long way: collapse a full copy of the cluster
+    list (classic Abacus, leftward merges while neighbours overlap) and
+    walk every cell of every cluster."""
+    if sum(cl.width for cl in seg.clusters) + cell.width > \
+            seg.x1 - seg.x0 + 1e-9:
+        return None
+    clusters = []
+    for cl in seg.clusters:
+        copy = _Cluster()
+        for c in cl.cells:
+            copy.add_cell(c, desired[id(c)])
+        clusters.append(copy)
+    last = _Cluster()
+    last.add_cell(cell, desired[id(cell)])
+    clusters.append(last)
+    while len(clusters) > 1:
+        prev, last = clusters[-2], clusters[-1]
+        if prev.optimal_x(seg.x0, seg.x1) + prev.width <= \
+                last.optimal_x(seg.x0, seg.x1) + 1e-9:
+            break
+        prev.merge(last)
+        clusters.pop()
+    price = 0.0
+    for cl in clusters:
+        run = cl.optimal_x(seg.x0, seg.x1)
+        for c in cl.cells:
+            price += abs(run - desired[id(c)])
+            run += c.width
+    return price, clusters
 
 
 class TestRngHelpers:
