@@ -20,8 +20,8 @@ durable artifact cache, global-place checkpoints, and can emit a JSONL
 telemetry trace.
 
 ``serve`` runs the placement daemon (:mod:`repro.serve`): a local
-unix-socket service with a persistent priority queue, a sharded
-artifact cache, and live stats; ``submit`` is its client — it submits
+unix-socket service with a persistent priority queue, the artifact
+cache ``run`` uses, and live stats; ``submit`` is its client — it submits
 jobs, waits for results, and exposes the control plane
 (``--status``/``--result``/``--cancel``/``--stats``/``--ping``/
 ``--shutdown``).
@@ -259,7 +259,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
-        cache_shards=args.cache_shards,
         cache_budget_mb=args.cache_budget_mb,
         checkpoint_dir=None if args.no_checkpoint else args.checkpoint_dir,
         spool_dir=None if args.no_spool else args.spool_dir,
@@ -499,14 +498,13 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="concurrent placements (bridge threads)")
     p_serve.add_argument("--cache-dir", default=".repro-cache",
-                         help="sharded artifact cache directory")
+                         help="durable artifact cache directory (shared "
+                              "with run)")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="disable the artifact cache")
-    p_serve.add_argument("--cache-shards", type=int, default=8,
-                         help="cache keyspace shard count")
     p_serve.add_argument("--cache-budget-mb", type=float, default=None,
                          help="total cache byte budget in MiB (LRU "
-                              "eviction per shard); unbounded if unset")
+                              "eviction); unbounded if unset")
     p_serve.add_argument("--checkpoint-dir", default=".repro-checkpoints",
                          help="checkpoint directory (enables cancel-"
                               "with-snapshot and resume)")

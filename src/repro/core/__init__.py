@@ -10,7 +10,7 @@ from .extraction import (ExtractionOptions, ExtractionResult,
                          extract_datapaths)
 from .groups import ArrayPlan, group_ids, plan_array, plan_arrays
 from .signatures import signature_classes, structural_signatures
-from .slices import Slice, group_by_form, grow_slices
+from .slices import Slice, grow_slices
 from .structured_placer import (BaselinePlacer, PlaceOutcome, PlacerOptions,
                                 StructureAwarePlacer, legalize_structured)
 
@@ -38,7 +38,6 @@ __all__ = [
     "detect_clock_nets",
     "edge_bundles",
     "extract_datapaths",
-    "group_by_form",
     "group_ids",
     "grow_slices",
     "legalize_structured",

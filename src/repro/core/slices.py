@@ -287,11 +287,3 @@ def grow_slices(bundles: dict[BundleLabel, EdgeBundle], *,
                             edge_labels=[label for _u, _v, label in edges],
                             edges=list(edges)))
     return slices
-
-
-def group_by_form(slices: list[Slice]) -> dict[tuple, list[Slice]]:
-    """Group slices by isomorphism form."""
-    groups: dict[tuple, list[Slice]] = defaultdict(list)
-    for s in slices:
-        groups[s.form].append(s)
-    return dict(groups)

@@ -18,7 +18,7 @@ Ablation switches (``use_fusion``, ``use_alignment``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -600,20 +600,14 @@ class BaselinePlacer:
     name = "baseline"
 
     def __init__(self, options: PlacerOptions | None = None) -> None:
-        base = options or PlacerOptions()
-        self.options = PlacerOptions(
-            engine=base.engine,
+        # every other field carries over, so a structure/baseline pair
+        # differs only in the structure switches
+        self.options = replace(
+            options or PlacerOptions(),
             structure_weight=0.0,
             use_fusion=False,
             use_alignment=False,
             structure_legalization="none",
-            run_detailed=base.run_detailed,
-            gp=base.gp,
-            multilevel=base.multilevel,
-            nonlinear=base.nonlinear,
-            extraction=base.extraction,
-            guard=base.guard,
-            seed=base.seed,
         )
 
     def place(self, netlist: Netlist, region: PlacementRegion, *,

@@ -36,8 +36,8 @@ offsets are absolute offsets from the corner, so cached pin positions
 equal ``PinRef.position()`` exactly.
 
 Only nets that contribute to the local-refinement cost are tracked:
-degree >= 2 and (by default) weight != 0 — the same filter the legacy
-``_cells_hpwl`` helpers applied.
+degree >= 2 and (by default) weight != 0 — the same filter as the
+object-model walk in :func:`~repro.kernels.reference.incident_cost_reference`.
 """
 
 from __future__ import annotations

@@ -210,7 +210,9 @@ def poisson_reference(rho: np.ndarray, bin_w: float,
 
 def incident_cost_reference(netlist: Netlist,
                             cells: Iterable[Cell]) -> float:
-    """The original object-model incident-HPWL walk (``_cells_hpwl``)."""
+    """Weighted HPWL of the nets incident to ``cells``, by an
+    object-model walk: the reference :class:`~repro.kernels.IncrementalHPWL`
+    is tested against."""
     seen: set[int] = set()
     total = 0.0
     for cell in cells:

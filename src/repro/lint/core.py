@@ -217,51 +217,30 @@ def _link_parents(tree: ast.AST) -> None:
             child._repro_parent = parent  # type: ignore[attr-defined]
 
 
-def class_edges(tree: ast.AST) -> list[tuple[str, list[str]]]:
-    """``(class name, base names)`` pairs for one parsed file.
-
-    The incremental cache persists these per file so a warm run can
-    rebuild the cross-file error closure without re-parsing anything.
-    """
-    edges: list[tuple[str, list[str]]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            bases = []
-            for base in node.bases:
-                if isinstance(base, ast.Attribute):
-                    bases.append(base.attr)
-                elif isinstance(base, ast.Name):
-                    bases.append(base.id)
-            edges.append((node.name, bases))
-    return edges
-
-
-def closure_from_edges(
-        edges: Iterable[tuple[str, list[str]]]) -> set[str]:
-    """Transitive subclass closure of ``ReproError`` over class edges.
+def collect_error_classes(trees: Iterable[ast.AST]) -> set[str]:
+    """Transitive subclass closure of ``ReproError`` across a fileset.
 
     Purely syntactic: a class is in the closure when any base name's last
     segment is already in the closure.  Iterates to a fixed point so
     grandchildren defined before their parents still resolve.
     """
-    edge_list = list(edges)
+    edges: list[tuple[str, set[str]]] = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {base.attr if isinstance(base, ast.Attribute)
+                         else base.id for base in node.bases
+                         if isinstance(base, (ast.Attribute, ast.Name))}
+                edges.append((node.name, bases))
     closure = {"ReproError"}
     changed = True
     while changed:
         changed = False
-        for name, bases in edge_list:
-            if name not in closure and any(b in closure for b in bases):
+        for name, bases in edges:
+            if name not in closure and bases & closure:
                 closure.add(name)
                 changed = True
     return closure
-
-
-def collect_error_classes(trees: Iterable[ast.AST]) -> set[str]:
-    """Transitive subclass closure of ``ReproError`` across a fileset."""
-    edges: list[tuple[str, list[str]]] = []
-    for tree in trees:
-        edges.extend(class_edges(tree))
-    return closure_from_edges(edges)
 
 
 class Baseline:

@@ -5,56 +5,32 @@
 codes: 0 clean, 1 non-baselined findings (or syntax/read failures),
 2 usage errors (argparse).
 
-Two performance layers sit under the public surface:
-
-- **Incremental cache** (``.repro-lint-cache.json``, next to the
-  baseline): per-file content digests plus the findings and class-
-  inheritance edges computed last time.  A warm run re-analyses only
-  files whose digest changed; everything else replays from the cache.
-  Two global keys guard soundness: ``rules_key`` (rule selection plus
-  a fingerprint of the lint framework's own sources — editing a rule
-  invalidates everything) and ``closure_hash`` (the cross-file
-  ``ReproError`` closure — when an error class is added anywhere, every
-  file is re-analysed because ERR findings depend on the closure).
-- **Multi-file parallelism** (``--jobs N``): cache misses fan out over
-  a process pool.  Results are sorted at the end, so serial and
-  parallel runs are byte-identical.
+The run is one serial pass: every file is parsed once, the cross-file
+``ReproError`` closure is built from those trees, and the selected
+rules then run over each parsed file.  A cold pass over ``src/repro``
+takes a few seconds, so there is no cache and no process pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
-import concurrent.futures as cf
-import hashlib
 import json
-import os
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import Baseline, FileContext, Finding, ProjectContext, \
-    class_edges, closure_from_edges
+    collect_error_classes
 from .registry import all_rules
-from .sarif import to_sarif
 
 #: name of the checked-in baseline file, looked up from the lint root
 #: upward so the tool works from any working directory.
 BASELINE_NAME = "lint-baseline.json"
 
-#: name of the (gitignored) incremental cache, stored next to the
-#: baseline so every invocation from inside the checkout shares it.
-CACHE_NAME = ".repro-lint-cache.json"
-
-#: bump when the cache layout itself changes.
-CACHE_LAYOUT_VERSION = 1
-
-#: v2 adds the ``cache`` (hits/misses) and ``jobs`` keys and emits the
-#: same document regardless of cache state; v1 consumers that only read
+#: v3 drops v2's ``cache`` and ``jobs`` keys; consumers that only read
 #: ``findings``/``counts``/``ok`` are unaffected.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -66,18 +42,12 @@ class LintResult:
         fresh: findings not covered by the baseline — the gate set.
         files: number of files analysed.
         errors: unparsable/unreadable files (path, reason).
-        cache_hits: files replayed from the incremental cache.
-        cache_misses: files (re)analysed this run.
-        jobs: worker processes used (1 = in-process serial).
     """
 
     findings: list[Finding] = field(default_factory=list)
     fresh: list[Finding] = field(default_factory=list)
     files: int = 0
     errors: list[tuple[str, str]] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -94,9 +64,6 @@ class LintResult:
             "baselined": len(self.findings) - len(self.fresh),
             "counts": counts,
             "errors": [{"path": p, "reason": r} for p, r in self.errors],
-            "cache": {"hits": self.cache_hits,
-                      "misses": self.cache_misses},
-            "jobs": self.jobs,
             "ok": self.ok,
         }
 
@@ -110,33 +77,6 @@ def collect_files(paths: Sequence[Path]) -> list[Path]:
         elif path.suffix == ".py":
             files.add(path)
     return sorted(files)
-
-
-def changed_files(repo_hint: Path) -> set[Path] | None:
-    """Files changed vs HEAD (tracked) plus untracked ones, resolved.
-
-    Returns None when git is unavailable or the tree is not a checkout
-    — callers fall back to linting everything.
-    """
-    cwd = repo_hint if repo_hint.is_dir() else repo_hint.parent
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=cwd, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            cwd=top, capture_output=True, text=True, check=True,
-        ).stdout.splitlines()
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            cwd=top, capture_output=True, text=True, check=True,
-        ).stdout.splitlines()
-    except (OSError, subprocess.SubprocessError):
-        return None
-    root = Path(top)
-    return {(root / line).resolve() for line in diff + untracked
-            if line.endswith(".py")}
 
 
 def _relpath(path: Path, roots: Sequence[Path]) -> str:
@@ -159,124 +99,10 @@ def _relpath(path: Path, roots: Sequence[Path]) -> str:
     return path.as_posix()
 
 
-# ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def framework_fingerprint() -> str:
-    """Digest of the lint framework's own sources.
-
-    Editing any rule, the CFG builder, or the dataflow engine changes
-    findings without changing the analysed files — so the fingerprint
-    participates in the cache's ``rules_key`` and flushes everything.
-    """
-    package = Path(__file__).resolve().parent
-    hasher = hashlib.sha256()
-    for source in sorted(package.rglob("*.py")):
-        hasher.update(source.as_posix().encode())
-        hasher.update(source.read_bytes())
-    return hasher.hexdigest()
-
-
-def rules_key(rule_ids: Sequence[str]) -> str:
-    return _digest(
-        (",".join(sorted(rule_ids)) + "|"
-         + framework_fingerprint()).encode())
-
-
-class LintCache:
-    """Per-file digest -> (edges, findings) memo with global guards."""
-
-    def __init__(self, path: Path | None, key: str) -> None:
-        self.path = path
-        self.key = key
-        self.files: dict[str, dict] = {}
-        self.closure_hash = ""
-        if path is not None and path.is_file():
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                return
-            if data.get("layout") == CACHE_LAYOUT_VERSION \
-                    and data.get("rules_key") == key:
-                self.files = dict(data.get("files", {}))
-                self.closure_hash = str(data.get("closure_hash", ""))
-
-    def entry(self, relpath: str, digest: str) -> dict | None:
-        cached = self.files.get(relpath)
-        if cached is not None and cached.get("digest") == digest:
-            return cached
-        return None
-
-    def save(self, closure_hash: str) -> None:
-        if self.path is None:
-            return
-        payload = {
-            "layout": CACHE_LAYOUT_VERSION,
-            "rules_key": self.key,
-            "closure_hash": closure_hash,
-            "files": self.files,
-        }
-        try:
-            self.path.write_text(
-                json.dumps(payload, indent=None, sort_keys=True))
-        except OSError:
-            pass  # read-only checkout: caching is best-effort
-
-
-def _closure_hash(closure: Iterable[str]) -> str:
-    return _digest(",".join(sorted(closure)).encode())
-
-
-# ----------------------------------------------------------------------
-# per-file analysis (top-level so ProcessPoolExecutor can pickle it)
-# ----------------------------------------------------------------------
-
-
-def _analyze_file(path_str: str, relpath: str,
-                  closure: Sequence[str],
-                  rule_ids: Sequence[str]) -> dict:
-    """Analyse one file; returns a cache-shaped entry dict."""
-    path = Path(path_str)
-    wanted = set(rule_ids)
-    try:
-        source = path.read_text()
-        ctx = FileContext(
-            path, relpath, source,
-            ProjectContext(repro_error_classes=set(closure)))
-    except (OSError, SyntaxError) as exc:
-        return {"digest": "", "edges": [], "findings": [],
-                "error": str(exc)}
-    findings: list[dict] = []
-    for rule in all_rules():
-        if rule.id not in wanted:
-            continue
-        for finding in rule.check(ctx):
-            if ctx.suppressions.active(rule.id, finding.line,
-                                       ctx.lines):
-                continue
-            findings.append(finding.to_dict())
-    findings.sort(key=lambda f: (f["line"], f["col"], f["rule"]))
-    return {
-        "digest": _digest(source.encode()),
-        "edges": class_edges(ctx.tree),
-        "findings": findings,
-        "error": None,
-    }
-
-
 def lint_paths(paths: Sequence[Path], *,
                baseline: Baseline | None = None,
                select: Iterable[str] | None = None,
-               ignore: Iterable[str] | None = None,
-               cache_path: Path | None = None,
-               jobs: int = 1,
-               only: set[Path] | None = None) -> LintResult:
+               ignore: Iterable[str] | None = None) -> LintResult:
     """Run every registered rule over the Python files under ``paths``.
 
     Args:
@@ -284,104 +110,39 @@ def lint_paths(paths: Sequence[Path], *,
         baseline: historical findings to tolerate; None = gate on all.
         select: restrict to these rule ids.
         ignore: drop these rule ids.
-        cache_path: incremental cache location; None disables caching.
-        jobs: analysis processes (0 = one per CPU, 1 = serial).
-        only: when given, report findings only for these resolved
-            paths (the ``--changed-only`` set); every collected file
-            still feeds the cross-file error closure.
     """
     roots = [Path(p) for p in paths]
     files = collect_files(roots)
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    reported = [f for f in files
-                if only is None or f.resolve() in only]
-    result = LintResult(files=len(reported), jobs=max(jobs, 1))
+    result = LintResult(files=len(files))
 
     selected = set(select) if select else None
     ignored = set(ignore) if ignore else set()
-    rule_ids = [r.id for r in all_rules()
-                if (selected is None or r.id in selected)
-                and r.id not in ignored]
+    rules = [r for r in all_rules()
+             if (selected is None or r.id in selected)
+             and r.id not in ignored]
 
-    cache = LintCache(cache_path, rules_key(rule_ids))
-
-    # phase A: digest every file; parse only cache misses (for the
-    # class edges that feed the cross-file error closure)
-    hits: dict[str, dict] = {}
-    misses: list[str] = []          # relpaths needing analysis
-    by_rel: dict[str, Path] = {}
-    edges: list[tuple[str, list[str]]] = []
-    report_rels = {_relpath(f, roots) for f in reported}
+    # every context shares one project; its error closure is filled in
+    # from the parsed trees before any rule reads it
+    project = ProjectContext()
+    contexts: list[FileContext] = []
     for path in files:
-        relpath = _relpath(path, roots)
-        by_rel[relpath] = path
         try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            if relpath in report_rels:
-                result.errors.append((path.as_posix(), str(exc)))
-            continue
-        cached = cache.entry(relpath, _digest(raw))
-        if cached is not None:
-            edges.extend((name, list(bases))
-                         for name, bases in cached.get("edges", []))
-            if relpath in report_rels:
-                hits[relpath] = cached
-            continue
-        try:
-            edges.extend(class_edges(
-                ast.parse(raw.decode(), filename=str(path))))
-        except (SyntaxError, ValueError):
-            pass  # phase B reports the parse failure as an error
-        if relpath in report_rels:
-            misses.append(relpath)
+            contexts.append(FileContext(path, _relpath(path, roots),
+                                        path.read_text(), project))
+        except (OSError, SyntaxError, ValueError) as exc:
+            result.errors.append((path.as_posix(), str(exc)))
+    project.repro_error_classes = collect_error_classes(
+        ctx.tree for ctx in contexts)
 
-    closure = closure_from_edges(edges)
-    closure_hash = _closure_hash(closure)
-    if hits and closure_hash != cache.closure_hash:
-        # the error-class closure moved: cached ERR findings are stale
-        misses.extend(sorted(hits))
-        hits = {}
-
-    # phase B: analyse the misses, in-process or across a pool
-    closure_arg = sorted(closure)
-    entries: dict[str, dict] = {}
-    if len(misses) > 1 and result.jobs > 1:
-        with cf.ProcessPoolExecutor(max_workers=result.jobs) as pool:
-            futures = {
-                relpath: pool.submit(_analyze_file,
-                                     str(by_rel[relpath]), relpath,
-                                     closure_arg, rule_ids)
-                for relpath in misses
-            }
-            for relpath, future in sorted(futures.items()):
-                entries[relpath] = future.result()
-    else:
-        for relpath in misses:
-            entries[relpath] = _analyze_file(str(by_rel[relpath]),
-                                             relpath, closure_arg,
-                                             rule_ids)
-    result.cache_hits = len(hits)
-    result.cache_misses = len(entries)
-
-    # merge, update the cache, and restore global ordering
-    for relpath in sorted(entries):
-        entry = entries[relpath]
-        if entry.get("error"):
-            result.errors.append((by_rel[relpath].as_posix(),
-                                  str(entry["error"])))
-            cache.files.pop(relpath, None)
-            continue
-        cache.files[relpath] = entry
-    for relpath in sorted(set(hits) | set(entries)):
-        entry = hits.get(relpath) or entries[relpath]
-        for payload in entry.get("findings", []):
-            result.findings.append(Finding(**payload))
+    for ctx in contexts:
+        for rule in rules:
+            for finding in rule.check(ctx):
+                if not ctx.suppressions.active(rule.id, finding.line,
+                                               ctx.lines):
+                    result.findings.append(finding)
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     result.errors.sort()
-    cache.save(closure_hash)
     result.fresh = baseline.filter(result.findings) if baseline \
         else list(result.findings)
     return result
@@ -411,11 +172,9 @@ def render_text(result: LintResult, *, baselined: int = 0) -> str:
     lines = [f.render() for f in result.fresh]
     for path, reason in result.errors:
         lines.append(f"{path}: analysis failed: {reason}")
-    tail = (f"{len(result.fresh)} finding(s) in {result.files} file(s)"
-            + (f" ({baselined} baselined)" if baselined else "")
-            + (f" [{result.cache_hits} cached]"
-               if result.cache_hits else ""))
-    lines.append(tail)
+    lines.append(f"{len(result.fresh)} finding(s) in {result.files} "
+                 f"file(s)"
+                 + (f" ({baselined} baselined)" if baselined else ""))
     return "\n".join(lines)
 
 
@@ -426,24 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files/directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", dest="fmt",
-                        help="output format (default: text)")
     parser.add_argument("--json", action="store_true",
-                        help="alias for --format json")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analysis processes; 0 = one per CPU "
-                             "(default: 1)")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="lint only files changed vs git HEAD "
-                             "(plus untracked); falls back to a full "
-                             "run outside a checkout")
-    parser.add_argument("--cache", type=Path, default=None,
-                        metavar="FILE",
-                        help=f"incremental cache file (default: "
-                             f"{CACHE_NAME} next to the baseline)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
+                        help="machine-readable JSON output")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="baseline file (default: lint-baseline.json "
                              "found upward from the lint root)")
@@ -490,26 +233,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             and not args.update_baseline and baseline_path.is_file():
         baseline = Baseline.load(baseline_path)
 
-    cache_path: Path | None = args.cache
-    if cache_path is None and not args.no_cache:
-        anchor = baseline_path or find_baseline(Path(paths[0]))
-        if anchor is not None:
-            cache_path = anchor.parent / CACHE_NAME
-    if args.no_cache:
-        cache_path = None
-
-    only: set[Path] | None = None
-    if args.changed_only:
-        only = changed_files(Path(paths[0]))
-        if only is None:
-            print("repro-lint: --changed-only needs a git checkout; "
-                  "linting everything", file=sys.stderr)
-
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
     result = lint_paths(paths, baseline=baseline, select=select,
-                        ignore=ignore, cache_path=cache_path,
-                        jobs=args.jobs, only=only)
+                        ignore=ignore)
 
     if args.update_baseline:
         target = baseline_path or Path(paths[0]) / ".." / BASELINE_NAME
@@ -518,11 +245,8 @@ def main(argv: Sequence[str] | None = None) -> int:
               f"-> {target}")
         return 0
 
-    fmt = "json" if args.json else args.fmt
-    if fmt == "json":
+    if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif fmt == "sarif":
-        print(json.dumps(to_sarif(result), indent=2, sort_keys=True))
     else:
         baselined = len(result.findings) - len(result.fresh)
         print(render_text(result, baselined=baselined))

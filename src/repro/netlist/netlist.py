@@ -13,7 +13,7 @@ live here too, since they must stay consistent with the dense indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -356,9 +356,6 @@ class Netlist:
                 if nb.index not in seen:
                     seen.add(nb.index)
                     frontier.append(nb)
-
-    def subset_area(self, cells: Iterable[Cell]) -> float:
-        return float(sum(c.area for c in cells))
 
     def __repr__(self) -> str:
         return (f"Netlist({self.name!r}, cells={self.num_cells},"

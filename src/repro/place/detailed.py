@@ -28,23 +28,6 @@ from .region import PlacementRegion
 from ..errors import OptionsError
 
 
-def _cells_hpwl(netlist: Netlist, cells: list[Cell]) -> float:
-    """Total weighted HPWL of all nets incident to ``cells``.
-
-    Object-model walk kept for one-off queries; the refinement passes use
-    :class:`~repro.kernels.IncrementalHPWL` for their inner loops.
-    """
-    seen: set[int] = set()
-    total = 0.0
-    for cell in cells:
-        for net in netlist.nets_of(cell):
-            if net.index in seen or net.degree < 2 or net.weight == 0.0:
-                continue
-            seen.add(net.index)
-            total += net.weight * net.hpwl()
-    return total
-
-
 def _swap(a: Cell, b: Cell) -> None:
     a.x, b.x = b.x, a.x
     a.y, b.y = b.y, a.y

@@ -9,7 +9,8 @@ This package turns the library into a batch execution engine:
   serial-and-worker code path) and :class:`BatchExecutor` (process-pool
   fan-out with timeout and bounded retry);
 - :mod:`repro.runtime.cache` — content-addressed on-disk
-  :class:`ArtifactCache` keyed on netlist + options + seed + code version;
+  :class:`ArtifactCache` keyed on netlist + options + seed + code version,
+  shared by ``run`` and ``serve``;
 - :mod:`repro.runtime.telemetry` / :mod:`repro.runtime.trace` —
   :class:`Tracer` phase timers/counters and the JSONL sink;
 - :mod:`repro.runtime.runner` — :func:`run_suite` orchestration used by
@@ -25,7 +26,6 @@ from importlib import import_module
 # cheap.
 _EXPORTS = {
     "ArtifactCache": ".cache",
-    "ShardedArtifactCache": ".cache",
     "apply_positions": ".cache",
     "cache_from_spec": ".cache",
     "canonical_options": ".cache",
@@ -68,7 +68,6 @@ __all__ = [
     "JsonlTraceWriter",
     "PhaseHandle",
     "PlacementJob",
-    "ShardedArtifactCache",
     "SuiteResult",
     "Tracer",
     "apply_positions",

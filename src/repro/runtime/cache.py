@@ -150,14 +150,31 @@ class ArtifactCache:
     the embedded payload digest; a failed check evicts the entry and
     reports a miss (counted as ``cache.corrupt`` when a tracer is
     supplied).
+
+    With ``max_bytes`` set, the whole cache holds at most that many
+    bytes: a :meth:`put` over budget evicts least-recently-used entries,
+    oldest first, but never the entry it just wrote.  A hit refreshes
+    recency and touches the file's mtime, and the LRU order is rebuilt
+    from mtimes, so it survives restarts.  Without a budget none of
+    this bookkeeping runs.
     """
 
-    def __init__(self, root: str | Path) -> None:
+    def __init__(self, root: str | Path, *,
+                 max_bytes: int | None = None) -> None:
+        if max_bytes is not None and max_bytes <= 0:
+            raise OptionsError(
+                f"max_bytes must be positive when set, got {max_bytes}",
+                option="max_bytes")
         self.root = Path(root)
+        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.corrupt = 0
+        self._lock = threading.RLock()
+        # key -> size, least recently used first; built lazily from the
+        # directory (budgeted caches only)
+        self._lru: OrderedDict[str, int] | None = None
 
     def path(self, key: str) -> Path:
         # two-level fanout keeps directories small for big suites
@@ -165,7 +182,7 @@ class ArtifactCache:
 
     def spec(self) -> dict:
         """Picklable recipe for rebuilding this cache in a pool worker."""
-        return {"kind": "plain", "root": str(self.root)}
+        return {"root": str(self.root), "max_bytes": self.max_bytes}
 
     def get(self, key: str, *, tracer: Tracer | None = None) -> dict | None:
         """The stored artifact payload, or None on miss.
@@ -188,6 +205,8 @@ class ArtifactCache:
             self.misses += 1
         else:
             self.hits += 1
+            if self.max_bytes is not None:
+                self._touch(key)
         return payload
 
     def load_verified(self, key: str) -> dict | None:
@@ -233,23 +252,70 @@ class ArtifactCache:
         tmp.write_text(json.dumps(record, sort_keys=True),
                        encoding="utf-8")
         tmp.replace(path)
+        if self.max_bytes is not None:
+            self._admit(key, path, self.max_bytes)
         return path
 
     def evict(self, key: str) -> None:
-        """Drop one entry (used for corrupt reads); missing is fine."""
+        """Drop one entry (corrupt reads, LRU); missing is fine."""
         try:
             self.path(key).unlink()
             self.evictions += 1
         except (FileNotFoundError, OSError):
             pass
+        if self._lru is not None:
+            with self._lock:
+                self._lru.pop(key, None)
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).exists()
 
     def _artifact_paths(self) -> Iterator[Path]:
-        """Every stored artifact file (layout-specific glob)."""
+        """Every stored artifact file."""
         if self.root.exists():
             yield from self.root.glob("*/*.json")
+
+    # -- LRU budget ----------------------------------------------------
+    def _lru_index(self) -> OrderedDict[str, int]:
+        if self._lru is None:
+            stamped = []
+            for path in self._artifact_paths():
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                stamped.append((stat.st_mtime, path.stem, stat.st_size))
+            self._lru = OrderedDict(
+                (key, size) for _, key, size in sorted(stamped))
+        return self._lru
+
+    def _touch(self, key: str) -> None:
+        """Refresh a key's recency (index order + file mtime)."""
+        with self._lock:
+            lru = self._lru_index()
+            if key in lru:
+                lru.move_to_end(key)
+        try:
+            os.utime(self.path(key))
+        except OSError:
+            pass
+
+    def _admit(self, key: str, path: Path, budget: int) -> None:
+        """Index a fresh entry, then evict LRU entries over budget."""
+        try:
+            size = path.stat().st_size
+        except OSError:
+            size = 0
+        with self._lock:
+            lru = self._lru_index()
+            lru[key] = size
+            lru.move_to_end(key)
+            total = sum(lru.values())
+            # the fresh entry sits last, so it is never evicted
+            while total > budget and len(lru) > 1:
+                oldest, oldest_size = next(iter(lru.items()))
+                self.evict(oldest)  # also drops it from the index
+                total -= oldest_size
 
     def stats(self) -> dict:
         """Instance counters plus on-disk usage, JSON-ready.
@@ -279,171 +345,8 @@ class ArtifactCache:
         return removed
 
 
-class ShardedArtifactCache(ArtifactCache):
-    """Keyspace-sharded artifact cache with LRU byte-budget eviction.
-
-    The keyspace splits into ``shards`` directories (``shard00/…``) by
-    the leading bytes of the key, so tenants sharing a daemon spread
-    their artifacts over independent directories with independent
-    eviction pressure and per-shard hit/miss/eviction counters.  When
-    ``max_bytes`` is set, each shard holds at most ``max_bytes/shards``
-    bytes: a :meth:`put` that pushes a shard over budget evicts its
-    least-recently-used entries (reads refresh recency; the file mtime
-    is touched on hit so the LRU order survives restarts).
-
-    All verification/atomicity discipline is inherited from
-    :class:`ArtifactCache` — only the layout, the eviction policy, and
-    the accounting differ.
-    """
-
-    def __init__(self, root: str | Path, *, shards: int = 8,
-                 max_bytes: int | None = None) -> None:
-        super().__init__(root)
-        if shards < 1:
-            raise OptionsError(f"shards must be >= 1, got {shards}",
-                               option="shards")
-        if max_bytes is not None and max_bytes <= 0:
-            raise OptionsError(
-                f"max_bytes must be positive when set, got {max_bytes}",
-                option="max_bytes")
-        self.shards = shards
-        self.max_bytes = max_bytes
-        self._lock = threading.RLock()
-        # per shard: key -> size in LRU order (oldest first); built
-        # lazily from the directory so restarts keep evicting correctly
-        self._index: list[OrderedDict[str, int]] | None = None
-        self._shard_counters = [
-            {"hits": 0, "misses": 0, "evictions": 0, "corrupt": 0}
-            for _ in range(shards)]
-
-    def spec(self) -> dict:
-        return {"kind": "sharded", "root": str(self.root),
-                "shards": self.shards, "max_bytes": self.max_bytes}
-
-    def shard_of(self, key: str) -> int:
-        """Shard index for a key (stable across processes/restarts)."""
-        return int(key[:8], 16) % self.shards
-
-    def path(self, key: str) -> Path:
-        shard = self.shard_of(key)
-        return self.root / f"shard{shard:02d}" / key[:2] / f"{key}.json"
-
-    def _artifact_paths(self) -> Iterator[Path]:
-        if self.root.exists():
-            yield from self.root.glob("shard*/*/*.json")
-
-    # -- LRU index -----------------------------------------------------
-    def _ensure_index(self) -> list[OrderedDict[str, int]]:
-        if self._index is None:
-            index: list[OrderedDict[str, int]] = [
-                OrderedDict() for _ in range(self.shards)]
-            stamped = []
-            for path in self._artifact_paths():
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                stamped.append((stat.st_mtime, path.stem, stat.st_size))
-            for _, key, size in sorted(stamped):
-                index[self.shard_of(key)][key] = size
-            self._index = index
-        return self._index
-
-    def _touch(self, key: str) -> None:
-        """Refresh a key's recency (index order + file mtime)."""
-        with self._lock:
-            shard = self._ensure_index()[self.shard_of(key)]
-            if key in shard:
-                shard.move_to_end(key)
-        try:
-            os.utime(self.path(key))
-        except OSError:
-            pass
-
-    # -- counted operations --------------------------------------------
-    def get(self, key: str, *, tracer: Tracer | None = None) -> dict | None:
-        before = (self.hits, self.corrupt)
-        payload = super().get(key, tracer=tracer)
-        counters = self._shard_counters[self.shard_of(key)]
-        if self.corrupt > before[1]:
-            counters["corrupt"] += 1
-        elif payload is None:
-            counters["misses"] += 1
-        else:
-            counters["hits"] += 1
-            self._touch(key)
-        return payload
-
-    def put(self, key: str, artifact: dict) -> Path:
-        path = super().put(key, artifact)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        with self._lock:
-            shard = self._ensure_index()[self.shard_of(key)]
-            shard[key] = size
-            shard.move_to_end(key)
-            self._evict_over_budget(self.shard_of(key), keep=key)
-        return path
-
-    def evict(self, key: str) -> None:
-        before = self.evictions
-        super().evict(key)
-        if self.evictions > before:
-            self._shard_counters[self.shard_of(key)]["evictions"] += 1
-            with self._lock:
-                self._ensure_index()[self.shard_of(key)].pop(key, None)
-
-    def _evict_over_budget(self, shard_idx: int, *, keep: str) -> None:
-        """Drop LRU entries until the shard fits its byte budget."""
-        if self.max_bytes is None:
-            return
-        budget = max(self.max_bytes // self.shards, 1)
-        shard = self._ensure_index()[shard_idx]
-        while sum(shard.values()) > budget and len(shard) > 1:
-            oldest = next(iter(shard))
-            if oldest == keep:
-                shard.move_to_end(oldest)
-                oldest = next(iter(shard))
-                if oldest == keep:
-                    break
-            self.evict(oldest)
-            shard.pop(oldest, None)
-
-    def stats(self) -> dict:
-        overall = super().stats()
-        per_shard = []
-        with self._lock:
-            index = self._ensure_index()
-            for idx in range(self.shards):
-                counters = self._shard_counters[idx]
-                per_shard.append({
-                    "shard": idx,
-                    "entries": len(index[idx]),
-                    "bytes": sum(index[idx].values()),
-                    **counters,
-                })
-        overall["shards"] = self.shards
-        overall["max_bytes"] = self.max_bytes
-        overall["per_shard"] = per_shard
-        return overall
-
-
 def cache_from_spec(spec: dict | None) -> ArtifactCache | None:
-    """Rebuild a cache from :meth:`ArtifactCache.spec` (pool workers).
-
-    Pool workers must open the *same layout* the parent uses — a plain
-    cache reading a sharded directory (or vice versa) would miss every
-    artifact the other wrote.
-    """
+    """Rebuild a cache from :meth:`ArtifactCache.spec` (pool workers)."""
     if spec is None:
         return None
-    kind = spec.get("kind", "plain")
-    if kind == "plain":
-        return ArtifactCache(spec["root"])
-    if kind == "sharded":
-        return ShardedArtifactCache(spec["root"],
-                                    shards=int(spec.get("shards", 8)),
-                                    max_bytes=spec.get("max_bytes"))
-    raise OptionsError(f"unknown cache spec kind {kind!r}", option="kind")
+    return ArtifactCache(spec["root"], max_bytes=spec.get("max_bytes"))

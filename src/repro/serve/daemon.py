@@ -5,7 +5,7 @@ newline-delimited JSON protocol (:mod:`repro.serve.protocol`), admits
 jobs into the persistent priority queue, and lets the worker bridge
 drive them through the proven :class:`~repro.runtime.executor
 .BatchExecutor`.  Warm resubmissions never touch a worker: the submit
-handler probes the sharded artifact cache inline and answers ``done``
+handler probes the artifact cache inline and answers ``done``
 (with ``cached: true``) in milliseconds.
 
 Request handling is deliberately serialized (one dispatch at a time on
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import OptionsError, ReproError
-from ..runtime.cache import (ArtifactCache, ShardedArtifactCache,
-                             canonical_options, job_key,
+from ..runtime.cache import (ArtifactCache, canonical_options, job_key,
                              job_key_from_digest)
 from ..runtime.jobs import JobResult, PlacementJob
 from ..runtime.telemetry import Tracer
@@ -58,10 +57,10 @@ class ServeConfig:
     Attributes:
         socket_path: unix-socket path the daemon listens on.
         workers: bridge threads (concurrent placements).
-        cache_dir: sharded artifact cache root; None disables caching.
-        cache_shards: shard count for the cache keyspace.
-        cache_budget_mb: total cache byte budget (LRU eviction per
-            shard); None means unbounded.
+        cache_dir: artifact cache root, the same layout ``repro-place
+            run`` writes; None disables caching.
+        cache_budget_mb: total cache byte budget (LRU eviction); None
+            means unbounded.
         checkpoint_dir: checkpoint store root; None disables
             checkpoints (and with them cancel-with-snapshot).
         spool_dir: job-journal directory; None disables persistence.
@@ -92,7 +91,6 @@ class ServeConfig:
     socket_path: str = ".repro-serve.sock"
     workers: int = 1
     cache_dir: str | None = ".repro-cache"
-    cache_shards: int = 8
     cache_budget_mb: float | None = None
     checkpoint_dir: str | None = ".repro-checkpoints"
     spool_dir: str | None = ".repro-spool"
@@ -141,9 +139,7 @@ class PlacementDaemon:
             budget = None
             if config.cache_budget_mb is not None:
                 budget = int(config.cache_budget_mb * 1024 * 1024)
-            self.cache = ShardedArtifactCache(
-                config.cache_dir, shards=config.cache_shards,
-                max_bytes=budget)
+            self.cache = ArtifactCache(config.cache_dir, max_bytes=budget)
 
         self._journal_path: Path | None = None
         self._replayed: list[dict] = []

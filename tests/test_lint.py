@@ -439,16 +439,15 @@ class TestRunnerAndCli:
         target = tmp_path / "repro" / "place" / "mod.py"
         target.parent.mkdir(parents=True)
         target.write_text("import random\nx = random.random()\n")
-        code = lint_main(["--json", "--no-baseline", "--no-cache",
-                          str(target)])
+        code = lint_main(["--json", "--no-baseline", str(target)])
         assert code == 1
         data = json.loads(capsys.readouterr().out)
-        # schema v2: adds the cache hit/miss block and the jobs count
-        assert data["version"] == 2
+        # schema v3: v2's cache and jobs keys are gone
+        assert data["version"] == 3
         assert data["ok"] is False
         assert data["counts"] == {"DET01": 1}
-        assert data["cache"] == {"hits": 0, "misses": 1}
-        assert data["jobs"] == 1
+        assert set(data) == {"version", "files", "findings", "baselined",
+                             "counts", "errors", "ok"}
         finding = data["findings"][0]
         assert set(finding) == {"rule", "path", "line", "col", "message",
                                 "line_text"}

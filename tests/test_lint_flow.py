@@ -1,20 +1,14 @@
 """Tests for the flow-analysis layer under repro.lint — the CFG
 builder, the dataflow engine (reaching definitions + resource
-lattice), the incremental cache, parallel analysis, and SARIF output."""
+lattice) — and the runner's cross-file error closure."""
 
 import ast
-import json
 import textwrap
-from pathlib import Path
 
 from repro.lint import lint_paths
-from repro.lint import main as lint_main
 from repro.lint.cfg import build_cfg, can_raise
 from repro.lint.dataflow import (ResourceEvent, ResourceFlow,
                                  reaching_definitions)
-from repro.lint.sarif import to_sarif
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(source):
@@ -293,111 +287,26 @@ class TestResourceFlow:
         assert flow.leaks()
 
 
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        pkg = tmp_path / "repro" / "place"
-        pkg.mkdir(parents=True)
-        (pkg / "one.py").write_text(
-            "import random\nx = random.random()\n")
-        (pkg / "two.py").write_text("y = 2\n")
-        return tmp_path / "repro"
+class TestCrossFileClosure:
+    def test_error_closure_spans_files(self, tmp_path):
+        # the ReproError closure is a cross-file fact: a leaf whose
+        # ancestors live in another file is still checked by ERR02
+        pkg = tmp_path / "repro"
+        pkg.mkdir()
+        (pkg / "one.py").write_text(textwrap.dedent("""\
+            class ReproError(Exception):
+                pass
 
-    def test_warm_run_is_all_hits_and_identical(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([tree], cache_path=cache)
-        warm = lint_paths([tree], cache_path=cache)
-        assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert [f.to_dict() for f in cold.findings] == \
-            [f.to_dict() for f in warm.findings]
+            class MidError(ReproError):
+                pass
+            """))
+        (pkg / "two.py").write_text(textwrap.dedent("""\
+            from .one import MidError
 
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_paths([tree], cache_path=cache)
-        (tree / "place" / "two.py").write_text("y = 3\n")
-        touched = lint_paths([tree], cache_path=cache)
-        assert touched.cache_misses == 1
-        assert touched.cache_hits == 1
-
-    def test_new_error_class_invalidates_everything(self, tmp_path):
-        # the ReproError closure is a cross-file fact: adding a
-        # subclass anywhere must re-analyse every file
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_paths([tree], cache_path=cache)
-        (tree / "place" / "two.py").write_text(
-            "class NewError(ReproError):\n    pass\n")
-        touched = lint_paths([tree], cache_path=cache)
-        assert touched.cache_misses == 2
-        assert touched.cache_hits == 0
-
-    def test_select_change_does_not_reuse_stale_cache(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        full = lint_paths([tree], cache_path=cache)
-        assert any(f.rule == "DET01" for f in full.findings)
-        only_num = lint_paths([tree], cache_path=cache,
-                              select=["NUM01"])
-        assert not any(f.rule == "DET01" for f in only_num.findings)
-
-    def test_corrupt_cache_falls_back_to_cold(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        result = lint_paths([tree], cache_path=cache)
-        assert result.cache_misses == 2
-        assert any(f.rule == "DET01" for f in result.findings)
-
-    def test_parallel_matches_serial(self, tmp_path):
-        tree = self._tree(tmp_path)
-        serial = lint_paths([tree])
-        parallel = lint_paths([tree], jobs=2)
-        assert [f.to_dict() for f in serial.findings] == \
-            [f.to_dict() for f in parallel.findings]
-
-    def test_only_restricts_reporting_not_closure(self, tmp_path):
-        tree = self._tree(tmp_path)
-        one = (tree / "place" / "one.py").resolve()
-        result = lint_paths([tree], only={one})
-        assert result.files == 1
-        assert all(f.path.endswith("one.py") for f in result.findings)
-
-
-class TestSarifOutput:
-    def test_document_shape(self, tmp_path):
-        pkg = tmp_path / "repro" / "place"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text(
-            "import random\nx = random.random()\n")
-        result = lint_paths([tmp_path / "repro"])
-        doc = to_sarif(result)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        assert {"LIF01", "CON01", "ASY01"} <= {r["id"] for r in rules}
-        res = run["results"][0]
-        assert res["ruleId"] == "DET01"
-        loc = res["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("mod.py")
-        assert loc["region"]["startLine"] == 2
-        # ruleIndex points back into the catalog
-        assert rules[res["ruleIndex"]]["id"] == "DET01"
-
-    def test_cli_sarif_round_trips(self, tmp_path, capsys):
-        target = tmp_path / "repro" / "place" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import random\nx = random.random()\n")
-        code = lint_main(["--format", "sarif", "--no-baseline",
-                          "--no-cache", str(target)])
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"]
-
-    def test_clean_tree_yields_empty_results(self, tmp_path):
-        pkg = tmp_path / "repro" / "place"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text("x = 1\n")
-        doc = to_sarif(lint_paths([tmp_path / "repro"]))
-        assert doc["runs"][0]["results"] == []
+            class LeafError(MidError):
+                def __init__(self, message, extra):
+                    super().__init__(message)
+            """))
+        result = lint_paths([pkg], select=["ERR02"])
+        assert [(f.rule, f.path) for f in result.findings] == \
+            [("ERR02", "repro/two.py")]

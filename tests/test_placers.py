@@ -1,5 +1,7 @@
 """End-to-end tests for the structure-aware and baseline placers."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.groups import group_ids, make_reprojector, plan_arrays
 from repro.core.alignment import build_alignment
 from repro.gen import UnitSpec, compose_design
 from repro.place import PlacementArrays, check_legal
+from repro.place.electrostatic import ElectroOptions
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +23,16 @@ def small_design_factory():
 
 
 class TestBaselinePlacer:
+    def test_options_differ_only_in_structure_switches(self):
+        base = PlacerOptions(use_fusion=True,
+                             electro=ElectroOptions(max_iterations=50))
+        structure = asdict(StructureAwarePlacer(base).options)
+        baseline = asdict(BaselinePlacer(base).options)
+        differing = {k for k in structure if structure[k] != baseline[k]}
+        assert differing == {"structure_weight", "use_fusion",
+                             "use_alignment", "structure_legalization"}
+        assert baseline["electro"]["max_iterations"] == 50
+
     def test_produces_legal_placement(self, small_design_factory):
         d = small_design_factory()
         out = BaselinePlacer().place(d.netlist, d.region)

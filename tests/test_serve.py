@@ -1,4 +1,4 @@
-"""Tests for repro.serve: protocol, queue, sharded cache, daemon."""
+"""Tests for repro.serve: protocol, queue, artifact cache, daemon."""
 
 import json
 import os
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ProtocolError, exit_code_for
 from repro.runtime import PlacementJob, execute_job
-from repro.runtime.cache import ShardedArtifactCache, cache_from_spec
+from repro.runtime.cache import ArtifactCache, cache_from_spec
 from repro.runtime.jobs import JobResult
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError, wait_ready
@@ -207,7 +207,7 @@ class TestJobQueue:
 
 
 # ----------------------------------------------------------------------
-# sharded cache
+# artifact cache: one root/ab/<key>.json layout, optional LRU budget
 # ----------------------------------------------------------------------
 
 def _key(n: int) -> str:
@@ -216,68 +216,65 @@ def _key(n: int) -> str:
 
 class TestShardedCache:
     def test_round_trip_and_shard_layout(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=4)
+        cache = ArtifactCache(tmp_path)
         key = _key(0xAB12CD34)
         artifact = {"outcome": {"hpwl_final": 1.0}}
         path = cache.put(key, artifact)
-        shard = int(key[:8], 16) % 4
-        assert path.parent.parent.name == f"shard{shard:02d}"
+        assert path == tmp_path / key[:2] / f"{key}.json"
         assert cache.get(key) == artifact
         assert cache.get(_key(1)) is None
 
-    def test_per_shard_counters(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=2)
-        key = _key(2)  # shard 0
-        cache.put(key, {"v": 1})
-        cache.get(key)
-        cache.get(_key(4))  # miss, also shard 0
-        stats = cache.stats()
-        assert stats["shards"] == 2
-        shard0 = stats["per_shard"][0]
-        assert shard0["hits"] == 1
-        assert shard0["misses"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
     def test_lru_eviction_within_budget(self, tmp_path):
         filler = {"pad": "x" * 512}
-        cache = ShardedArtifactCache(tmp_path, shards=1,
-                                     max_bytes=1500)
+        cache = ArtifactCache(tmp_path, max_bytes=1500)
         cache.put(_key(1), filler)
         cache.put(_key(2), filler)
         cache.get(_key(1))  # refresh key 1 -> key 2 becomes LRU
         cache.put(_key(3), filler)
         assert cache.get(_key(1)) is not None
         assert cache.get(_key(2)) is None  # evicted as least-recent
-        assert cache.stats()["evictions"] >= 1
+        assert cache.get(_key(3)) is not None
+        assert cache.stats()["evictions"] == 1
 
     def test_eviction_never_drops_newest(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=1, max_bytes=64)
+        cache = ArtifactCache(tmp_path, max_bytes=64)
         cache.put(_key(1), {"pad": "y" * 4096})  # alone over budget
         assert cache.get(_key(1)) is not None
+        cache.put(_key(2), {"pad": "z" * 4096})
+        assert cache.get(_key(2)) is not None
+        assert _key(1) not in cache
 
     def test_index_rebuilt_from_disk(self, tmp_path):
-        first = ShardedArtifactCache(tmp_path, shards=2)
-        first.put(_key(2), {"v": 1})
-        second = ShardedArtifactCache(tmp_path, shards=2)
-        assert second.get(_key(2)) == {"v": 1}
-        assert second.stats()["entries"] == 1
+        filler = {"pad": "x" * 512}
+        first = ArtifactCache(tmp_path)
+        for n, stamp in ((1, 300), (2, 100), (3, 200)):
+            path = first.put(_key(n), filler)
+            os.utime(path, (stamp, stamp))
+        size = first.path(_key(1)).stat().st_size
+        # a fresh instance orders keys by mtime (2, 3, 1); its hit on
+        # key 2 touches the file, so a later instance sees 3, 1, 2
+        ArtifactCache(tmp_path, max_bytes=3 * size).get(_key(2))
+        restarted = ArtifactCache(tmp_path, max_bytes=3 * size)
+        restarted.put(_key(4), filler)
+        assert _key(3) not in restarted
+        assert all(_key(n) in restarted for n in (1, 2, 4))
+        assert restarted.stats()["entries"] == 3
 
     def test_spec_round_trip(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=4, max_bytes=1000)
+        cache = ArtifactCache(tmp_path, max_bytes=1000)
         rebuilt = cache_from_spec(cache.spec())
-        assert isinstance(rebuilt, ShardedArtifactCache)
-        assert rebuilt.shards == 4
+        assert isinstance(rebuilt, ArtifactCache)
         assert rebuilt.max_bytes == 1000
         assert rebuilt.root == cache.root
+        assert cache_from_spec(ArtifactCache(tmp_path).spec()).max_bytes \
+            is None
+        assert cache_from_spec(None) is None
 
     def test_invalid_config_rejected(self, tmp_path):
         from repro.errors import OptionsError
-        with pytest.raises(OptionsError):
-            ShardedArtifactCache(tmp_path, shards=0)
-        with pytest.raises(OptionsError):
-            ShardedArtifactCache(tmp_path, max_bytes=0)
-        with pytest.raises(OptionsError):
-            cache_from_spec({"kind": "quantum"})
+        for bad in (0, -5):
+            with pytest.raises(OptionsError):
+                ArtifactCache(tmp_path, max_bytes=bad)
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +398,24 @@ class TestDaemonIntegration:
             assert hot["positions"] == cold["positions"]
             assert hot["hpwl"] == cold["hpwl"]
             _drain_and_join(client, thread)
+
+    def test_run_suite_artifact_is_a_daemon_cache_hit(self, serve_root):
+        # `run` and `serve` share one cache layout: a job the batch
+        # runner placed is answered from the cache, with no placement
+        from repro.runtime import run_suite
+        suite = run_suite(["dp_add8"], ["structure"],
+                          cache_dir=serve_root / "cache")
+        assert suite.counters["placer.invocations"] == 1
+        _daemon, thread = _start_daemon(serve_root)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            reply = client.submit("dp_add8", placer="structure")
+            assert reply["state"] == "done"
+            assert reply["cached"] is True
+            stats = client.stats()["stats"]
+            assert stats["executor"].get("placer.invocations", 0) == 0
+            assert stats["cache"]["hits"] == 1
+            _drain_and_join(client, thread)
+        assert len(list((serve_root / "cache").rglob("*.json"))) == 1
 
     def test_cancel_queued_job(self, serve_root):
         _daemon, thread = _start_daemon(serve_root)
@@ -598,7 +613,7 @@ class TestDaemonProcess:
             assert "shut down cleanly" in out
             # the accepted job ran to completion before exit: its
             # artifact landed in the cache and the journal is settled
-            cache = ShardedArtifactCache(serve_root / "cache")
+            cache = ArtifactCache(serve_root / "cache")
             assert cache.stats()["entries"] == 1
             assert JobJournal.replay(serve_root / "spool" /
                                      "journal.jsonl") == []
