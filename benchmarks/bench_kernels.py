@@ -426,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
             merged = json.loads(out_path.read_text())
         except json.JSONDecodeError:
             merged = {}
+    # config keys of sections skipped this run stay as they were
+    merged.setdefault("config", {}).update(report.pop("config"))
     merged.update(report)
     out_path.write_text(json.dumps(merged, indent=2) + "\n")
     print(f"wrote {out_path}")

@@ -25,10 +25,18 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_multilevel.py [--quick]
         [--out BENCH_PERF.json]
+    PYTHONPATH=src python benchmarks/bench_multilevel.py --full-flow
 
 ``--quick`` shrinks the sweep for the CI perf-smoke job; the speedup
 gate is skipped there (quick sizes are too small for the V-cycle to
 win) but the HPWL, legality, and determinism gates still apply.
+
+``--full-flow`` runs only the full-flow leg: the 99,936-cell
+``datapath_fraction_design("engines_68000", 68000, 0.55, seed=9)``
+through both placers with the electro engine and the V-cycle.  It
+records GP, legalized and final HPWL, per-stage seconds, slice
+formation and legality violations under a ``"full_flow"`` key, and
+gates only on legality.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import PlacerOptions, StructureAwarePlacer
-from repro.eval import evaluate_placement
+from repro.core import BaselinePlacer, PlacerOptions, StructureAwarePlacer
+from repro.eval import evaluate_placement, formation_score
 from repro.gen import datapath_fraction_design
 from repro.place.multilevel import MultilevelOptions
 from repro.runtime import ArtifactCache, apply_positions
@@ -51,6 +59,7 @@ from repro.runtime.cache import job_key, snapshot_positions
 
 HPWL_TOL = 0.02        # multilevel may not be worse than flat by more
 SPEEDUP_MIN = 3.0      # end-to-end, at the largest >=3200-cell point
+FULL_FLOW_CELLS = 68000  # requested; the generator lands on 99,936 cells
 
 
 def _options(multilevel: bool) -> PlacerOptions:
@@ -160,6 +169,62 @@ def check_determinism(n: int, failures: list[str]) -> dict:
             "key_differs_from_flat": flat_key != key}
 
 
+def full_flow(failures: list[str]) -> dict:
+    """The ~100k-cell design through both placers, electro + V-cycle.
+
+    Formation is scored for both placements against the slices the
+    structure-aware run extracted (the designs are identical).
+    """
+    opts = PlacerOptions(engine="electro",
+                         multilevel=MultilevelOptions(enabled=True))
+    name = f"engines_{FULL_FLOW_CELLS}"
+    rows: dict[str, dict] = {}
+    slices: list[list[str]] = []
+    for placer in (StructureAwarePlacer(opts), BaselinePlacer(opts)):
+        gd = datapath_fraction_design(name, FULL_FLOW_CELLS, 0.55, seed=9)
+        outcome = placer.place(gd.netlist, gd.region)
+        if outcome.extraction is not None:
+            slices = [[c.name for c in s]
+                      for a in outcome.extraction.arrays for s in a.slices]
+        row = {
+            "cells": gd.netlist.num_cells,
+            "hpwl_gp": round(outcome.hpwl_gp, 1),
+            "hpwl_legal": round(outcome.hpwl_legal, 1),
+            "hpwl_final": round(outcome.hpwl_final, 1),
+            "time_s": round(outcome.runtime_s, 2),
+            "extract_s": round(outcome.extract_s, 2),
+            "gp_s": round(outcome.gp_s, 2),
+            "legalize_s": round(outcome.legalize_s, 2),
+            "detailed_s": round(outcome.detailed_s, 2),
+            "formation": round(formation_score(gd.netlist, slices), 4),
+            "slices": len(slices),
+            "violations": outcome.violations,
+        }
+        rows[placer.name] = row
+        print(f"  {placer.name:<16} {row['cells']} cells   "
+              f"gp {row['hpwl_gp']:.4g}  legal {row['hpwl_legal']:.4g}  "
+              f"final {row['hpwl_final']:.4g}   {row['time_s']:.1f} s "
+              f"(extract {row['extract_s']} / gp {row['gp_s']} / "
+              f"legalize {row['legalize_s']} / detailed "
+              f"{row['detailed_s']})   formation {row['formation']}   "
+              f"violations {row['violations']}")
+        if row["violations"]:
+            failures.append(f"{name}/{placer.name}: {row['violations']} "
+                            "legality violations")
+    ratio = rows["structure-aware"]["hpwl_final"] \
+        / rows["baseline"]["hpwl_final"]
+    print(f"  final HPWL ratio structure-aware / baseline: {ratio:.4f}")
+    return {
+        "config": {"design": name, "engine": "electro",
+                   "multilevel": "MultilevelOptions(enabled=True)",
+                   "python": sys.version.split()[0],
+                   "numpy": np.__version__},
+        "placers": rows,
+        "final_hpwl_ratio": round(ratio, 4),
+        "gates_passed": not failures,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -167,30 +232,35 @@ def main(argv: list[str] | None = None) -> int:
                              "determinism gates only)")
     parser.add_argument("--out", default="BENCH_PERF.json",
                         help="merged output JSON path (default: repo root)")
+    parser.add_argument("--full-flow", action="store_true",
+                        help="run only the ~100k-cell full-flow leg "
+                             "(both placers, electro + multilevel)")
     args = parser.parse_args(argv)
 
-    sizes = (400, 800) if args.quick else (1600, 3200, 6400, 12800)
-    stability_n = 400 if args.quick else 3200
     failures: list[str] = []
-
-    print("== F4 sweep: flat vs multilevel ==")
-    rows = sweep(sizes, failures, gate_speedup=not args.quick)
-    print("== determinism ==")
-    determinism = check_determinism(stability_n, failures)
-
-    section = {
-        "config": {
-            "quick": bool(args.quick),
-            "hpwl_tolerance": HPWL_TOL,
-            "speedup_min": None if args.quick else SPEEDUP_MIN,
-            "options": "MultilevelOptions() defaults",
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "sweep": rows,
-        "determinism": determinism,
-        "gates_passed": not failures,
-    }
+    if args.full_flow:
+        print("== full flow at ~100k cells ==")
+        key, section = "full_flow", full_flow(failures)
+    else:
+        sizes = (400, 800) if args.quick else (1600, 3200, 6400, 12800)
+        stability_n = 400 if args.quick else 3200
+        print("== F4 sweep: flat vs multilevel ==")
+        rows = sweep(sizes, failures, gate_speedup=not args.quick)
+        print("== determinism ==")
+        determinism = check_determinism(stability_n, failures)
+        key, section = "multilevel", {
+            "config": {
+                "quick": bool(args.quick),
+                "hpwl_tolerance": HPWL_TOL,
+                "speedup_min": None if args.quick else SPEEDUP_MIN,
+                "options": "MultilevelOptions() defaults",
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+            },
+            "sweep": rows,
+            "determinism": determinism,
+            "gates_passed": not failures,
+        }
     out_path = Path(args.out)
     report: dict = {}
     if out_path.exists():
@@ -198,9 +268,9 @@ def main(argv: list[str] | None = None) -> int:
             report = json.loads(out_path.read_text())
         except json.JSONDecodeError:
             report = {}
-    report["multilevel"] = section
+    report[key] = section
     out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path} (multilevel section "
+    print(f"wrote {out_path} ({key} section "
           f"{'merged' if len(report) > 1 else 'created'})")
     if failures:
         print("GATE FAILURES:")

@@ -8,7 +8,8 @@ classic dynamic clustering recurrence.  The row with the cheapest trial
 cost wins; the insertion is then committed.
 
 Compared to Tetris, Abacus moves earlier cells to make room (clusters
-shift), producing noticeably lower displacement.  Fixed obstacles split
+shift), producing noticeably lower displacement.  The blocked spans of
+the shared row model (:func:`repro.place.legalize.row_blockages`) split
 rows into independent segments.
 """
 
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..netlist import Cell, Netlist
-from .legalize import LegalizeResult
+from .legalize import LegalizeResult, row_blockages
 from .region import PlacementRegion
 
 
@@ -175,27 +174,13 @@ class _Segment:
 
 def _build_segments(netlist: Netlist, region: PlacementRegion,
                     obstacles: list[Cell] | None) -> list[list[_Segment]]:
-    """Per-row free segments after removing obstacle spans."""
-    blockers = list(obstacles or [])
-    blockers += [c for c in netlist.fixed_cells()
-                 if (c.x < region.x_end and c.x + c.width > region.x
-                     and c.y < region.y_top and c.y + c.height > region.y)]
-    per_row: list[list[tuple[float, float]]] = [[] for _ in region.rows]
-    for cell in blockers:
-        j0 = max(int((cell.y - region.y) // region.row_height), 0)
-        j1 = min(int(np.ceil((cell.y + cell.height - region.y)
-                             / region.row_height)) - 1, region.num_rows - 1)
-        for j in range(j0, j1 + 1):
-            a = max(cell.x, region.x)
-            b = min(cell.x + cell.width, region.x_end)
-            if b > a:
-                per_row[j].append((a, b))
+    """Per-row free segments between the row model's blocked spans."""
     segments: list[list[_Segment]] = []
-    for j, row in enumerate(region.rows):
-        spans = sorted(per_row[j])
+    for row, spans in zip(region.rows,
+                          row_blockages(netlist, region, obstacles or ())):
         segs: list[_Segment] = []
         cursor = row.x
-        for (a, b) in spans + [(row.x_end, row.x_end)]:
+        for (a, b) in [*spans, (row.x_end, row.x_end)]:
             if a - cursor >= 1e-9:
                 segs.append(_Segment(y=row.y, x0=cursor, x1=a,
                                      site=row.site_width))

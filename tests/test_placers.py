@@ -9,7 +9,7 @@ from repro.core import (BaselinePlacer, PlacerOptions, StructureAwarePlacer,
                         extract_datapaths)
 from repro.core.groups import group_ids, make_reprojector, plan_arrays
 from repro.core.alignment import build_alignment
-from repro.gen import UnitSpec, compose_design
+from repro.gen import UnitSpec, build_design, compose_design
 from repro.place import PlacementArrays, check_legal
 from repro.place.electrostatic import ElectroOptions
 
@@ -172,6 +172,24 @@ class TestStructureAwarePlacer:
         monkeypatch.setenv(faults.ENV_VAR, "solver_nan:*")
         with pytest.raises(NumericalError):
             ElectrostaticPlacer(arrays, d.region).place()
+
+
+class TestFullFlowLegality:
+    """No movable cell ends on an in-core I/O pad after detailed
+    placement (row reorder used to re-pack windows over them)."""
+
+    @pytest.mark.parametrize("placer_cls", [StructureAwarePlacer,
+                                            BaselinePlacer])
+    @pytest.mark.parametrize("name", ["dp_add8", "dp_mul16"])
+    def test_full_flow_is_legal(self, name, placer_cls):
+        d = build_design(name)
+        out = placer_cls().place(d.netlist, d.region)
+        assert check_legal(d.netlist, d.region) == []
+        assert out.violations == 0
+        pads = [f for f in d.netlist.fixed_cells()
+                if d.region.contains_cell(f.x, f.y, f.width, f.height)]
+        assert not [c.name for c in d.netlist.movable_cells()
+                    if any(c.overlaps(p) for p in pads)]
 
 
 class TestGroupsAndAlignment:
