@@ -37,11 +37,17 @@ through both placers with the electro engine and the V-cycle.  It
 records GP, legalized and final HPWL, per-stage seconds, slice
 formation and legality violations under a ``"full_flow"`` key, and
 gates only on legality.
+
+Every multilevel row also records ``coarsen_s``, the V-cycle's
+coarsening time (the program trace's ``ml_coarsen`` phases, part of
+``gp_s``), and ``digest``, a short SHA-256 of the final positions that
+shows whether two commits placed the design bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -56,6 +62,7 @@ from repro.gen import datapath_fraction_design
 from repro.place.multilevel import MultilevelOptions
 from repro.runtime import ArtifactCache, apply_positions
 from repro.runtime.cache import job_key, snapshot_positions
+from repro.runtime.telemetry import Tracer
 
 HPWL_TOL = 0.02        # multilevel may not be worse than flat by more
 SPEEDUP_MIN = 3.0      # end-to-end, at the largest >=3200-cell point
@@ -69,15 +76,24 @@ def _options(multilevel: bool) -> PlacerOptions:
     return opts
 
 
+def _digest(netlist) -> str:
+    """Short SHA-256 of the final cell positions (bit-identity check)."""
+    h = hashlib.sha256()
+    h.update(np.array([c.x for c in netlist.cells]).tobytes())
+    h.update(np.array([c.y for c in netlist.cells]).tobytes())
+    return h.hexdigest()[:16]
+
+
 def _place(n: int, multilevel: bool) -> dict:
     """One end-to-end run on a freshly generated F4 design."""
     gd = datapath_fraction_design(f"f4_{n}", n, 0.55, seed=9)
+    tracer = Tracer()
     t0 = time.perf_counter()
     outcome = StructureAwarePlacer(_options(multilevel)).place(
-        gd.netlist, gd.region)
+        gd.netlist, gd.region, tracer=tracer)
     dt = time.perf_counter() - t0
     report = evaluate_placement(gd.netlist, gd.region)
-    return {
+    row = {
         "design": f"f4_{n}", "cells": gd.netlist.num_cells,
         "hpwl": round(report.hpwl, 3), "legal": bool(report.legal),
         "time_s": round(dt, 3),
@@ -86,6 +102,10 @@ def _place(n: int, multilevel: bool) -> dict:
         "legalize_s": round(outcome.legalize_s, 3),
         "detailed_s": round(outcome.detailed_s, 3),
     }
+    if multilevel:
+        row["coarsen_s"] = round(tracer.total_s("ml_coarsen"), 3)
+        row["digest"] = _digest(gd.netlist)
+    return row
 
 
 def sweep(sizes: tuple[int, ...], failures: list[str],
@@ -103,7 +123,8 @@ def sweep(sizes: tuple[int, ...], failures: list[str],
         print(f"  f4_{n:<6} {flat['cells']:>6} cells   "
               f"flat {flat['time_s']:7.2f} s   "
               f"ml {ml['time_s']:7.2f} s   {speedup:5.2f}x   "
-              f"hpwl {delta * 100:+.2f}%")
+              f"hpwl {delta * 100:+.2f}%   ml gp {ml['gp_s']:.2f} s, "
+              f"coarsen {ml['coarsen_s']:.2f} s")
         if not flat["legal"]:
             failures.append(f"f4_{n}: flat placement is not legal")
         if not ml["legal"]:
@@ -182,7 +203,8 @@ def full_flow(failures: list[str]) -> dict:
     slices: list[list[str]] = []
     for placer in (StructureAwarePlacer(opts), BaselinePlacer(opts)):
         gd = datapath_fraction_design(name, FULL_FLOW_CELLS, 0.55, seed=9)
-        outcome = placer.place(gd.netlist, gd.region)
+        tracer = Tracer()
+        outcome = placer.place(gd.netlist, gd.region, tracer=tracer)
         if outcome.extraction is not None:
             slices = [[c.name for c in s]
                       for a in outcome.extraction.arrays for s in a.slices]
@@ -194,8 +216,10 @@ def full_flow(failures: list[str]) -> dict:
             "time_s": round(outcome.runtime_s, 2),
             "extract_s": round(outcome.extract_s, 2),
             "gp_s": round(outcome.gp_s, 2),
+            "coarsen_s": round(tracer.total_s("ml_coarsen"), 2),
             "legalize_s": round(outcome.legalize_s, 2),
             "detailed_s": round(outcome.detailed_s, 2),
+            "digest": _digest(gd.netlist),
             "formation": round(formation_score(gd.netlist, slices), 4),
             "slices": len(slices),
             "violations": outcome.violations,
@@ -204,7 +228,8 @@ def full_flow(failures: list[str]) -> dict:
         print(f"  {placer.name:<16} {row['cells']} cells   "
               f"gp {row['hpwl_gp']:.4g}  legal {row['hpwl_legal']:.4g}  "
               f"final {row['hpwl_final']:.4g}   {row['time_s']:.1f} s "
-              f"(extract {row['extract_s']} / gp {row['gp_s']} / "
+              f"(extract {row['extract_s']} / gp {row['gp_s']}, coarsen "
+              f"{row['coarsen_s']} / "
               f"legalize {row['legalize_s']} / detailed "
               f"{row['detailed_s']})   formation {row['formation']}   "
               f"violations {row['violations']}")

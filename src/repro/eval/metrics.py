@@ -83,7 +83,7 @@ def snapshot_positions(netlist: Netlist) -> dict[str, tuple[float, float]]:
 def evaluate_placement(netlist: Netlist, region: PlacementRegion,
                        grid: BinGrid | None = None) -> PlacementReport:
     """Compute the full quality report for the current placement."""
-    grid = grid or default_grid(region, netlist)
+    grid = grid or default_grid(region, len(netlist.movable_cells()))
     arrays = PlacementArrays.build(netlist)
     pos = netlist.positions()
     den = density_map(arrays, pos[:, 0], pos[:, 1], grid, include_fixed=True)

@@ -73,7 +73,7 @@ def render_placement(netlist: Netlist, region: PlacementRegion, *,
 def render_density(netlist: Netlist, region: PlacementRegion, *,
                    grid: BinGrid | None = None) -> str:
     """Render the bin utilization map as shade characters (1.0 ≈ '#')."""
-    grid = grid or default_grid(region, netlist)
+    grid = grid or default_grid(region, len(netlist.movable_cells()))
     arrays = PlacementArrays.build(netlist)
     pos = netlist.positions()
     u = density_map(arrays, pos[:, 0], pos[:, 1], grid, include_fixed=True)

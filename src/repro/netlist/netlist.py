@@ -45,14 +45,16 @@ class Netlist:
     # construction
     # ------------------------------------------------------------------
     def _drop_arena(self) -> None:
-        """Detach the flat-array mirror after a structural edit.
+        """Detach the flat-array mirrors after a structural edit.
 
         Netlists rebuilt from a shared-memory arena keep a reference to
-        it (``_arena``) so array builders can skip the object walk; any
-        mutation of cells, nets, or connectivity makes that mirror
-        stale, so every mutator calls this first.
+        it (``_arena``) so array builders can skip the object walk, and
+        :meth:`hpwl` caches a flat pin view (``_pin_view``); any
+        mutation of cells, nets, or connectivity makes both stale, so
+        every mutator calls this first.
         """
         self.__dict__.pop("_arena", None)
+        self.__dict__.pop("_pin_view", None)
 
     def add_cell(self, name: str, cell_type: CellType | str, *,
                  x: float = 0.0, y: float = 0.0, fixed: bool = False,
@@ -336,13 +338,46 @@ class Netlist:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
+    def _hpwl_pins(self) -> tuple[np.ndarray, ...]:
+        """Flat pins of every net of degree >= 2, built once per edit.
+
+        Returns ``(pin_cell, pin_x_offset, pin_y_offset, net_start,
+        net_weight)``; offsets are from the cell's lower-left corner.
+        """
+        view = self.__dict__.get("_pin_view")
+        if view is None:
+            nets = [net for net in self._nets if net.degree >= 2]
+            refs = [ref for net in nets for ref in net.pins]
+            view = (np.array([r.cell.index for r in refs], dtype=np.int64),
+                    np.array([r.pin.x_offset for r in refs], dtype=float),
+                    np.array([r.pin.y_offset for r in refs], dtype=float),
+                    np.cumsum([0] + [net.degree for net in nets]),
+                    np.array([net.weight for net in nets], dtype=float))
+            self._pin_view = view
+        return view
+
     def hpwl(self) -> float:
-        """Total weighted half-perimeter wirelength at current positions."""
-        total = 0.0
-        for net in self._nets:
-            if net.degree >= 2:
-                total += net.weight * net.hpwl()
-        return total
+        """Total weighted half-perimeter wirelength at current positions.
+
+        Same IEEE operations as summing ``net.weight * net.hpwl()`` over
+        the nets of degree >= 2: pins at corner plus offset, per-net
+        ``(max - min x) + (max - min y)``, accumulated in net order.
+        """
+        pin_cell, off_x, off_y, start, weight = self._hpwl_pins()
+        if weight.shape[0] == 0:
+            return 0.0
+        n = len(self._cells)
+        x = np.fromiter((c.x for c in self._cells), dtype=float, count=n)
+        y = np.fromiter((c.y for c in self._cells), dtype=float, count=n)
+        px = x[pin_cell] + off_x
+        py = y[pin_cell] + off_y
+        heads = start[:-1]
+        span = (np.maximum.reduceat(px, heads)
+                - np.minimum.reduceat(px, heads)) \
+            + (np.maximum.reduceat(py, heads)
+               - np.minimum.reduceat(py, heads))
+        # accumulate sums sequentially, as the per-net loop did
+        return float(np.add.accumulate(weight * span)[-1])
 
     def iter_connected(self, start: Cell) -> Iterator[Cell]:
         """Breadth-first iteration over the connected component of

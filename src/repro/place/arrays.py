@@ -8,6 +8,11 @@ models and optimizers consume it.
 Positions are handled as *cell center* arrays ``(N,)`` x and y.  Pin
 positions are ``center + offset`` where offsets are pin offsets relative to
 the cell center.
+
+The same class carries the coarse levels of the multilevel V-cycle, which
+have no :class:`~repro.netlist.Netlist` behind them: such a level holds its
+own name and fixed cell centers instead (see
+:func:`repro.place.multilevel.build_coarse_netlist`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..errors import OptionsError
 from ..netlist import Netlist
 
 if TYPE_CHECKING:
@@ -28,18 +34,20 @@ class PlacementArrays:
     """CSR view of a netlist hypergraph plus cell geometry.
 
     Attributes:
-        netlist: the source netlist (kept for write-back).
         pin_cell: (P,) cell index of every pin.
         pin_dx / pin_dy: (P,) pin offset from the owning cell's center.
         net_start: (M+1,) CSR offsets; pins of net j are
             ``pin_cell[net_start[j]:net_start[j+1]]``.
         net_weight: (M,) net weights.
         movable: (N,) bool mask.
-        width / height: (N,) cell sizes.
-        area: (N,) cell areas.
+        width / height: (N,) cell sizes (``area`` is their product).
+        netlist: the source netlist, for write-back and live positions;
+            None on a coarse multilevel level.
+        name: design (or level) name, for diagnostics.
+        center_x / center_y: (N,) cell centers of a level without a
+            netlist; None when ``netlist`` is set.
     """
 
-    netlist: Netlist
     pin_cell: np.ndarray
     pin_dx: np.ndarray
     pin_dy: np.ndarray
@@ -48,6 +56,10 @@ class PlacementArrays:
     movable: np.ndarray
     width: np.ndarray
     height: np.ndarray
+    netlist: Netlist | None = None
+    name: str = ""
+    center_x: np.ndarray | None = None
+    center_y: np.ndarray | None = None
 
     @classmethod
     def build(cls, netlist: Netlist,
@@ -99,6 +111,7 @@ class PlacementArrays:
         sizes = netlist.sizes()
         return cls(
             netlist=netlist,
+            name=netlist.name,
             pin_cell=np.asarray(pin_cell, dtype=np.int64),
             pin_dx=np.asarray(pin_dx, dtype=float),
             pin_dy=np.asarray(pin_dy, dtype=float),
@@ -134,6 +147,7 @@ class PlacementArrays:
         pin_cell = arena.pin_cell[pin_keep]
         return cls(
             netlist=netlist,
+            name=netlist.name,
             pin_cell=pin_cell,
             pin_dx=arena.pin_off_x[pin_keep]
             - arena.cell_w[pin_cell] / 2.0,
@@ -154,6 +168,10 @@ class PlacementArrays:
     @property
     def num_nets(self) -> int:
         return self.net_weight.shape[0]
+
+    @property
+    def num_movable(self) -> int:
+        return int(np.count_nonzero(self.movable))
 
     @property
     def num_pins(self) -> int:
@@ -177,12 +195,23 @@ class PlacementArrays:
 
     # ------------------------------------------------------------------
     def initial_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current cell centers as (x, y) arrays."""
+        """Current cell centers as (x, y) arrays (fresh copies).
+
+        Read live from the netlist when there is one, so a
+        :meth:`write_back` shows up here; a coarse level returns its
+        fixed centers.
+        """
+        if self.netlist is None:
+            return self.center_x.copy(), self.center_y.copy()
         pos = self.netlist.positions()
         return pos[:, 0].copy(), pos[:, 1].copy()
 
     def write_back(self, x: np.ndarray, y: np.ndarray) -> None:
         """Write center arrays into the netlist (movable cells only)."""
+        if self.netlist is None:
+            raise OptionsError(
+                f"{self.name!r} is a coarse level with no netlist to "
+                "write back to")
         centers = np.stack([x, y], axis=1)
         self.netlist.set_positions(centers, only_movable=True)
 

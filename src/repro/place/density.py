@@ -98,8 +98,7 @@ class BellDensity:
         fixed = ~self.arrays.movable
         if not fixed.any():
             return np.zeros((g.nx, g.ny))
-        pos = self.arrays.netlist.positions()
-        x, y = pos[:, 0], pos[:, 1]
+        x, y = self.arrays.initial_positions()
         return rasterize_overlap(
             x[fixed] - self.arrays.width[fixed] / 2.0,
             x[fixed] + self.arrays.width[fixed] / 2.0,

@@ -136,8 +136,7 @@ class ElectrostaticDensity:
         fixed = ~arrays.movable
         if not bool(fixed.any()):
             return np.zeros((g.nx, g.ny))
-        pos = arrays.netlist.positions()
-        x, y = pos[:, 0], pos[:, 1]
+        x, y = arrays.initial_positions()
         return rasterize_overlap(
             x[fixed] - arrays.width[fixed] / 2.0,
             x[fixed] + arrays.width[fixed] / 2.0,
@@ -259,7 +258,7 @@ class ElectrostaticPlacer:
         self.guard = guard or GuardOptions()
         self.checkpoint = checkpoint
         self.tracer = tracer or Tracer()
-        self.grid = grid or default_grid(region, arrays.netlist)
+        self.grid = grid or default_grid(region, arrays.num_movable)
         self.density = ElectrostaticDensity(arrays, self.grid)
         self.builder = B2BBuilder(arrays)
         self.extra_pairs_x = extra_pairs_x or []
@@ -376,7 +375,7 @@ class ElectrostaticPlacer:
 
         iterate_guard = IterateGuard(
             self.guard, stage="global_place",
-            design=arrays.netlist.name,
+            design=arrays.name,
             bounds=(self.region.x, self.region.y,
                     self.region.x_end, self.region.y_top),
             movable=arrays.movable)

@@ -15,6 +15,13 @@ One coarsening step partitions the cells of a level into clusters:
   cap, until the level shrinks below the target size or no legal merge
   remains.
 
+Everything but the greedy merge runs on the level's CSR arrays.  Pair
+affinities are integer pair keys whose contributions ``np.bincount``
+sums in the order they arise, net by net, and keys keep the order of
+their first contribution; cluster roots come from pointer jumping.  The
+merge itself is order-dependent (every merge changes later scores), so
+it stays a sequential loop over flat lists.
+
 The result is a dense ``cluster_of`` index map (fine cell -> cluster id)
 that interpolation applies vectorized (``x_fine = X[cluster_of] + dx``).
 """
@@ -22,6 +29,7 @@ that interpolation applies vectorized (``x_fine = X[cluster_of] + dx``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,50 +43,118 @@ class Clustering:
     Attributes:
         cluster_of: (N,) int64 — cluster id of every fine cell; ids are
             dense in ``[0, num_clusters)`` and double as the coarse
-            netlist's cell indices.
-        members: cluster id -> fine cell indices.  For atomic bundle
-            clusters the order is the bundle's slice/stage order (the
-            declusterer lays members out left-to-right in it); generic
-            clusters list members in ascending index order.
+            level's cell indices.
+        member_start: (C+1,) int64 CSR offsets into ``member_cell``.
+        member_cell: (N,) int64 — fine cells grouped by cluster.  For
+            atomic bundle clusters the order is the bundle's slice/stage
+            order (the declusterer lays members out left-to-right in
+            it); generic clusters list members in ascending index order.
         atomic: (C,) bool — True for bundle clusters.
     """
 
     cluster_of: np.ndarray
-    members: list[list[int]]
+    member_start: np.ndarray
+    member_cell: np.ndarray
     atomic: np.ndarray
 
     @property
     def num_clusters(self) -> int:
-        return len(self.members)
+        return self.member_start.shape[0] - 1
+
+    @cached_property
+    def members(self) -> list[list[int]]:
+        """Cluster id -> fine cell indices, in member order."""
+        flat = self.member_cell.tolist()
+        start = self.member_start.tolist()
+        return [flat[start[k]:start[k + 1]]
+                for k in range(len(start) - 1)]
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``values`` per distinct key, keys in first-occurrence order.
+
+    Each key's total adds its values in input order starting from 0.0,
+    the same IEEE sequence as ``d[k] = d.get(k, 0.0) + v`` over a dict
+    (``np.bincount`` accumulates sequentially).
+
+    Returns:
+        ``(unique_keys, sums)``, keys in the order they first appear.
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+    rank = np.argsort(first, kind="stable")
+    slot = np.empty_like(rank)
+    slot[rank] = np.arange(rank.shape[0])
+    sums = np.bincount(slot[inverse.reshape(-1)], weights=values,
+                       minlength=rank.shape[0])
+    return uniq[rank], sums
+
+
+def distinct_net_cells(pin_net: np.ndarray, pin_key: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Each net's distinct ``pin_key`` values, ascending, nets in order.
+
+    Returns ``(net, key)`` arrays sorted by net and then key, with
+    duplicates inside a net removed — ``np.unique`` per net, flattened.
+    """
+    order = np.lexsort((pin_key, pin_net))
+    net = pin_net[order]
+    key = pin_key[order]
+    keep = np.ones(net.shape[0], dtype=bool)
+    keep[1:] = (net[1:] != net[:-1]) | (key[1:] != key[:-1])
+    return net[keep], key[keep]
 
 
 def pair_affinities(arrays: PlacementArrays, max_degree: int
-                    ) -> dict[tuple[int, int], float]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clique-model cell-pair affinities from small nets.
 
     Nets with more than ``max_degree`` distinct cells are skipped: a
     high-fanout net says nothing about which two of its sinks belong
     together, and its O(d^2) pairs would dominate the affinity map.
+
+    Returns:
+        ``(ci, cj, a)`` with ``ci < cj``: one entry per connected cell
+        pair, in the order the pair first appears (nets in order, each
+        net's distinct cells ascending, pairs ``(ii, jj)`` with ``ii``
+        outer), and ``a`` summed in that same order.
     """
-    aff: dict[tuple[int, int], float] = {}
-    starts = arrays.net_start
-    pin_cell = arrays.pin_cell
+    net, cell = distinct_net_cells(arrays.pin_net(), arrays.pin_cell)
+    degree = np.bincount(net, minlength=arrays.num_nets)
+    first = np.zeros(arrays.num_nets + 1, dtype=np.int64)
+    np.cumsum(degree, out=first[1:])
     weights = arrays.net_weight
-    for j in range(arrays.num_nets):
-        w = float(weights[j])
-        if w <= 0.0:
-            continue
-        cells = np.unique(pin_cell[starts[j]:starts[j + 1]])
-        d = len(cells)
-        if d < 2 or d > max_degree:
-            continue
-        a = w / (d - 1)
-        for ii in range(d):
-            ci = int(cells[ii])
-            for jj in range(ii + 1, d):
-                key = (ci, int(cells[jj]))
-                aff[key] = aff.get(key, 0.0) + a
-    return aff
+    ok = ~(weights <= 0.0) & (degree >= 2) & (degree <= max_degree)
+    parts_net, parts_i, parts_j, parts_a = [], [], [], []
+    for d in np.unique(degree[ok]).tolist():
+        nets = np.flatnonzero(ok & (degree == d))
+        mat = cell[first[nets][:, None] + np.arange(d)]
+        ii, jj = np.triu_indices(d, 1)
+        parts_net.append(np.repeat(nets, ii.shape[0]))
+        parts_i.append(mat[:, ii].reshape(-1))
+        parts_j.append(mat[:, jj].reshape(-1))
+        parts_a.append(np.repeat(weights[nets] / (d - 1), ii.shape[0]))
+    if not parts_net:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), np.zeros(0)
+    order = np.argsort(np.concatenate(parts_net), kind="stable")
+    ci = np.concatenate(parts_i)[order]
+    cj = np.concatenate(parts_j)[order]
+    a = np.concatenate(parts_a)[order]
+    n = np.int64(arrays.num_cells)
+    keys, sums = _sum_by_key(ci * n + cj, a)
+    return keys // n, keys % n, sums
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Root of every node of a parent-pointer forest (pointer jumping)."""
+    root = parent
+    while True:
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            return root
+        root = nxt
 
 
 def cluster_cells(arrays: PlacementArrays, *, target: int, area_cap: float,
@@ -95,116 +171,118 @@ def cluster_cells(arrays: PlacementArrays, *, target: int, area_cap: float,
         area_cap: maximum area of a merged cluster.  Atomic bundles may
             exceed it (they are seeds, not merge products).
         atomic_groups: cell-index lists (in slice order) that become
-            closed clusters.  Cells claimed by an earlier group are
-            dropped from later ones, so every cell lands in exactly one
-            cluster.
+            closed clusters.  Cells claimed by an earlier group (or
+            listed twice) are dropped from later ones, so every cell
+            lands in exactly one cluster.
         max_affinity_degree: see :func:`pair_affinities`.
         max_passes: merge-pass budget (each pass rebuilds cluster-level
             affinities from the current mapping).
     """
     n = arrays.num_cells
-    areas = arrays.area
     movable = arrays.movable
 
     # --- seed clusters -------------------------------------------------
-    cluster_of = np.full(n, -1, dtype=np.int64)
-    bundle_order: dict[int, list[int]] = {}
+    seed_of = [-1] * n
+    slot = [0] * n                       # position inside its bundle
+    is_movable = movable.tolist()
     next_id = 0
     for group in atomic_groups or []:
-        ms = [int(i) for i in group
-              if movable[i] and cluster_of[i] < 0]
+        ms = list(dict.fromkeys(int(i) for i in group
+                                if is_movable[i] and seed_of[i] < 0))
         if len(ms) < 2:
             continue
-        for i in ms:
-            cluster_of[i] = next_id
-        bundle_order[next_id] = ms
+        for k, i in enumerate(ms):
+            seed_of[i] = next_id
+            slot[i] = k
         next_id += 1
     n_atomic = next_id
-    for i in range(n):
-        if cluster_of[i] < 0:
-            cluster_of[i] = next_id
-            next_id += 1
-    n_seeds = next_id
+    cluster_of = np.asarray(seed_of, dtype=np.int64)
+    loose = np.flatnonzero(cluster_of < 0)
+    cluster_of[loose] = n_atomic + np.arange(loose.shape[0])
+    n_seeds = n_atomic + loose.shape[0]
 
     mergeable = np.ones(n_seeds, dtype=bool)
     mergeable[:n_atomic] = False                       # bundles are closed
     mergeable[cluster_of[~movable]] = False            # fixed = singletons
+    can_merge = mergeable.tolist()
 
     # --- greedy best-choice merging over the cluster graph -------------
+    ai, aj, av = pair_affinities(arrays, max_affinity_degree)
+    seed_i = cluster_of[ai]
+    seed_j = cluster_of[aj]
     parent = np.arange(n_seeds, dtype=np.int64)
-
-    def find(u: int) -> int:
-        root = u
-        while parent[root] != root:
-            root = parent[root]
-        while parent[u] != root:                       # path compression
-            parent[u], u = root, parent[u]
-        return root
-
-    aff = pair_affinities(arrays, max_affinity_degree)
     count = n_seeds
     for _ in range(max_passes):
         if count <= target:
             break
-        cl_aff: dict[tuple[int, int], float] = {}
-        for (ci, cj), a in aff.items():
-            cu = find(cluster_of[ci])
-            cv = find(cluster_of[cj])
-            if cu == cv:
-                continue
-            key = (cu, cv) if cu < cv else (cv, cu)
-            cl_aff[key] = cl_aff.get(key, 0.0) + a
-        if not cl_aff:
+        root = _roots(parent)
+        cu = root[seed_i]
+        cv = root[seed_j]
+        cross = cu != cv
+        if not cross.any():
             break
-        nbr: dict[int, list[tuple[int, float]]] = {}
-        for (cu, cv), a in cl_aff.items():
-            nbr.setdefault(cu, []).append((cv, a))
-            nbr.setdefault(cv, []).append((cu, a))
-        carea: dict[int, float] = {}
-        for i in range(n):
-            r = find(cluster_of[i])
-            carea[r] = carea.get(r, 0.0) + float(areas[i])
+        lo = np.minimum(cu, cv)[cross]
+        hi = np.maximum(cu, cv)[cross]
+        keys, cl_aff = _sum_by_key(lo * np.int64(n_seeds) + hi, av[cross])
+        # neighbour lists: each pair lists its far end under both ends,
+        # in pair order
+        ends = np.stack([keys // n_seeds, keys % n_seeds], axis=1)
+        src = ends.reshape(-1)
+        order = np.argsort(src, kind="stable")
+        nodes, counts = np.unique(src[order], return_counts=True)
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        nbr = ends[:, ::-1].reshape(-1)[order].tolist()
+        nbr_aff = np.repeat(cl_aff, 2)[order].tolist()
+        carea = np.bincount(root[cluster_of], weights=arrays.area,
+                            minlength=n_seeds).tolist()
 
+        # Every id in ``nodes``/``nbr`` is a root at the start of the
+        # pass.  A merge re-parents only the ``u`` being visited, and
+        # points it at a root that is closed for the rest of the pass,
+        # so one parent hop finds a root.
+        par = root.tolist()
+        absorbed = [False] * n_seeds
         merged_any = False
-        absorbed_into: set[int] = set()
-        for u in sorted(nbr):
+        for k, u in enumerate(nodes.tolist()):
             if count <= target:
                 break
-            if find(u) != u or not mergeable[u] or u in absorbed_into:
+            if not can_merge[u] or absorbed[u]:
                 continue
-            best: tuple[float, int] | None = None
-            for v, a in nbr[u]:
-                vr = find(v)
-                if vr == u or not mergeable[vr]:
+            area_u = carea[u]
+            best_score = 0.0
+            best = -1
+            for t in range(bounds[k], bounds[k + 1]):
+                vr = par[nbr[t]]
+                if vr == u or not can_merge[vr]:
                     continue
-                if carea[u] + carea[vr] > area_cap:
+                if area_u + carea[vr] > area_cap:
                     continue
-                score = a / (1.0 + carea[u] + carea[vr])
-                if best is None or score > best[0] \
-                        or (score == best[0] and vr < best[1]):
-                    best = (score, vr)
-            if best is None:
+                score = nbr_aff[t] / (1.0 + area_u + carea[vr])
+                if best < 0 or score > best_score \
+                        or (score == best_score and vr < best):
+                    best_score, best = score, vr
+            if best < 0:
                 continue
-            vr = best[1]
-            parent[u] = vr
-            carea[vr] += carea.pop(u)
-            absorbed_into.add(vr)
+            par[u] = best
+            carea[best] += area_u
+            absorbed[best] = True
             count -= 1
             merged_any = True
+        parent = np.asarray(par, dtype=np.int64)
         if not merged_any:
             break
 
     # --- compact relabel -----------------------------------------------
-    roots = np.fromiter((find(cluster_of[i]) for i in range(n)),
-                        dtype=np.int64, count=n)
+    roots = _roots(parent)[cluster_of]
     uniq, compact = np.unique(roots, return_inverse=True)
-    members: list[list[int]] = [[] for _ in range(len(uniq))]
-    for i in range(n):
-        members[compact[i]].append(i)
-    atomic = np.zeros(len(uniq), dtype=bool)
-    for k, r in enumerate(uniq):
-        if r < n_atomic:
-            atomic[k] = True
-            members[k] = bundle_order[int(r)]          # keep slice order
-    return Clustering(cluster_of=compact.astype(np.int64),
-                      members=members, atomic=atomic)
+    compact = compact.reshape(-1).astype(np.int64)
+    atomic = uniq < n_atomic
+    # bundle members keep slice order, generic members ascend by index
+    within = np.where(atomic[compact], np.asarray(slot, dtype=np.int64),
+                      np.arange(n, dtype=np.int64))
+    member_cell = np.lexsort((within, compact)).astype(np.int64)
+    member_start = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(compact, minlength=uniq.shape[0]),
+              out=member_start[1:])
+    return Clustering(cluster_of=compact, member_start=member_start,
+                      member_cell=member_cell, atomic=atomic)

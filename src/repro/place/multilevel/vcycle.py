@@ -1,7 +1,8 @@
 """V-cycle controller for multilevel global placement.
 
 The cycle coarsens the netlist level by level (structure-preserving
-clustering + coarse netlist construction), places the coarsest level
+clustering + coarse level construction, both on the CSR arrays: only
+level 0 has a :class:`~repro.netlist.Netlist`), places the coarsest level
 from scratch, then walks back down: interpolate cluster positions to
 members and run a short warm-started refinement per finer level.
 
@@ -81,11 +82,19 @@ def _build_levels(arrays: PlacementArrays, ml: MultilevelOptions,
                   atomic_groups: list[list[int]] | None,
                   tracer: Tracer) -> list[_Level]:
     levels = [_Level(arrays=arrays)]
+    # multi-member clusters are one row tall on every level
+    library = arrays.netlist.library if arrays.netlist is not None \
+        else None
+    if library is not None:
+        row_height = library.row_height
+    else:
+        row_height = float(arrays.height.max()) if arrays.num_cells \
+            else 8.0
     current = arrays
     comp: np.ndarray | None = None
     groups_for_level = atomic_groups
-    for k in range(1, max(int(ml.max_levels), 0) + 1):
-        n_mov = int(np.count_nonzero(current.movable))
+    for k in range(1, ml.max_levels + 1):
+        n_mov = current.num_movable
         if n_mov <= ml.coarsest_cells:
             break
         target_mov = max(int(np.ceil(ml.cluster_ratio * n_mov)), 16)
@@ -98,18 +107,16 @@ def _build_levels(arrays: PlacementArrays, ml: MultilevelOptions,
             max_affinity_degree=ml.max_affinity_degree)
         if clustering.num_clusters >= 0.95 * current.num_cells:
             break                                      # no useful reduction
-        coarse_nl = build_coarse_netlist(
-            current.netlist, clustering,
-            name=f"{arrays.netlist.name}__l{k}")
-        coarse_arrays = PlacementArrays.build(coarse_nl)
+        coarse = build_coarse_netlist(
+            current, clustering, name=f"{arrays.name}__l{k}",
+            row_height=row_height)
         comp = clustering.cluster_of if comp is None \
             else clustering.cluster_of[comp]
-        levels.append(_Level(arrays=coarse_arrays, clustering=clustering,
+        levels.append(_Level(arrays=coarse, clustering=clustering,
                              fine_to_here=comp))
-        tracer.event("ml_level", level=k, cells=coarse_nl.num_cells,
-                     nets=coarse_nl.num_nets,
-                     movable=int(np.count_nonzero(coarse_arrays.movable)))
-        current = coarse_arrays
+        tracer.event("ml_level", level=k, cells=coarse.num_cells,
+                     nets=coarse.num_nets, movable=coarse.num_movable)
+        current = coarse
         groups_for_level = None
     return levels
 

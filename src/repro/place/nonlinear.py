@@ -82,7 +82,7 @@ class NonlinearPlacer:
         # checkpoint(round, x, y): periodic snapshot hook (resume support
         # mirrors the quadratic engine's)
         self.checkpoint = checkpoint
-        self.grid = grid or default_grid(region, arrays.netlist)
+        self.grid = grid or default_grid(region, arrays.num_movable)
         self.density = BellDensity(arrays, self.grid)
         if self.options.wirelength_model not in WL_MODELS:
             raise OptionsError(
@@ -171,7 +171,7 @@ class NonlinearPlacer:
 
         iterate_guard = IterateGuard(
             self.guard, stage="global_place",
-            design=arrays.netlist.name,
+            design=arrays.name,
             bounds=(self.region.x, self.region.y,
                     self.region.x_end, self.region.y_top),
             movable=arrays.movable)

@@ -158,7 +158,7 @@ class QuadraticPlacer:
         self.arrays = arrays
         self.region = region
         self.options = options or GlobalPlaceOptions()
-        self.grid = grid or default_grid(region, arrays.netlist)
+        self.grid = grid or default_grid(region, arrays.num_movable)
         self.extra_pairs_x = extra_pairs_x or []
         self.extra_pairs_y = extra_pairs_y or []
         self.groups = groups
@@ -221,7 +221,7 @@ class QuadraticPlacer:
             if M is not None:
                 self.tracer.incr("gp.ilu_factorizations")
         solve = GuardedSolve(system.solve, stage="global_place",
-                             design=self.arrays.netlist.name,
+                             design=self.arrays.name,
                              guard=self.guard)
         budget = _CG_BUDGET_ILU if M is not None else self._cg_budget[axis]
         sol = solve(x0=x0, max_iterations=budget, M=M)
@@ -272,7 +272,7 @@ class QuadraticPlacer:
         mv = arrays.movable
         region = self.region
         guard = IterateGuard(self.guard, stage="global_place",
-                             design=arrays.netlist.name,
+                             design=arrays.name,
                              bounds=(region.x, region.y,
                                      region.x_end, region.y_top),
                              movable=mv)
@@ -373,7 +373,7 @@ class QuadraticPlacer:
         ramp0 = start_iteration if anchor_iteration is None \
             else anchor_iteration
         guard = IterateGuard(self.guard, stage="global_place",
-                             design=arrays.netlist.name,
+                             design=arrays.name,
                              bounds=(region.x, region.y,
                                      region.x_end, region.y_top),
                              movable=mv)

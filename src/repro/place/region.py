@@ -234,11 +234,11 @@ class BinGrid:
         return xs, ys
 
 
-def default_grid(region: PlacementRegion, netlist: Netlist,
+def default_grid(region: PlacementRegion, n_movable: int,
                  cells_per_bin: float = 12.0) -> BinGrid:
-    """A bin grid sized so bins average ``cells_per_bin`` movable cells."""
-    n_movable = max(len(netlist.movable_cells()), 1)
-    n_bins = max(4, int(round(n_movable / cells_per_bin)))
+    """A bin grid sized so bins average ``cells_per_bin`` of the
+    ``n_movable`` movable cells."""
+    n_bins = max(4, int(round(max(n_movable, 1) / cells_per_bin)))
     nx = max(2, int(round(math.sqrt(n_bins * region.width / region.height))))
     ny = max(2, int(round(n_bins / nx)))
     return BinGrid(region=region, nx=nx, ny=ny)

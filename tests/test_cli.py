@@ -180,6 +180,22 @@ class TestExitCodes:
         assert rows[0]["legal"] is True
         assert rows[0]["rung"] == "structure-relaxed"
 
+    @pytest.mark.parametrize("flags, option", [
+        (["--cluster-ratio", "nan"], "cluster_ratio"),
+        (["--cluster-ratio", "1.5"], "cluster_ratio"),
+        (["--cluster-ratio", "0"], "cluster_ratio"),
+        (["--cluster-ratio", "-1"], "cluster_ratio"),
+        (["--levels", "-3"], "max_levels"),
+    ])
+    def test_bad_multilevel_options_exit_1(self, flags, option, capsys):
+        code = main(["place", "--design", "dp_add8", "--placer",
+                     "structure", "--multilevel", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [options] multilevel ")
+        assert option in err
+        assert "Traceback" not in err
+
     def test_strict_validation_exits_4(self, tmp_path, capsys):
         # a dangling net: survivable by default, fatal under --strict
         (tmp_path / "d.aux").write_text(

@@ -18,7 +18,7 @@ def design():
 class TestDensityMap:
     def test_total_area_conserved(self, design):
         arrays = PlacementArrays.build(design.netlist)
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         pos = design.netlist.positions()
         # keep movable cells inside so no area falls off the map
         u = density_map(arrays, pos[:, 0], pos[:, 1], grid)
@@ -33,13 +33,13 @@ class TestDensityMap:
         d = build_design("dp_add8")
         BaselinePlacer().place(d.netlist, d.region)
         arrays = PlacementArrays.build(d.netlist)
-        grid = default_grid(d.region, d.netlist)
+        grid = default_grid(d.region, len(d.netlist.movable_cells()))
         pos = d.netlist.positions()
         assert overflow(arrays, pos[:, 0], pos[:, 1], grid) < 0.12
 
     def test_clump_has_overflow(self, design):
         arrays = PlacementArrays.build(design.netlist)
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         cx, cy = design.region.center
         x = np.full(arrays.num_cells, cx)
         y = np.full(arrays.num_cells, cy)
@@ -49,7 +49,7 @@ class TestDensityMap:
 class TestBellDensity:
     def test_value_positive_when_clumped(self, design):
         arrays = PlacementArrays.build(design.netlist)
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         bell = BellDensity(arrays, grid)
         cx, cy = design.region.center
         x = np.full(arrays.num_cells, cx)
@@ -62,7 +62,7 @@ class TestBellDensity:
         """The analytic gradient includes the normaliser derivative, so it
         is exact (up to the piecewise windows' interiors)."""
         arrays = PlacementArrays.build(design.netlist)
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         bell = BellDensity(arrays, grid)
         x, y = arrays.initial_positions()
         _v, gx, gy = bell.value_grad(x, y)
@@ -81,7 +81,7 @@ class TestBellDensity:
 
     def test_spread_lower_penalty_than_clump(self, design):
         arrays = PlacementArrays.build(design.netlist)
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         bell = BellDensity(arrays, grid)
         x, y = arrays.initial_positions()  # scattered start
         spread_value, *_ = bell.value_grad(x, y)

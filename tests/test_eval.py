@@ -57,7 +57,7 @@ class TestSteiner:
 class TestCongestion:
     def test_rudy_map_nonnegative(self):
         design = build_design("dp_add8")
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         demand = rudy_map(design.netlist, grid)
         assert demand.shape == (grid.nx, grid.ny)
         assert np.all(demand >= 0)
@@ -65,7 +65,7 @@ class TestCongestion:
 
     def test_report_fields(self):
         design = build_design("dp_add8")
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         report = congestion_report(design.netlist, grid)
         assert report.max >= report.p95 >= 0
         assert report.mean >= 0
@@ -73,7 +73,7 @@ class TestCongestion:
     def test_spread_less_congested_than_clump(self):
         design = build_design("dp_add8")
         nl, region = design.netlist, design.region
-        grid = default_grid(region, nl)
+        grid = default_grid(region, len(nl.movable_cells()))
         # clump
         for c in nl.movable_cells():
             c.set_center(*region.center)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gen import build_design
 from repro.netlist import Netlist, default_library
 
 
@@ -143,6 +144,43 @@ class TestHpwl:
         bx, by = b.pin_position("A")
         assert nl.hpwl() == pytest.approx(abs(ax - bx) + abs(ay - by))
 
+    def test_flat_view_matches_object_walk(self):
+        """``hpwl`` reads a cached flat pin view; it must equal the
+        per-net object walk exactly after moves and after every
+        mutator, each of which drops the view."""
+        nl = build_design("dp_alu16").netlist
+        rng = np.random.default_rng(5)
+
+        def move_and_check():
+            for c in nl.cells:
+                c.x += float(rng.uniform(-40.0, 40.0))
+                c.y += float(rng.uniform(-16.0, 16.0))
+            assert nl.hpwl() == _ref_hpwl(nl)
+            assert "_pin_view" in nl.__dict__
+
+        move_and_check()
+        move_and_check()                   # cached view, new positions
+        a = nl.add_cell("extra_a", "NAND2", x=5.0, y=8.0)
+        assert "_pin_view" not in nl.__dict__
+        move_and_check()
+        b = nl.add_cell("extra_b", "INV", x=90.0, y=40.0)
+        net = nl.add_net("extra_n", weight=2.5)
+        move_and_check()
+        nl.connect(net, a, "Y")
+        move_and_check()                   # degree 1: still left out
+        nl.connect(net, b, "A")
+        nl.connect(net, a, "B")            # two pins of one cell
+        move_and_check()
+        c = nl.add_cell("extra_c", "INV", x=40.0, y=0.0)
+        open_net = nl.add_net("extra_open")
+        nl.connect(open_net, c, "A")
+        nl.connect(open_net, a, "A")
+        move_and_check()
+        nl.merge_nets(net, open_net)
+        move_and_check()
+        assert nl.remove_empty_nets() == 1
+        move_and_check()
+
 
 class TestEditing:
     def test_merge_nets(self, lib):
@@ -204,3 +242,13 @@ class TestCellGeometry:
         a.set_center(10.0, 20.0)
         assert a.center_x == pytest.approx(10.0)
         assert a.center_y == pytest.approx(20.0)
+
+
+def _ref_hpwl(self: Netlist) -> float:
+    """``Netlist.hpwl`` as an object walk over every net (the version
+    the flat pin view replaced), kept as the reference."""
+    total = 0.0
+    for net in self._nets:
+        if net.degree >= 2:
+            total += net.weight * net.hpwl()
+    return total

@@ -89,7 +89,7 @@ class TestSpreading:
     def test_spread_reduces_overflow(self, design):
         arrays = PlacementArrays.build(design.netlist)
         region = design.region
-        grid = default_grid(region, design.netlist)
+        grid = default_grid(region, len(design.netlist.movable_cells()))
         # clump everything at the center
         cx, cy = region.center
         x = np.full(arrays.num_cells, cx)
@@ -139,7 +139,7 @@ class TestQuadraticPlacer:
         result = placer.place()
         assert len(result.history) >= 1
         final = result.history[-1]
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         assert overflow(arrays, result.x, result.y, grid) < 0.3
         # GP should do far better than the random scatter start
         x0, y0 = arrays.initial_positions()

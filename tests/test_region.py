@@ -102,7 +102,7 @@ class TestBinGrid:
 
     def test_default_grid_scales(self):
         design = build_design("dp_add8")
-        grid = default_grid(design.region, design.netlist)
+        grid = default_grid(design.region, len(design.netlist.movable_cells()))
         assert grid.nx >= 2 and grid.ny >= 2
         n_movable = len(design.netlist.movable_cells())
         assert grid.nx * grid.ny <= n_movable

@@ -470,6 +470,21 @@ class TestDaemonIntegration:
             client.result(blocker["job_id"], wait=True, timeout=120)
             _drain_and_join(client, thread)
 
+    def test_bad_multilevel_options_are_an_error_response(
+            self, serve_root):
+        _daemon, thread = _start_daemon(serve_root)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            for bad in ({"cluster_ratio": float("nan")},
+                        {"cluster_ratio": 1.5}, {"max_levels": -3}):
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("dp_add8", options={"multilevel": {
+                        "enabled": True, **bad}})
+                assert excinfo.value.code == "options"
+                assert next(iter(bad)) in str(excinfo.value)
+            # the connection survives the error responses
+            assert client.ping()["pong"] is True
+            _drain_and_join(client, thread)
+
     def test_unknown_job_id_is_an_error_response(self, serve_root):
         _daemon, thread = _start_daemon(serve_root)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
