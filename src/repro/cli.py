@@ -506,8 +506,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="total cache byte budget in MiB (LRU "
                               "eviction); unbounded if unset")
     p_serve.add_argument("--checkpoint-dir", default=".repro-checkpoints",
-                         help="checkpoint directory (enables cancel-"
-                              "with-snapshot and resume)")
+                         help="checkpoint directory: resume state only "
+                              "(cancel and heartbeats work without it)")
     p_serve.add_argument("--no-checkpoint", action="store_true",
                          help="disable global-place checkpoints")
     p_serve.add_argument("--spool-dir", default=".repro-spool",

@@ -20,8 +20,10 @@ Ablation switches (``use_fusion``, ``use_alignment``,
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -96,6 +98,21 @@ class PlacerOptions:
     extraction: ExtractionOptions = field(default_factory=ExtractionOptions)
     guard: GuardOptions = field(default_factory=GuardOptions)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject an alignment weight the placer cannot honour.
+
+        Raises:
+            OptionsError: ``structure_weight`` is not a finite number
+                >= 0 (NaN or infinity would silently fall to the
+                baseline rung; a negative weight repels aligned cells).
+        """
+        weight = self.structure_weight
+        if isinstance(weight, bool) or not isinstance(weight, Real) \
+                or not math.isfinite(weight) or weight < 0:
+            raise OptionsError(
+                f"structure_weight must be a finite number >= 0, got "
+                f"{weight!r}", option="structure_weight")
 
 
 @dataclass
@@ -459,7 +476,7 @@ class StructureAwarePlacer:
                 its clock.
             checkpoint: optional ``(iteration, x, y)`` hook the
                 global-placement engine calls once per outer iteration
-                (the runtime's checkpoint recorder).
+                (the runtime's job hook: heartbeat, cancel, snapshots).
             resume: optional :class:`~repro.robust.checkpoint.Checkpoint`
                 — global placement re-enters its loop from these
                 positions instead of cold-starting (extraction is

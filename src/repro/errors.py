@@ -219,23 +219,21 @@ class CacheCorruptionError(ReproError):
 class JobCancelledError(ReproError):
     """A job was cancelled while queued or mid-placement.
 
-    Raised from inside the global-placement loop by the serve layer's
-    cancel-aware checkpoint hook (after forcing a final snapshot to
-    disk, so the work done so far survives).  Cancellation is terminal:
-    the batch executor never retries it, and the degradation ladder
-    never falls through it to a lower rung.
+    Raised at two sites only: :func:`~repro.runtime.executor.execute_job`
+    before a job starts, and the per-iteration job hook
+    (:class:`~repro.robust.checkpoint.CheckpointRecorder`) on any rung
+    of the degradation ladder.  The hook first forces a final snapshot
+    when checkpoints are on, so the work done so far survives.
+    Cancellation is terminal: the batch executor never retries it, and
+    the degradation ladder never falls through it to a lower rung.
     """
 
     code = "cancelled"
     exit_code = 9
 
-    def __init__(self, message: str, *, job_id: str | None = None,
-                 **kwargs: Any) -> None:
+    def __init__(self, message: str, **kwargs: Any) -> None:
         super().__init__(message, stage=kwargs.pop("stage", "cancel"),
                          **kwargs)
-        self.job_id = job_id
-        if job_id is not None:
-            self.payload["job_id"] = job_id
 
 
 class ProtocolError(ReproError):

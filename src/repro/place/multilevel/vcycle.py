@@ -16,8 +16,9 @@ stiffer anchors (small corrections, cheap warm-started CG solves).
 Structure hooks: alignment pair forces are projected through the
 cluster map onto every level (intra-cluster pairs vanish — slice
 formation is the declusterer's job); rigid-group spreading, fusion
-reprojection, and the runtime's checkpoint recorder apply only at the
-finest level, where the cell indices they were built for are valid.
+reprojection, and the runtime's job hook (heartbeat, cancel,
+snapshots) apply only at the finest level, where the cell indices they
+were built for are valid.
 A recoverable numerical failure anywhere in the cycle falls back to
 flat placement (one tracer event + counter, no error escapes).
 """
@@ -161,7 +162,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
         extra_pairs_x / extra_pairs_y: fine-level alignment pairs;
             projected through the cluster maps onto every level.
         groups / post_solve / checkpoint: finest-level-only hooks (rigid
-            spreading, fusion reprojection, checkpoint recorder).
+            spreading, fusion reprojection, job hook).
         atomic_groups: extracted bit-slice cell-index lists (slice
             order); become atomic clusters.
         resume_x / resume_y / resume_iteration: a checkpoint — taken

@@ -7,8 +7,9 @@ The robustness layer of the pipeline (see DESIGN.md "Failure model"):
   solve passes through;
 - :mod:`repro.robust.fallback` — :func:`place_with_fallback`, the
   degradation ladder, and :class:`DegradationReport`;
-- :mod:`repro.robust.checkpoint` — :class:`CheckpointStore` /
-  :class:`CheckpointRecorder` for crash/timeout resume;
+- :mod:`repro.robust.checkpoint` — :class:`CheckpointStore` for
+  crash/timeout resume, and :class:`CheckpointRecorder`, the one
+  per-iteration job hook (heartbeat, cancel, snapshots);
 - :mod:`repro.robust.faults` — the ``REPRO_FAULT_INJECT`` hook used by
   the fault-injection CI job.
 """

@@ -12,6 +12,12 @@ Checkpoints are JSON with an embedded SHA-256 digest (same discipline as
 snapshot is detected on load and treated as "no checkpoint", never as
 garbage positions.  Writes are atomic (temp file + rename), so a job
 killed mid-save leaves the previous snapshot intact.
+
+:class:`CheckpointRecorder` is the one per-iteration job hook: the
+engines call it once per global-placement iteration, and it renews the
+job's lease, turns a set cancel flag into
+:class:`~repro.errors.JobCancelledError`, and saves periodic snapshots
+when a store is given.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import CacheCorruptionError
+from ..errors import CacheCorruptionError, JobCancelledError
 
 CHECKPOINT_SCHEMA = 1
 
-#: signature of the per-iteration snapshot hook the engines call:
+#: signature of the per-iteration job hook the engines call:
 #: ``checkpoint(iteration, x, y)``.
 CheckpointHook = Callable[[int, np.ndarray, np.ndarray], None]
 
@@ -54,26 +60,51 @@ class Checkpoint:
 
 
 class CheckpointRecorder:
-    """Bound (store, key) hook the engines call once per iteration.
+    """The per-iteration job hook the engines call: ``hook(iteration, x, y)``.
+
+    Each call does three things, in order:
+
+    - renews the job's lease when a ``heartbeat`` is given;
+    - polls ``cancel``; a set flag forces a final snapshot (so a later
+      resume continues where the cancel landed) and raises
+      :class:`~repro.errors.JobCancelledError`;
+    - saves a snapshot every ``store.interval`` iterations, only when a
+      ``store`` is given.
 
     Saving never raises — a full disk must degrade to "no checkpoint",
     not sink the placement run.
     """
 
-    def __init__(self, store: "CheckpointStore", key: str, *,
-                 interval: int = 5) -> None:
+    def __init__(self, store: "CheckpointStore | None", key: str, *,
+                 cancel: Callable[[], bool] | None = None,
+                 heartbeat: Callable[[], None] | None = None) -> None:
         self.store = store
         self.key = key
-        self.interval = max(interval, 1)
-        self.saved = 0
+        self.cancel = cancel
+        self.heartbeat = heartbeat
 
     def __call__(self, iteration: int, x: np.ndarray, y: np.ndarray,
                  stage: str = "global_place") -> None:
-        if iteration % self.interval != 0:
+        if self.heartbeat is not None:
+            self.heartbeat()
+        if self.cancel is not None and self.cancel():
+            self._save(iteration, x, y, stage)
+            raise JobCancelledError(
+                f"job cancelled at {stage} iteration {iteration}")
+        if self.store is not None and iteration % self.store.interval == 0:
+            self._save(iteration, x, y, stage)
+
+    def without_snapshots(self) -> "CheckpointRecorder":
+        """The cancel-and-heartbeat part of this hook, saving nothing."""
+        return CheckpointRecorder(None, self.key, cancel=self.cancel,
+                                  heartbeat=self.heartbeat)
+
+    def _save(self, iteration: int, x: np.ndarray, y: np.ndarray,
+              stage: str) -> None:
+        if self.store is None:
             return
         try:
             self.store.save(self.key, iteration, x, y, stage=stage)
-            self.saved += 1
         except OSError:
             pass
 
@@ -83,13 +114,10 @@ class CheckpointStore:
 
     def __init__(self, root: str | Path, *, interval: int = 5) -> None:
         self.root = Path(root)
-        self.interval = interval
+        self.interval = max(interval, 1)
 
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.ckpt.json"
-
-    def recorder(self, key: str) -> CheckpointRecorder:
-        return CheckpointRecorder(self, key, interval=self.interval)
 
     # ------------------------------------------------------------------
     def save(self, key: str, iteration: int, x: np.ndarray, y: np.ndarray,

@@ -37,7 +37,7 @@ from ..place.arrays import PlacementArrays
 from ..place.legalize import check_legal, row_scan_place, tetris_legalize
 from ..place.region import PlacementRegion
 from ..runtime.telemetry import Tracer
-from .checkpoint import Checkpoint, CheckpointHook
+from .checkpoint import Checkpoint, CheckpointRecorder
 from .guards import GuardedSolve
 
 #: default rung sequences per requested placer
@@ -148,6 +148,8 @@ def _rung_quadratic_only(netlist: Netlist, region: PlacementRegion,
             solve = GuardedSolve(system.solve, stage="global_place",
                                  design=netlist.name, guard=options.guard)
             coords[system.cells] = solve(x0=coords[system.cells])
+        if checkpoint is not None:
+            checkpoint(0, x, y)
         half_w = arrays.width / 2.0
         half_h = arrays.height / 2.0
         x[mv] = np.clip(x[mv], region.x + half_w[mv],
@@ -211,7 +213,7 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
                         placer: str = "structure",
                         rungs: tuple[str, ...] | None = None,
                         tracer: Tracer | None = None,
-                        checkpoint: CheckpointHook | None = None,
+                        checkpoint: CheckpointRecorder | None = None,
                         resume: Checkpoint | None = None
                         ) -> tuple[PlaceOutcome, DegradationReport]:
     """Place with the degradation ladder.
@@ -226,8 +228,9 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
             be keys of ``repro.robust.fallback._RUNGS``).
         tracer: telemetry; every attempt records a ``rung`` event and
             bumps ``fallback.*`` counters.
-        checkpoint: per-iteration snapshot hook forwarded to the engine
-            (only the first rung checkpoints — lower rungs are cheap).
+        checkpoint: the per-iteration job hook.  Every rung gets its
+            cancel and heartbeat; only the first rung saves snapshots
+            (lower rungs place a different problem, and are cheap).
         resume: checkpoint to resume the *first* rung from.
 
     Returns:
@@ -244,6 +247,8 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
     names = rungs or LADDERS.get(placer, LADDERS["structure"])
     report = DegradationReport(design=netlist.name, requested=names[0])
     snap = _snapshot(netlist)
+    lower = checkpoint.without_snapshots() if checkpoint is not None \
+        else None
 
     # NB: no wrapping phase here — the rung's own "place" phase must keep
     # the seed telemetry schema (path "job/place/...") intact
@@ -256,7 +261,7 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
         start = tracer.clock()
         try:
             outcome = run(netlist, region, options, tracer,
-                          checkpoint if i == 0 else None,
+                          checkpoint if i == 0 else lower,
                           resume if i == 0 else None)
         except _RECOVERABLE as exc:
             last_error = exc

@@ -28,18 +28,23 @@ Parallel dispatch ships designs as shared-memory netlist arenas
 once per batch and jobs carry a ~200-byte :class:`ArenaRef`, so an
 N-job batch over one design transfers the netlist once instead of N
 times and warm cache hits skip the in-worker generator rebuild entirely
-(the arena digest keys the cache directly).  A per-batch
-:class:`CancelBoard` gives every job a cross-process cancel token:
-:meth:`BatchExecutor.cancel_all` / :meth:`BatchExecutor.cancel` flip
-shared bytes that workers poll at each checkpoint hook, converting the
-job into a graceful ``cancelled`` result (forced final checkpoint,
-taxonomy exit) instead of the :meth:`BatchExecutor.interrupt` SIGTERM
-backstop.
+(the arena digest keys the cache directly).
+
+Every placement runs under one per-iteration job hook
+(:class:`~repro.robust.checkpoint.CheckpointRecorder`), whether or not
+checkpoints are on: it renews a lease heartbeat, turns the executor's
+cancel token into a graceful ``cancelled`` result (forced final
+checkpoint, taxonomy exit) instead of the
+:meth:`BatchExecutor.interrupt` SIGTERM backstop, and saves snapshots
+when a store is given.  In pool mode the executor mirrors the token
+onto a per-batch :class:`CancelBoard` — one shared byte the workers'
+hooks poll.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent import futures as cf
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable
@@ -48,7 +53,7 @@ from ..core import BaselinePlacer, StructureAwarePlacer
 from ..errors import JobCancelledError, ReproError, error_kind
 from ..eval import evaluate_placement
 from ..gen import build_design
-from ..robust.checkpoint import CheckpointHook, CheckpointStore
+from ..robust.checkpoint import CheckpointRecorder, CheckpointStore
 from ..robust.faults import fault_fires
 from .cache import ArtifactCache, cache_from_spec, job_key, \
     job_key_from_digest, snapshot_positions
@@ -58,44 +63,13 @@ from .shm import ArenaProvider, ArenaStore, CancelBoard, CancelBoardRef, \
 from .telemetry import Tracer
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from ..gen.composer import GeneratedDesign
 
 _PLACERS = {"baseline": BaselinePlacer, "structure": StructureAwarePlacer}
 
-
-class _CancelCheck:
-    """Checkpoint hook that polls a cancel token between iterations.
-
-    Wraps the (optional) periodic checkpoint recorder: the inner hook
-    runs first, then the token is polled; on cancellation a *final*
-    snapshot is forced (so a later resume continues where the cancel
-    landed) before :class:`~repro.errors.JobCancelledError` aborts the
-    placement.
-    """
-
-    def __init__(self, cancel: Callable[[], bool],
-                 inner: CheckpointHook | None,
-                 store: CheckpointStore | None, key: str) -> None:
-        self._cancel = cancel
-        self._inner = inner
-        self._store = store
-        self._key = key
-
-    def __call__(self, iteration: int, x: "np.ndarray", y: "np.ndarray",
-                 stage: str = "global_place") -> None:
-        if self._inner is not None:
-            self._inner(iteration, x, y, stage=stage)
-        if self._cancel():
-            if self._store is not None:
-                try:
-                    self._store.save(self._key, iteration, x, y,
-                                     stage=stage)
-                except OSError:
-                    pass  # full disk degrades to "no resume point"
-            raise JobCancelledError(
-                f"job cancelled at {stage} iteration {iteration}")
+#: how often a waiting pool executor mirrors its cancel token onto the
+#: cancel board its workers poll
+_MIRROR_POLL_S = 0.05
 
 
 def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
@@ -106,7 +80,8 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
                 design_supplier:
                 "Callable[[], GeneratedDesign] | None" = None,
                 netlist_digest: str | None = None,
-                cancel: Callable[[], bool] | None = None) -> JobResult:
+                cancel: Callable[[], bool] | None = None,
+                heartbeat: Callable[[], None] | None = None) -> JobResult:
     """Run (or load from cache) one placement job.
 
     Args:
@@ -126,10 +101,13 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
         netlist_digest: precomputed netlist fingerprint — with an arena
             in hand the cache key needs no netlist walk at all, so a
             warm hit costs neither a rebuild nor a fingerprint.
-        cancel: cross-process cancel poll; checked before start and at
-            every checkpoint hook, raising
+        cancel: cancel poll; checked before start and by the
+            per-iteration job hook on every ladder rung, raising
             :class:`~repro.errors.JobCancelledError` (after forcing a
-            final snapshot when a checkpoint store is present).
+            final snapshot when a checkpoint store is present).  A
+            cancelled job keeps its snapshot.
+        heartbeat: called on every global-placement iteration (the
+            serve daemon's lease renewal).
 
     Raises whatever the pipeline raises — retry/reporting policy belongs
     to :class:`BatchExecutor`, not here.  Degraded results are *not*
@@ -177,10 +155,8 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
             tracer.incr("placer.invocations")
             resume = checkpoints.load(key) if checkpoints is not None \
                 else None
-            recorder: CheckpointHook | None = checkpoints.recorder(key) \
-                if checkpoints is not None else None
-            if cancel is not None:
-                recorder = _CancelCheck(cancel, recorder, checkpoints, key)
+            recorder = CheckpointRecorder(checkpoints, key, cancel=cancel,
+                                          heartbeat=heartbeat)
             if resume is not None:
                 tracer.incr("checkpoint.resumed")
                 tracer.event("checkpoint_resume", key=key,
@@ -235,7 +211,10 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
             )
             if cache is not None and not result.degraded:
                 cache.put(key, result.to_artifact())
-            if checkpoints is not None:
+            if checkpoints is not None and not (cancel is not None
+                                                and cancel()):
+                # a cancel that landed after the last iteration keeps
+                # the snapshot, as one that landed mid-loop does
                 checkpoints.clear(key)
     result.key = key
     result.events = tracer.events[events_start:]
@@ -251,8 +230,8 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
                     fallback: bool = True,
                     submitted_s: float | None = None,
                     shipment: Shipment | None = None,
-                    cancel_ref: CancelBoardRef | None = None,
-                    job_index: int = 0) -> JobResult:
+                    cancel_ref: CancelBoardRef | None = None
+                    ) -> JobResult:
     """Top-level pool target (must be picklable by name).
 
     ``submitted_s`` is the parent's tracer-clock stamp at submission;
@@ -264,7 +243,7 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
     process cached by digest) and reconstruct instead of rebuilding from
     the generator.  Attach failures degrade to the rebuild path — a
     vanished segment must cost one rebuild, not the job.  ``cancel_ref``
-    + ``job_index`` locate this job's byte on the batch cancel board.
+    locates the batch cancel board.
     """
     if fault_fires("worker_kill"):
         # simulate a hard worker death (SIGKILL-like): no cleanup, no
@@ -296,18 +275,18 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
             transport = shipment.transport
             bytes_shipped = shipment.bytes_per_job
     board: CancelBoard | None = None
-    cancel: Callable[[], bool] | None = None
     if cancel_ref is not None:
         try:
             board = CancelBoard.attach(cancel_ref)
-            cancel = board.checker(job_index)
         except OSError:
             board = None  # board gone: job runs uncancellable, as before
     try:
         result = execute_job(job, cache=cache, tracer=tracer,
                              checkpoints=checkpoints, fallback=fallback,
                              design_supplier=supplier,
-                             netlist_digest=digest, cancel=cancel)
+                             netlist_digest=digest,
+                             cancel=board.is_set if board is not None
+                             else None)
     finally:
         if board is not None:
             board.close()
@@ -341,6 +320,12 @@ class BatchExecutor:
             is on, the executor owns a per-batch
             :class:`~repro.runtime.shm.ArenaStore` and tears it down
             after the batch.
+        cancel: the cancel token every job of the batch polls (the
+            serve daemon passes the job's own); None makes a private
+            one.  :meth:`cancel_all` sets it.
+        heartbeat: called on every global-placement iteration of a
+            serial run (the daemon's lease renewal); heartbeats do not
+            cross the process boundary in pool mode.
     """
 
     def __init__(self, workers: int = 0, *,
@@ -348,7 +333,9 @@ class BatchExecutor:
                  timeout_s: float | None = None, retries: int = 1,
                  checkpoints: CheckpointStore | None = None,
                  fallback: bool = True, shm: bool = True,
-                 arenas: ArenaProvider | None = None) -> None:
+                 arenas: ArenaProvider | None = None,
+                 cancel: threading.Event | None = None,
+                 heartbeat: Callable[[], None] | None = None) -> None:
         self.workers = workers
         self.cache = cache
         self.timeout_s = timeout_s
@@ -359,46 +346,29 @@ class BatchExecutor:
         self.arenas = arenas
         self._active_pool: cf.ProcessPoolExecutor | None = None
         self._interrupted = False
-        self._board: CancelBoard | None = None
-        self._cancel_requested = False
-
-    def cancel(self, idx: int) -> None:
-        """Gracefully cancel one in-flight job by batch index.
-
-        Flips the job's byte on the shared cancel board; its worker
-        observes the flag at the next checkpoint hook, forces a final
-        snapshot, and reports a terminal ``cancelled`` result.
-        """
-        board = self._board
-        if board is not None:
-            board.set(idx)
+        self.cancel = cancel if cancel is not None else threading.Event()
+        self.heartbeat = heartbeat
 
     def cancel_all(self) -> None:
         """Gracefully cancel every job in the running (or next) batch.
 
-        Sticky: calling before :meth:`run` cancels the batch at its
-        pre-start check, which makes cancellation deterministic for
-        callers that decide before dispatch.
+        Sets the cancel token; a pool run mirrors it onto the workers'
+        cancel board.  Sticky: calling before :meth:`run` cancels the
+        batch at its pre-start check, which makes cancellation
+        deterministic for callers that decide before dispatch.
         """
-        self._cancel_requested = True
-        board = self._board
-        if board is not None:
-            board.set_all()
-
-    def _serial_cancelled(self) -> bool:
-        """Cancel poll for in-process execution (no board needed)."""
-        return self._cancel_requested
+        self.cancel.set()
 
     def interrupt(self) -> None:
-        """Kill the in-flight parallel execution from another thread.
+        """Stop the in-flight execution from another thread.
 
-        The serve watchdog calls this on a stalled pool-mode job: live
-        worker processes are terminated, the broken pool surfaces as a
-        terminal ``interrupted`` result (no internal retry — requeue
-        policy belongs to the supervisor, not this executor).  Serial
-        runs are interrupted through the cancel-token path instead.
-        The cancel board is flipped first so any worker that is still
-        healthy exits gracefully before the SIGTERM lands.
+        The serve watchdog calls this on a stalled job.  The cancel
+        token is set first, so a serial execution that is still healthy
+        exits gracefully at its next iteration.  In pool mode the live
+        worker processes are then terminated, and the broken pool
+        surfaces as a terminal ``interrupted`` result (no internal
+        retry — requeue policy belongs to the supervisor, not this
+        executor).
         """
         self._interrupted = True
         self.cancel_all()
@@ -449,7 +419,8 @@ class BatchExecutor:
                     result = execute_job(job, cache=self.cache,
                                          checkpoints=self.checkpoints,
                                          fallback=self.fallback,
-                                         cancel=self._serial_cancelled)
+                                         cancel=self.cancel.is_set,
+                                         heartbeat=self.heartbeat)
                     result.attempts = attempts
                     break
                 # sanctioned fault boundary: failures become JobResult
@@ -469,6 +440,27 @@ class BatchExecutor:
             result.queue_wait_s = queue_wait_s
             results.append(result)
         return results
+
+    def _await(self, future: cf.Future, board: CancelBoard | None,
+               clock: Callable[[], float]) -> JobResult:
+        """``future.result(timeout_s)`` that meanwhile mirrors the cancel
+        token onto the board the workers poll.
+
+        Raises:
+            cf.TimeoutError: the job outlived ``timeout_s``.
+        """
+        deadline = None if self.timeout_s is None \
+            else clock() + self.timeout_s
+        while True:
+            wait_s = _MIRROR_POLL_S if deadline is None \
+                else min(_MIRROR_POLL_S, deadline - clock())
+            cf.wait([future], timeout=max(wait_s, 0.0))
+            if future.done():
+                return future.result()
+            if deadline is not None and clock() >= deadline:
+                raise cf.TimeoutError()
+            if board is not None and self.cancel.is_set():
+                board.set()
 
     def _run_parallel(self, jobs: list[PlacementJob],
                       tracer: Tracer) -> list[JobResult]:
@@ -492,21 +484,11 @@ class BatchExecutor:
                 if job.design not in shipments:
                     shipments[job.design] = provider.shipment(job.design)
 
-        board: CancelBoard | None = None
-        try:
-            board = CancelBoard(len(jobs))
-        except OSError:
-            board = None  # no /dev/shm: jobs run without cancel tokens
-        self._board = board
-        if self._cancel_requested and board is not None:
-            board.set_all()
-        board_ref = board.ref() if board is not None else None
-
         def submit(pool: cf.ProcessPoolExecutor, idx: int,
                    job: PlacementJob) -> cf.Future:
             return pool.submit(_worker_execute, job, cache_spec,
                                ckpt_root, self.fallback, tracer.clock(),
-                               shipments.get(job.design), board_ref, idx)
+                               shipments.get(job.design), board_ref)
 
         def rebuild(pool: cf.ProcessPoolExecutor, after: int,
                     pending: dict[int, cf.Future]
@@ -523,7 +505,18 @@ class BatchExecutor:
         self._active_pool = pool
         self._interrupted = False
         results: list[JobResult | None] = [None] * len(jobs)
+        board: CancelBoard | None = None
         try:
+            # the finally below closes it first thing; the one path the
+            # rule sees leaving it open is the one where board is None
+            # repro-lint: disable=LIF01
+            board = CancelBoard()
+        except OSError:
+            board = None  # no /dev/shm: jobs run without cancel tokens
+        try:
+            if self.cancel.is_set() and board is not None:
+                board.set()
+            board_ref = board.ref() if board is not None else None
             pending = {idx: submit(pool, idx, job)
                        for idx, job in enumerate(jobs)}
             for idx, job in enumerate(jobs):
@@ -532,7 +525,8 @@ class BatchExecutor:
                     future = pending[idx]
                     kind = "other"
                     try:
-                        result = future.result(timeout=self.timeout_s)
+                        result = self._await(future, board,
+                                             tracer.clock)
                         result.attempts = attempts
                         break
                     except cf.TimeoutError:
@@ -587,14 +581,13 @@ class BatchExecutor:
                     pending[idx] = submit(pool, idx, job)
                 results[idx] = result
         finally:
-            self._active_pool = None
-            pool.shutdown(wait=False, cancel_futures=True)
             # teardown order is safe even with stragglers: unlinking a
             # POSIX segment removes its name, not live mappings, so a
             # worker that is still attached keeps reading valid memory
-            self._board = None
             if board is not None:
                 board.close(unlink=True)
+            self._active_pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
             if owned_store is not None:
                 for name, value in owned_store.counters.items():
                     tracer.incr(name, value)

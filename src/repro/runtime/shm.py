@@ -11,9 +11,10 @@ This module owns the *transport* side of the netlist-arena subsystem
 - :func:`attach_shipment` — worker-side attach with a per-process cache
   keyed by digest, so a worker maps each design's segment once per
   lifetime no matter how many jobs it executes.
-- :class:`CancelBoard` — one byte per job in a shared segment, giving
-  pool workers a cancel token they can poll mid-iteration (the graceful
-  counterpart to ``BatchExecutor.interrupt()``'s SIGTERM).
+- :class:`CancelBoard` — one shared byte per batch, the executor's
+  cancel token mirrored where pool workers can poll it mid-iteration
+  (the graceful counterpart to ``BatchExecutor.interrupt()``'s
+  SIGTERM).
 
 Transports, in fallback order:
 
@@ -47,14 +48,11 @@ import pickle
 import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Protocol
+from typing import Protocol
 
 from ..errors import ReproError, ValidationError
 from ..netlist.arena import NetlistArena
 from ..robust.faults import fault_fires
-
-#: signature of a per-job cancel poll (see :meth:`CancelBoard.checker`)
-Checker = Callable[[], bool]
 
 __all__ = [
     "ArenaRef",
@@ -345,62 +343,49 @@ class CancelBoardRef:
     """Pointer to a cancel board's segment (what jobs carry)."""
 
     segment: str
-    count: int
     creator_pid: int = 0
 
 
 class CancelBoard:
-    """One shared byte per job: the cross-process cancel token.
+    """One shared byte per batch: the cross-process cancel flag.
 
-    The parent creates the board (zeroed) and flips bytes via
-    :meth:`set` / :meth:`set_all`; workers attach read-only-by-contract
-    and poll :meth:`is_set` between placer iterations.  A flipped byte
-    is observed at the next checkpoint hook, which forces a final
-    checkpoint save and raises ``JobCancelledError`` — graceful, unlike
-    the SIGTERM backstop.
+    The executor creates the board (zeroed) and mirrors its cancel
+    token onto it with :meth:`set`; pool workers attach and poll
+    :meth:`is_set` from the per-iteration job hook, which forces a
+    final checkpoint save and raises ``JobCancelledError`` — graceful,
+    unlike the SIGTERM backstop.
     """
 
     _SEQ = 0
     _SEQ_LOCK = threading.Lock()
 
-    def __init__(self, count: int) -> None:
+    def __init__(self) -> None:
         with CancelBoard._SEQ_LOCK:
             CancelBoard._SEQ += 1
             seq = CancelBoard._SEQ
-        self._count = count
         self._owner = True
         self._shm = shared_memory.SharedMemory(
-            name=f"repro-cancel-{os.getpid()}-{seq}",
-            create=True, size=max(count, 1))
-        self._shm.buf[:max(count, 1)] = bytes(max(count, 1))
+            name=f"repro-cancel-{os.getpid()}-{seq}", create=True, size=1)
+        self._shm.buf[0] = 0
 
     @classmethod
     def attach(cls, ref: CancelBoardRef) -> "CancelBoard":
         """Worker-side attach (does not own the unlink)."""
         board = cls.__new__(cls)
-        board._count = ref.count
         board._owner = False
         board._shm = shared_memory.SharedMemory(name=ref.segment)
         _untrack(board._shm, ref.creator_pid)
         return board
 
     def ref(self) -> CancelBoardRef:
-        return CancelBoardRef(segment=self._shm.name, count=self._count,
+        return CancelBoardRef(segment=self._shm.name,
                               creator_pid=os.getpid())
 
-    def set(self, idx: int) -> None:
-        if 0 <= idx < self._count:
-            self._shm.buf[idx] = 1
+    def set(self) -> None:
+        self._shm.buf[0] = 1
 
-    def set_all(self) -> None:
-        self._shm.buf[:max(self._count, 1)] = b"\x01" * max(self._count, 1)
-
-    def is_set(self, idx: int) -> bool:
-        return bool(self._shm.buf[idx]) if 0 <= idx < self._count else False
-
-    def checker(self, idx: int) -> "Checker":
-        """A picklable-free callable polling one job's flag."""
-        return lambda: self.is_set(idx)
+    def is_set(self) -> bool:
+        return bool(self._shm.buf[0])
 
     def close(self, unlink: bool = False) -> None:
         try:

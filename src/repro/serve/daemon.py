@@ -17,7 +17,8 @@ span (the TEL03 contract).
 Graceful shutdown (``shutdown`` op, SIGTERM, or SIGINT) stops
 admission and then either **drains** (waits for every accepted job to
 reach a terminal state) or, in ``now`` mode, cancels running jobs
-through the checkpoint hook (their snapshots survive) and leaves
+through the per-iteration job hook (with checkpoints on, their
+snapshots survive) and leaves
 queued jobs in the journal — a restarted daemon replays them, so no
 accepted job is ever lost.
 """
@@ -61,8 +62,10 @@ class ServeConfig:
             run`` writes; None disables caching.
         cache_budget_mb: total cache byte budget (LRU eviction); None
             means unbounded.
-        checkpoint_dir: checkpoint store root; None disables
-            checkpoints (and with them cancel-with-snapshot).
+        checkpoint_dir: checkpoint store root, holding resume state
+            only: periodic global-place snapshots and the final
+            snapshot a cancelled job leaves.  None disables it; cancel
+            and lease heartbeats work either way.
         spool_dir: job-journal directory; None disables persistence.
         trace_path: streaming JSONL telemetry file; None disables.
         max_pending: bounded-admission cap (queued + running).

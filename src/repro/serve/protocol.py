@@ -165,7 +165,10 @@ def options_from_dict(payload: dict | None) -> Any:
     Accepts the same nested shape :func:`~repro.runtime.cache
     .canonical_options` emits; unknown keys raise — a typo'd knob must
     not silently place with defaults.  Dict values recurse into the
-    matching sub-options dataclass.
+    matching sub-options dataclass.  Every leaf must have its default's
+    type (an int may stand for a float; a bool never stands for a
+    number), so a malformed payload is a :class:`ProtocolError` at
+    submit, not a failed job.
     """
     from ..core import PlacerOptions
     if payload is None:
@@ -183,9 +186,26 @@ def _hydrate(cls: type, payload: dict, *, path: str) -> Any:
     defaults = cls()
     for name, value in payload.items():
         current = getattr(defaults, name)
-        if isinstance(value, dict) and dataclasses.is_dataclass(current):
-            kwargs[name] = _hydrate(type(current), value,
-                                    path=f"{path}.{name}")
+        where = f"{path}.{name}"
+        if dataclasses.is_dataclass(current):
+            if not isinstance(value, dict):
+                raise ProtocolError(
+                    f"{where} must be an object, got "
+                    f"{type(value).__name__}", op="submit")
+            kwargs[name] = _hydrate(type(current), value, path=where)
+        elif not _leaf_type_ok(value, current):
+            raise ProtocolError(
+                f"{where} must be {type(current).__name__}, got "
+                f"{type(value).__name__}", op="submit")
         else:
             kwargs[name] = value
     return cls(**kwargs)
+
+
+def _leaf_type_ok(value: Any, default: Any) -> bool:
+    """True when ``value`` may stand in for an option leaf ``default``."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)

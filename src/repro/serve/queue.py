@@ -573,9 +573,10 @@ class JobQueue:
         """Cancel a job; returns (state-at-cancel-time, record) or None.
 
         Queued jobs become terminal immediately; running jobs get their
-        cancel token set — the worker bridge interrupts them at the next
-        checkpoint boundary (best-effort: a rung with no checkpoint hook
-        runs to completion and is then discarded as cancelled).
+        cancel token set — the executor's job hook interrupts them at
+        the next global-placement iteration on any ladder rung
+        (best-effort: a cancel that lands after global placement lets
+        the job finish).
         """
         with self._cond:
             record = self._records.get(job_id)

@@ -4,9 +4,9 @@ The worker bridge trusts the batch executor to come back; production
 traffic does not extend that trust.  This module is the supervision
 layer between the two:
 
-- every running job holds a :class:`JobLease` that the engine's
-  checkpoint callbacks renew (a heartbeat per global-placement
-  iteration).  Leases are journaled, so a restarted daemon can tell
+- every running job holds a :class:`JobLease` that the executor's
+  per-iteration job hook renews (a heartbeat per global-placement
+  iteration, with or without checkpoints).  Leases are journaled, so a restarted daemon can tell
   "was running when we died" from "never started" and count execution
   attempts *across process lifetimes*;
 - a :class:`Watchdog` thread scans the lease table: a lease with no
@@ -251,7 +251,7 @@ class Supervisor:
     """Lease table + watchdog + breaker: the daemon's execution warden.
 
     The worker bridge acquires a lease per execution and renews it from
-    the engine's checkpoint callback; the watchdog thread scans for
+    the executor's per-iteration job hook; the watchdog thread scans for
     stale leases and drives the requeue/quarantine policy.  All queue
     mutations go through :class:`~repro.serve.queue.JobQueue`, whose
     epoch guard makes a superseded execution's late ``finish`` a no-op.
@@ -317,7 +317,7 @@ class Supervisor:
         return lease
 
     def heartbeat(self, job_id: str) -> None:
-        """Renew a lease (called from the engine's checkpoint hook)."""
+        """Renew a lease (called from the per-iteration job hook)."""
         if fault_fires("heartbeat_drop"):
             return
         with self._lock:
@@ -402,8 +402,8 @@ class Supervisor:
                          outcome=outcome)
             if outcome == "superseded":
                 return  # the execution finished while we decided
-            # interrupt the dead attempt: cancel token (the checkpoint
-            # hook raises at the next iteration) and, in pool mode, the
+            # interrupt the dead attempt: cancel token (the job hook
+            # raises at the next iteration) and, in pool mode, the
             # worker process itself
             lease.interrupt()
             with self._lock:

@@ -10,28 +10,26 @@ process pool (full crash/timeout isolation); otherwise it runs serially
 inside the bridge thread (the executor's ``workers=0`` path, same
 results by construction).
 
-Cancellation rides the checkpoint hook:
-:class:`CancellableCheckpointStore` wraps the daemon's checkpoint store
-with the job's cancel token, and the recorder it hands the engine
-forces a final snapshot to disk and raises
-:class:`~repro.errors.JobCancelledError` the next time the
-global-placement loop checkpoints.  The executor reports the
-cancellation terminally (never retried, never degraded past), and the
-snapshot survives — a resubmitted job resumes instead of cold-starting.
-In pool mode the token cannot reach the worker process directly; a
-per-job watcher thread mirrors it onto the executor's shared-memory
-cancel board (:meth:`~repro.runtime.executor.BatchExecutor.cancel_all`),
-which the in-worker checkpoint hook polls — same graceful semantics
-across the process boundary.
+The bridge hands the executor only the job's cancel token
+(``record.cancel``) and a lease heartbeat; neither needs checkpoints.
+The executor's one per-iteration job hook
+(:class:`~repro.robust.checkpoint.CheckpointRecorder`) renews the lease
+and turns a set token into :class:`~repro.errors.JobCancelledError` on
+any ladder rung, first forcing a final snapshot when checkpoints are
+on, so a resubmitted job resumes instead of cold-starting.  The
+executor reports the cancellation terminally (never retried, never
+degraded past).  In pool mode it mirrors the token onto its
+shared-memory cancel board itself; heartbeats stay in-process.
 
-Supervision (:mod:`repro.serve.supervise`) rides the same hook: every
-recorder call renews the job's lease heartbeat, so a healthy placement
-beats once per global-placement iteration.  When the watchdog declares
-an execution stuck it trips the job's *original* cancel token (pool
-mode: kills the worker process too) and requeues the job under a new
-epoch; whatever the dead execution eventually reports is discarded by
-the queue's epoch guard and counted as ``worker.zombie_results``.  A
-hung bridge thread cannot be killed, so the watchdog *abandons* it —
+Supervision (:mod:`repro.serve.supervise`) watches those heartbeats: a
+healthy in-thread placement beats once per global-placement iteration.
+When the watchdog declares an execution stuck it calls
+:meth:`~repro.runtime.executor.BatchExecutor.interrupt`, which trips
+the job's *original* cancel token (pool mode: kills the worker process
+too), and requeues the job under a new epoch; whatever the dead
+execution eventually reports is discarded by the queue's epoch guard
+and counted as ``worker.zombie_results``.  A hung bridge thread cannot
+be killed, so the watchdog *abandons* it —
 :meth:`WorkerBridge.abandon_worker` hands its slot to a fresh thread,
 and :meth:`WorkerBridge.stop` counts threads that never came back as
 ``worker.leaked``.
@@ -39,14 +37,12 @@ and :meth:`WorkerBridge.stop` counts threads that never came back as
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from ..errors import JobCancelledError
-from ..robust.checkpoint import CheckpointRecorder, CheckpointStore
+from ..robust.checkpoint import CheckpointStore
 from ..robust.faults import fault_fires
 from ..runtime.cache import ArtifactCache
 from ..runtime.executor import BatchExecutor
@@ -69,69 +65,6 @@ RETRYABLE_KINDS = ("crash", "timeout", "interrupted")
 HANG_CAP_S = 120.0
 
 
-class CancelAwareRecorder(CheckpointRecorder):
-    """Checkpoint hook that interrupts the engine once cancel is set.
-
-    The final forced save means "cancel a running job" still leaves a
-    resumable snapshot on disk even when the cancel lands between the
-    recorder's periodic saves.  ``heartbeat`` (when set) is called on
-    every engine iteration — this is the lease renewal the supervision
-    watchdog watches.
-    """
-
-    def __init__(self, store: CheckpointStore, key: str, *,
-                 token: threading.Event, job_id: str,
-                 interval: int = 5,
-                 heartbeat: Callable[[], None] | None = None) -> None:
-        super().__init__(store, key, interval=interval)
-        self.token = token
-        self.job_id = job_id
-        self.heartbeat = heartbeat
-
-    def __call__(self, iteration: int, x: np.ndarray, y: np.ndarray,
-                 stage: str = "global_place") -> None:
-        if self.heartbeat is not None:
-            self.heartbeat()
-        if self.token.is_set():
-            try:
-                self.store.save(self.key, iteration, x, y, stage=stage)
-                self.saved += 1
-            except OSError:
-                pass  # keep the previous snapshot; still cancel
-            raise JobCancelledError(
-                f"job cancelled at {stage} iteration {iteration}",
-                job_id=self.job_id)
-        super().__call__(iteration, x, y, stage=stage)
-
-
-class CancellableCheckpointStore(CheckpointStore):
-    """Checkpoint store whose recorders honour one job's cancel token.
-
-    ``clear`` is also gated: a cancelled job keeps its snapshot (that is
-    the point of cancelling with checkpoints on), while a job that ran
-    to completion clears it as usual.
-    """
-
-    def __init__(self, root: str, *, token: threading.Event,
-                 job_id: str, interval: int = 5,
-                 heartbeat: Callable[[], None] | None = None) -> None:
-        super().__init__(root, interval=interval)
-        self.token = token
-        self.job_id = job_id
-        self.heartbeat = heartbeat
-
-    def recorder(self, key: str) -> CancelAwareRecorder:
-        return CancelAwareRecorder(self, key, token=self.token,
-                                   job_id=self.job_id,
-                                   interval=self.interval,
-                                   heartbeat=self.heartbeat)
-
-    def clear(self, key: str) -> None:
-        if self.token.is_set():
-            return
-        super().clear(key)
-
-
 class WorkerBridge:
     """Pool of daemon threads feeding jobs to the batch executor.
 
@@ -140,8 +73,9 @@ class WorkerBridge:
         workers: number of bridge threads (concurrent placements).
         cache: shared artifact cache (hits recorded inside the
             executor; the submit fast-path usually catches them first).
-        checkpoint_root: checkpoint directory; enables cancel-with-
-            snapshot and crash/timeout resume.
+        checkpoint_root: checkpoint directory: resume state only (a
+            cancelled job's final snapshot, crash/timeout resume).
+            Cancel and heartbeats work without it.
         pool: run each job in a single-worker process pool instead of
             in-thread (isolation at the cost of process startup).
             Heartbeats do not cross the process boundary, so in pool
@@ -265,40 +199,27 @@ class WorkerBridge:
     def _execute(self, record: QueuedJob) -> None:
         # capture the cancel token *now*: a watchdog requeue swaps a
         # fresh token onto the record, and the interrupt must trip the
-        # one this execution's recorder is actually watching
+        # one this execution's hook is actually watching
         token = record.cancel
         epoch = record.epoch
         worker = threading.current_thread().name
         supervisor = self.supervisor
 
-        heartbeat = None
-        if supervisor is not None:
-            job_id = record.job_id
-
-            def heartbeat(job_id: str = job_id) -> None:
-                supervisor.heartbeat(job_id)
-
-        checkpoints = None
-        if self.checkpoint_root is not None:
-            checkpoints = CancellableCheckpointStore(
-                self.checkpoint_root, token=token,
-                job_id=record.job_id, heartbeat=heartbeat)
+        heartbeat = functools.partial(supervisor.heartbeat,
+                                      record.job_id) \
+            if supervisor is not None else None
+        checkpoints = CheckpointStore(self.checkpoint_root) \
+            if self.checkpoint_root is not None else None
         executor = BatchExecutor(
             workers=1 if self.pool else 0, cache=self.cache,
             timeout_s=self.timeout_s, retries=self.retries,
             checkpoints=checkpoints, fallback=self.fallback,
-            shm=self.shm, arenas=self.arenas)
+            shm=self.shm, arenas=self.arenas, cancel=token,
+            heartbeat=heartbeat)
 
         if supervisor is not None:
-
-            def interrupt(token: threading.Event = token,
-                          executor: BatchExecutor = executor) -> None:
-                token.set()
-                if self.pool:
-                    executor.interrupt()
-
             lease = supervisor.acquire(record, worker=worker,
-                                       interrupt=interrupt,
+                                       interrupt=executor.interrupt,
                                        pool=self.pool)
             epoch = lease.epoch
 
@@ -317,37 +238,7 @@ class WorkerBridge:
                                error="injected fault: worker_crash",
                                error_kind="crash")
         else:
-            # pool mode: the thread-local cancel token cannot reach the
-            # worker process, but the executor's shared-memory cancel
-            # board can — a watcher thread bridges the two, so a user
-            # cancel (or watchdog trip) lands gracefully in-process
-            # (forced final checkpoint, taxonomy "cancelled") instead
-            # of waiting for the SIGTERM backstop
-            watcher: threading.Thread | None = None
-            stop_watch: threading.Event | None = None
-            if self.pool:
-                stop_watch = threading.Event()
-
-                def _watch(token: threading.Event = token,
-                           executor: BatchExecutor = executor,
-                           stop: threading.Event = stop_watch) -> None:
-                    while not stop.is_set():
-                        if token.wait(0.05):
-                            executor.cancel_all()
-                            return
-
-                watcher = threading.Thread(
-                    target=_watch, daemon=True,
-                    name=f"{worker}-cancel-watch")
-                watcher.start()
-            try:
-                results = executor.run([record.job], tracer=tracer)
-                result = results[0]
-            finally:
-                if stop_watch is not None:
-                    stop_watch.set()
-                if watcher is not None:
-                    watcher.join(timeout=1.0)
+            result = executor.run([record.job], tracer=tracer)[0]
         record.spans["execute"] = self.clock() - start_s
         # the service-level wait (accept -> pop) supersedes the
         # executor's intra-batch measurement, which is ~0 here

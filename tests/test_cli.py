@@ -196,6 +196,18 @@ class TestExitCodes:
         assert option in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+    def test_bad_structure_weight_exits_1(self, weight, capsys):
+        # NaN/inf would drop the job to the baseline rung unnoticed,
+        # and a negative weight repels the cells it should align
+        code = main(["place", "--design", "dp_add8", "--placer",
+                     "structure", "--structure-weight", weight])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [options] structure_weight must "
+                              "be a finite number >= 0")
+        assert "Traceback" not in err
+
     def test_strict_validation_exits_4(self, tmp_path, capsys):
         # a dangling net: survivable by default, fatal under --strict
         (tmp_path / "d.aux").write_text(

@@ -7,11 +7,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import (CacheCorruptionError, LegalizationError,
-                          NumericalError, ParseError, ReproError,
-                          ValidationError, error_kind, exit_code_for)
+from repro.errors import (CacheCorruptionError, JobCancelledError,
+                          LegalizationError, NumericalError, ParseError,
+                          ReproError, ValidationError, error_kind,
+                          exit_code_for)
 from repro.gen import build_design
-from repro.robust import (CheckpointStore, DegradationReport,
+from repro.robust import (CheckpointRecorder, CheckpointStore,
+                          DegradationReport,
                           GuardOptions, GuardedSolve, IterateGuard,
                           LADDERS, place_with_fallback)
 from repro.robust import faults
@@ -373,12 +375,36 @@ class TestCheckpoints:
 
     def test_recorder_respects_interval(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", interval=4)
-        rec = store.recorder("k" * 64)
+        rec = CheckpointRecorder(store, "k" * 64)
         rec(1, np.ones(1), np.ones(1))
         assert store.load("k" * 64) is None
         rec(4, np.full(1, 9.0), np.ones(1))
         ckpt = store.load("k" * 64)
         assert ckpt is not None and ckpt.iteration == 4
+
+    def test_hook_beats_and_cancels_without_a_store(self):
+        beats = []
+        cancelled = [False]
+        hook = CheckpointRecorder(None, "k" * 64,
+                                  cancel=lambda: cancelled[0],
+                                  heartbeat=lambda: beats.append(1))
+        hook(0, np.ones(1), np.ones(1))
+        assert len(beats) == 1
+        cancelled[0] = True
+        with pytest.raises(JobCancelledError, match="iteration 3"):
+            hook(3, np.ones(1), np.ones(1))
+        assert len(beats) == 2
+
+    def test_cancel_forces_a_final_snapshot(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt", interval=5)
+        hook = CheckpointRecorder(store, "k" * 64, cancel=lambda: True)
+        with pytest.raises(JobCancelledError):
+            hook(3, np.full(1, 7.0), np.ones(1))  # off the interval
+        ckpt = store.load("k" * 64)
+        assert ckpt is not None and ckpt.iteration == 3
+        # the lower-rung view keeps cancel and heartbeat, drops the store
+        lower = hook.without_snapshots()
+        assert lower.store is None and lower.cancel is hook.cancel
 
     def test_clear(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -442,6 +468,24 @@ class TestExecutorRecovery:
         cold_iters = cold.counters.get("gp.iterations", 0)
         assert 0 < warm_iters < cold_iters
         assert result.violations == 0
+
+    def test_cancel_lands_on_a_lower_rung(self, monkeypatch):
+        # the structure rung dies on the injected NaN before its first
+        # iteration; the cancel that is set from then on must stop the
+        # structure-relaxed rung instead of letting it finish
+        monkeypatch.setenv(faults.ENV_VAR, "solver_nan:1")
+        faults.reset()
+        polls = []
+
+        def cancel() -> bool:
+            fired = faults._occurrences.get("solver_nan", 0) >= 1
+            polls.append(fired)
+            return fired
+
+        job = PlacementJob(design="dp_add8", placer="structure")
+        with pytest.raises(JobCancelledError):
+            execute_job(job, cancel=cancel)
+        assert polls[0] is False  # the pre-start poll let the job run
 
     def test_checkpoint_cleared_after_success(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", interval=1)

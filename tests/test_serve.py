@@ -435,16 +435,26 @@ class TestDaemonIntegration:
             assert done["state"] == "done"
             _drain_and_join(client, thread)
 
-    def test_cancel_running_job_preserves_checkpoint(self, serve_root):
+    # ids: execution mode, then checkpoints on/off
+    @pytest.mark.parametrize("pool, checkpoints", [
+        (False, True), (False, False), (True, True), (True, False)],
+        ids=["thread-on", "thread-off", "pool-on", "pool-off"])
+    def test_cancel_running_job_preserves_checkpoint(
+            self, serve_root, pool, checkpoints):
         from repro.robust.checkpoint import CheckpointStore
-        _daemon, thread = _start_daemon(serve_root)
+        store = CheckpointStore(serve_root / "ckpt")
+        _daemon, thread = _start_daemon(
+            serve_root, pool=pool,
+            checkpoint_dir=str(store.root) if checkpoints else None)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
-            submitted = client.submit("dp_alu16", placer="structure")
+            submitted = client.submit("dp_mix32", placer="structure")
             job_id = submitted["job_id"]
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if client.status(job_id)["state"] == "running":
-                    break
+                if client.status(job_id)["state"] == "running" and (
+                        not checkpoints
+                        or store.path(submitted["key"]).exists()):
+                    break  # with checkpoints: cancel inside the GP loop
                 time.sleep(0.005)
             cancelled = client.cancel(job_id)
             assert cancelled["was"] == "running"
@@ -452,11 +462,24 @@ class TestDaemonIntegration:
             final = client.result(job_id, wait=True, timeout=120)
             assert final["state"] == "cancelled"
             assert final["error_kind"] == "cancelled"
-            # the forced snapshot survives for a later resume
-            store = CheckpointStore(serve_root / "ckpt")
-            checkpoint = store.load(submitted["key"])
-            assert checkpoint is not None
-            assert checkpoint.iteration >= 0
+            if checkpoints:
+                # the forced snapshot survives for a later resume
+                checkpoint = store.load(submitted["key"])
+                assert checkpoint is not None
+                assert checkpoint.iteration >= 0
+            else:
+                assert not store.root.exists()
+            _drain_and_join(client, thread)
+
+    def test_leases_renew_without_checkpoints(self, serve_root):
+        _daemon, thread = _start_daemon(serve_root, checkpoint_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            job_id = client.submit("dp_add8",
+                                   placer="structure")["job_id"]
+            done = client.result(job_id, wait=True, timeout=120)
+            assert done["state"] == "done"
+            counters = client.stats()["stats"]["supervision"]["counters"]
+            assert counters["supervise.heartbeats"] > 0
             _drain_and_join(client, thread)
 
     def test_backpressure_error_kind_on_the_wire(self, serve_root):
@@ -483,6 +506,34 @@ class TestDaemonIntegration:
                 assert next(iter(bad)) in str(excinfo.value)
             # the connection survives the error responses
             assert client.ping()["pong"] is True
+            _drain_and_join(client, thread)
+
+    @pytest.mark.parametrize("bad", [
+        {"gp": 3}, {"multilevel": 5}, {"structure_weight": "x"},
+        {"gp": {"max_iterations": "x"}}, {"gp": {"max_iterations": 2.5}},
+        {"structure_weight": True}])
+    def test_malformed_options_are_a_protocol_error(self, serve_root,
+                                                   bad):
+        daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("dp_add8", options=bad)
+            assert excinfo.value.code == "protocol"
+            # rejected at the door: no job ran, so the breaker heard
+            # nothing (a bad client cannot shed other clients' work)
+            assert daemon.supervisor.breaker.snapshot()["window"] == 0
+            assert client.stats()["stats"]["queue"]["failed"] == 0
+            _drain_and_join(client, thread)
+
+    def test_non_finite_structure_weight_is_an_options_error(
+            self, serve_root):
+        _daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("dp_add8",
+                              options={"structure_weight": float("nan")})
+            assert excinfo.value.code == "options"
+            assert "structure_weight" in str(excinfo.value)
             _drain_and_join(client, thread)
 
     def test_unknown_job_id_is_an_error_response(self, serve_root):
