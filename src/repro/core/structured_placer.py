@@ -157,10 +157,11 @@ class PlaceOutcome:
 def _legalize_rows(netlist: Netlist, region: PlacementRegion, *,
                    cells: list[Cell] | None = None,
                    obstacles: list[Cell] | None = None,
-                   units: Sequence[tuple[Cell, list[Cell]]] = ()
-                   ) -> list[Cell]:
+                   units: Sequence[tuple[Cell, list[Cell]]] = (),
+                   tracer: Tracer | None = None) -> list[Cell]:
     """Abacus over ``cells`` (default: every movable cell) plus ``units``,
-    then a Tetris retry for whatever Abacus could not place.
+    then a Tetris retry for whatever Abacus could not place.  Abacus runs
+    under the tracer's ``legalize.abacus`` phase.
 
     A unit is ``(unit, members)``: a detached one-row cell as wide as its
     members, which the placed unit lays out side by side, in order, from
@@ -177,9 +178,11 @@ def _legalize_rows(netlist: Netlist, region: PlacementRegion, *,
     """
     if cells is None:
         cells = netlist.movable_cells()
-    result = abacus_legalize(netlist, region,
-                             cells=cells + [u for u, _ in units],
-                             obstacles=obstacles)
+    tracer = tracer or Tracer()
+    with tracer.phase("legalize.abacus"):
+        result = abacus_legalize(netlist, region,
+                                 cells=cells + [u for u, _ in units],
+                                 obstacles=obstacles, tracer=tracer)
     failed = set(result.failed)
     placed: list[Cell] = []
     for unit, members in units:
@@ -292,7 +295,8 @@ def legalize_structured(netlist: Netlist, region: PlacementRegion,
 
 
 def legalize_slices(netlist: Netlist, region: PlacementRegion,
-                    plans: list[ArrayPlan]) -> list[Cell]:
+                    plans: list[ArrayPlan], *,
+                    tracer: Tracer | None = None) -> list[Cell]:
     """Slice-level structure-preserving legalization.
 
     Gentler than whole-array block snapping: each bit slice becomes one
@@ -322,7 +326,8 @@ def legalize_slices(netlist: Netlist, region: PlacementRegion,
         units.append((unit, members))
     in_slice = {c.name for s in slices for c in s}
     glue = [c for c in netlist.movable_cells() if c.name not in in_slice]
-    return _legalize_rows(netlist, region, cells=glue, units=units)
+    return _legalize_rows(netlist, region, cells=glue, units=units,
+                          tracer=tracer)
 
 
 def optimize_flips(netlist: Netlist, plans: list[ArrayPlan], *,
@@ -528,17 +533,17 @@ class StructureAwarePlacer:
                     mode=opts.structure_legalization) as ph_legal:
                 frozen: set[str] = set()
                 if opts.structure_legalization == "none" or not plans:
-                    _legalize_rows(netlist, region)
+                    _legalize_rows(netlist, region, tracer=tracer)
                 elif opts.structure_legalization == "slices":
-                    frozen = {c.name for c in
-                              legalize_slices(netlist, region, plans)}
+                    frozen = {c.name for c in legalize_slices(
+                        netlist, region, plans, tracer=tracer)}
                 elif opts.structure_legalization == "blocks":
                     obstacles = legalize_structured(netlist, region, plans)
                     frozen = {c.name for c in obstacles}
                     _legalize_rows(netlist, region,
                                    cells=[c for c in netlist.movable_cells()
                                           if c.name not in frozen],
-                                   obstacles=obstacles)
+                                   obstacles=obstacles, tracer=tracer)
                     optimize_flips(netlist, plans)
                 else:
                     raise OptionsError(
@@ -549,7 +554,8 @@ class StructureAwarePlacer:
             with tracer.phase("detailed",
                               enabled=opts.run_detailed) as ph_detail:
                 if opts.run_detailed:
-                    detailed_place(netlist, region, frozen=frozen)
+                    detailed_place(netlist, region, frozen=frozen,
+                                   tracer=tracer)
                 hpwl_final = netlist.hpwl()
 
         return PlaceOutcome(
@@ -606,12 +612,12 @@ class BaselinePlacer:
                 arrays.write_back(x, y)
                 hpwl_gp = netlist.hpwl()
             with tracer.phase("legalize", mode="none") as ph_legal:
-                _legalize_rows(netlist, region)
+                _legalize_rows(netlist, region, tracer=tracer)
                 hpwl_legal = netlist.hpwl()
             with tracer.phase("detailed",
                               enabled=opts.run_detailed) as ph_detail:
                 if opts.run_detailed:
-                    detailed_place(netlist, region)
+                    detailed_place(netlist, region, tracer=tracer)
                 hpwl_final = netlist.hpwl()
         return PlaceOutcome(
             placer=self.name,

@@ -12,7 +12,10 @@ exposes a propose/commit/rollback protocol:
 - :meth:`rollback` restores the pre-propose positions.
 
 A rejected candidate therefore costs one touched-net rescore and an
-O(cells) position restore — no second rescore, no cache writes.  The hot
+O(cells) position restore — no second rescore, no cache writes.  Several
+x-only candidates for the same cells (a row-reorder window's
+permutations) are cheaper still through :meth:`price_x`, which scans the
+touched nets once and moves nothing.  The hot
 path runs on flat Python lists (per-net pin tuples, per-cell net ids):
 for the handful-of-pins segments a move touches, list indexing beats
 numpy's per-call dispatch by an order of magnitude.  Bulk operations
@@ -274,6 +277,83 @@ class IncrementalHPWL:
                             mn_y, cmn_y, mx_y, cmx_y))
         self._pending = (cells, old_xs, old_ys, updates)
         return before, after
+
+    def price_x(self, cells: Sequence[int],
+                candidates: Iterable[Sequence[float]]) -> list[float]:
+        """Price x-only moves of the same cells without moving anything.
+
+        Args:
+            cells: dense cell indices.
+            candidates: new x corner vectors, each parallel to ``cells``;
+                y stays where it is.
+
+        Returns:
+            Per candidate, exactly the ``after`` that
+            ``propose(cells, xs, ys)`` returns with the current ``ys``.
+            Each touched net is scanned once for the x bounds of its pins
+            outside ``cells``, its y span is the cached one, and each
+            candidate is then priced over the pins of ``cells`` alone.
+            Min and max are exact in floating point, the per-net
+            expression is :meth:`propose`'s and the sum runs in
+            :meth:`nets_of_cells` order, so the prices are bit-identical.
+            A net above ``_FAST_DEGREE`` pins takes an outside bound from
+            the cache while some holder of it sits outside ``cells``, and
+            is scanned only when ``cells`` hold every holder.
+        """
+        if self._pending is not None:
+            self.commit()
+        x = self._x
+        degree = self._degree
+        min_x, max_x = self._min_x, self._max_x
+        cnt_min_x, cnt_max_x = self._cnt_min_x, self._cnt_max_x
+        # per touched net: (position in cells, x offset) of each own pin,
+        # and for large nets how many own pins hold each x bound now
+        own: dict[int, list[tuple[int, float]]] = {}
+        held: dict[int, list[int]] = {}
+        for k, c in enumerate(cells):
+            xc = x[c]
+            for j, pox, _poy in self._cell_pins[c]:
+                own.setdefault(j, []).append((k, pox))
+                if degree[j] > _FAST_DEGREE:
+                    at = held.setdefault(j, [0, 0])
+                    px = xc + pox
+                    if px == min_x[j]:
+                        at[0] += 1
+                    if px == max_x[j]:
+                        at[1] += 1
+        inside = set(cells)
+        net_pins = self._net_pins
+        weight = self._weight
+        min_y, max_y = self._min_y, self._max_y
+        nets: list[tuple] = []
+        for j in self.nets_of_cells(cells):
+            at = held.get(j)
+            if at is not None and at[0] < cnt_min_x[j] \
+                    and at[1] < cnt_max_x[j]:
+                lo, hi = min_x[j], max_x[j]
+            else:
+                lo, hi = float("inf"), float("-inf")
+                for ci, pox, _poy in net_pins[j]:
+                    if ci not in inside:
+                        px = x[ci] + pox
+                        if px < lo:
+                            lo = px
+                        if px > hi:
+                            hi = px
+            nets.append((weight[j], max_y[j] - min_y[j], lo, hi, own[j]))
+        prices: list[float] = []
+        for xs in candidates:
+            after = 0.0
+            for w, span_y, lo, hi, pins in nets:
+                for k, pox in pins:
+                    px = xs[k] + pox
+                    if px < lo:
+                        lo = px
+                    if px > hi:
+                        hi = px
+                after += w * ((hi - lo) + span_y)
+            prices.append(after)
+        return prices
 
     @staticmethod
     def _axis_update(mv: list[tuple], k: int, mn: float, cmn: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..netlist import Cell, Netlist
+from ..runtime.telemetry import Tracer
 from .legalize import LegalizeResult, row_blockages
 from .region import PlacementRegion
 
@@ -26,13 +27,18 @@ from .region import PlacementRegion
 class _Cluster:
     """A maximal group of abutting cells within a segment."""
 
-    x: float = 0.0        # cluster left edge
+    x: float = 0.0        # left edge at its optimum, recorded on commit
     width: float = 0.0
     weight: float = 0.0
     q: float = 0.0        # weighted sum of (desired_x - offset_in_cluster)
     cells: list[Cell] = field(default_factory=list)
     # (desired x, width) per cell, parallel to ``cells``: what pricing reads
     spans: list[tuple[float, float]] = field(default_factory=list)
+    # displacement cost at left edge ``x`` and its one-sided slopes there
+    # (the cost is convex in the left edge), recorded on commit
+    cost: float = 0.0
+    slope_right: int = 0  # n - 2 * #cells left of their desired x
+    slope_left: int = 0   # 2 * #cells right of their desired x - n
 
     def add_cell(self, cell: Cell, desired_x: float, weight: float = 1.0
                  ) -> None:
@@ -84,14 +90,26 @@ class _Segment:
         return max(self.x0 - desired_x, desired_x - (self.x1 - width), 0.0)
 
     def _cluster_cost(self, cl: _Cluster) -> float:
-        run = cl.optimal_x(self.x0, self.x1)
+        """Walk ``cl`` at its optimum; records its cost and slopes."""
+        run = cl.x = cl.optimal_x(self.x0, self.x1)
         cost = 0.0
+        behind = ahead = 0
         for want, w in cl.spans:
-            cost += abs(run - want)
+            d = run - want
+            if d < 0.0:
+                behind += 1
+            elif d > 0.0:
+                ahead += 1
+            cost += abs(d)
             run += w
+        n = len(cl.spans)
+        cl.cost = cost
+        cl.slope_right = n - 2 * behind
+        cl.slope_left = 2 * ahead - n
         return cost
 
-    def trial_add(self, cell: Cell, desired_x: float
+    def trial_add(self, cell: Cell, desired_x: float,
+                  bound: float | None = None
                   ) -> tuple[float, int, tuple[float, float, float]] | None:
         """Price adding ``cell`` at the segment's right end.
 
@@ -106,11 +124,20 @@ class _Segment:
         sums.  Semantically identical to collapsing a full copy of the
         cluster list and walking every cell.
 
+        Before the walk, a lower bound on the price comes from the
+        clusters' recorded costs: a cluster's cost is convex in its left
+        edge, so shifted by ``s`` it costs at least ``cost + s * slope``
+        with the slope of that side (and never below 0).
+
+        Args:
+            bound: skip the walk when that lower bound is already at
+                least this; the caller leaves room for rounding.
+
         Returns:
             ``(total_cost, keep, (q, weight, width))`` where
             ``clusters[:keep]`` survive unchanged and the composite
             replaces the rest (see :meth:`commit`), or None if the
-            segment lacks space.
+            segment lacks space or the trial cannot get under ``bound``.
         """
         width = cell.width
         if width > self.capacity_left() + 1e-9:
@@ -122,10 +149,9 @@ class _Segment:
         keep = len(self.clusters)
         while keep > 0:
             prev = self.clusters[keep - 1]
-            prev_x = prev.optimal_x(self.x0, self.x1)
             comp_x = min(max(q / max(weight, 1e-12), self.x0),
                          self.x1 - width)
-            if prev_x + prev.width <= comp_x + 1e-9:
+            if prev.x + prev.width <= comp_x + 1e-9:
                 break
             # prev absorbs the composite (composite sits to prev's right)
             q = prev.q + q - weight * prev.width
@@ -133,6 +159,16 @@ class _Segment:
             weight = prev.weight + weight
             keep -= 1
         run = min(max(q / max(weight, 1e-12), self.x0), self.x1 - width)
+        if bound is not None:
+            floor = self.prefix[keep]
+            at = run
+            for cl in self.clusters[keep:]:
+                shift = at - cl.x
+                slope = cl.slope_right if shift > 0.0 else cl.slope_left
+                floor += max(0.0, cl.cost + shift * slope)
+                at += cl.width
+            if floor + abs(at - desired_x) >= bound:
+                return None
         cost = self.prefix[keep]
         for cl in self.clusters[keep:]:
             for want, w in cl.spans:
@@ -192,10 +228,18 @@ def _build_segments(netlist: Netlist, region: PlacementRegion,
 def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
                     cells: list[Cell] | None = None,
                     obstacles: list[Cell] | None = None,
-                    row_search_span: int = 6) -> LegalizeResult:
+                    row_search_span: int = 6,
+                    tracer: Tracer | None = None) -> LegalizeResult:
     """Legalize with the Abacus dynamic-clustering algorithm.
 
-    Args / returns: as :func:`repro.place.legalize.tetris_legalize`.
+    Every trial after a cell's first is bounded by the best price so far
+    (:meth:`_Segment.trial_add`), so a trial that cannot win skips its
+    cell walk.
+
+    Args / returns: as :func:`repro.place.legalize.tetris_legalize`;
+    ``tracer`` receives the ``legalize.abacus.trials`` counter (trial
+    insertions, full segments included) and ``legalize.abacus.walks``
+    (the trials that walked their cells).
     """
     if cells is None:
         cells = netlist.movable_cells()
@@ -204,6 +248,7 @@ def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
     order = sorted(cells, key=lambda c: c.x)
     start_pos = {c.name: (c.x, c.y) for c in order}
     failed: list[str] = []
+    trials = walks = 0
     for cell in order:
         want_x, want_y = cell.x, cell.center_y
         width = cell.width
@@ -226,9 +271,13 @@ def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
                             dy + seg.displacement_floor(want_x, width)
                             >= best[0] + 1e-6):
                         continue
-                    trial = seg.trial_add(cell, want_x)
+                    trials += 1
+                    trial = seg.trial_add(
+                        cell, want_x,
+                        None if best is None else best[0] + 1e-6 - dy)
                     if trial is None:
                         continue
+                    walks += 1
                     cost, keep, composite = trial
                     total = cost + dy
                     if best is None or total < best[0]:
@@ -239,6 +288,9 @@ def abacus_legalize(netlist: Netlist, region: PlacementRegion, *,
             continue
         _cost, seg, keep, composite = best
         seg.commit(cell, want_x, keep, composite)
+    if tracer is not None:
+        tracer.incr("legalize.abacus.trials", trials)
+        tracer.incr("legalize.abacus.walks", walks)
 
     total_disp = 0.0
     max_disp = 0.0

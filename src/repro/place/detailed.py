@@ -26,6 +26,7 @@ import numpy as np
 
 from ..kernels import IncrementalHPWL
 from ..netlist import Cell, Netlist
+from ..runtime.telemetry import Tracer
 from .legalize import blocked, row_blockages, rows_spanned
 from .region import PlacementRegion
 from ..errors import OptionsError
@@ -54,7 +55,6 @@ class DetailedStats:
 
 
 def global_swap_pass(netlist: Netlist, *, frozen: set[str] | None = None,
-                     neighborhood: float | None = None,
                      inc: IncrementalHPWL | None = None,
                      max_candidates: int = 8,
                      max_net_degree: int = 16) -> int:
@@ -123,17 +123,23 @@ def global_swap_pass(netlist: Netlist, *, frozen: set[str] | None = None,
 def row_reorder_pass(netlist: Netlist, region: PlacementRegion, *,
                      window: int = 3,
                      frozen: set[str] | None = None,
-                     inc: IncrementalHPWL | None = None) -> int:
+                     inc: IncrementalHPWL | None = None,
+                     tracer: Tracer | None = None) -> int:
     """Exhaustive window reordering within each row.
 
     Cells in each row are sorted by x; for every window of ``window``
     consecutive movable cells, all permutations are evaluated with cells
     re-packed from the window's left edge; the best is kept.  A window
     whose re-packed span would cover a fixed cell is skipped, so closing
-    a gap never lands a cell on a fixed cell inside the core.
+    a gap never lands a cell on a fixed cell inside the core.  Every
+    permutation of a window is priced in one
+    :meth:`~repro.kernels.IncrementalHPWL.price_x` call; only an
+    accepted window moves cells.
 
     Args:
         inc: shared incremental-HPWL oracle; built locally when absent.
+        tracer: receives the ``detailed.reorder.windows`` counter (windows
+            priced).
 
     Returns:
         Number of accepted reorders.
@@ -148,7 +154,9 @@ def row_reorder_pass(netlist: Netlist, region: PlacementRegion, *,
         spanned = rows_spanned(region, cell.y, cell.height)
         if spanned:
             rows.setdefault(spanned.start, []).append(cell)
+    perms = list(itertools.permutations(range(window)))
     accepted = 0
+    windows = 0
     for j, row_cells in rows.items():
         row_cells.sort(key=lambda c: c.x)
         for i in range(len(row_cells) - window + 1):
@@ -157,40 +165,40 @@ def row_reorder_pass(netlist: Netlist, region: PlacementRegion, *,
                 continue
             # overlapping windows cannot re-pack safely; the others re-pack
             # into [left, left + packed), which must be free of fixed cells
+            widths = [c.width for c in win]
             left = win[0].x
-            right = win[-1].x + win[-1].width
-            packed = sum(c.width for c in win)
+            right = win[-1].x + widths[-1]
+            packed = sum(widths)
             if packed > right - left + 1e-9 or blocked(spans[j], left,
                                                        left + packed):
                 continue
-            orig = [(c.x, c.y) for c in win]
             idx = [c.index for c in win]
-            ys = [c.y for c in win]
-            best_perm: tuple[int, ...] | None = None
-            best_cost = inc.incident_cost(idx)
-            for perm in itertools.permutations(range(window)):
+            candidates = []
+            for perm in perms:
+                xs = [0.0] * window
                 run = left
                 for pi in perm:
-                    win[pi].x = run
-                    run += win[pi].width
-                _b, cost = inc.propose(idx, [c.x for c in win], ys)
-                inc.rollback()
+                    xs[pi] = run
+                    run += widths[pi]
+                candidates.append(xs)
+            windows += 1
+            best: int | None = None
+            best_cost = inc.incident_cost(idx)
+            for k, cost in enumerate(inc.price_x(idx, candidates)):
                 if cost + 1e-9 < best_cost:
                     best_cost = cost
-                    best_perm = perm
-            if best_perm is None:
-                for c, (ox, oy) in zip(win, orig):
-                    c.x, c.y = ox, oy
-            else:
-                run = left
-                for pi in best_perm:
-                    win[pi].x = run
-                    run += win[pi].width
-                inc.update_cells(idx, [c.x for c in win], ys)
-                accepted += 1
-                # the window re-packed inside [left, right], which no other
-                # cell of the (legal) row occupies: the row stays sorted
-                row_cells[i:i + window] = [win[pi] for pi in best_perm]
+                    best = k
+            if best is None:
+                continue
+            for c, xv in zip(win, candidates[best]):
+                c.x = xv
+            inc.update_cells(idx, candidates[best], [c.y for c in win])
+            accepted += 1
+            # the window re-packed inside [left, right], which no other
+            # cell of the (legal) row occupies: the row stays sorted
+            row_cells[i:i + window] = [win[pi] for pi in perms[best]]
+    if tracer is not None:
+        tracer.incr("detailed.reorder.windows", windows)
     return accepted
 
 
@@ -198,7 +206,8 @@ def detailed_place(netlist: Netlist, region: PlacementRegion, *,
                    frozen: set[str] | None = None,
                    max_passes: int = 3,
                    min_gain: float = 0.002,
-                   window: int = 3) -> DetailedStats:
+                   window: int = 3,
+                   tracer: Tracer | None = None) -> DetailedStats:
     """Alternate swap and reorder passes until convergence.
 
     Args:
@@ -209,7 +218,10 @@ def detailed_place(netlist: Netlist, region: PlacementRegion, *,
         min_gain: stop when a full round improves HPWL by less than this
             fraction.
         window: row-reorder window size.
+        tracer: telemetry hook; each pass runs under a ``detailed.swap``
+            or ``detailed.reorder`` phase.
     """
+    tracer = tracer or Tracer()
     stats = DetailedStats(initial_hpwl=netlist.hpwl(),
                           final_hpwl=netlist.hpwl())
     # one shared oracle: both passes mutate positions exclusively through
@@ -217,11 +229,13 @@ def detailed_place(netlist: Netlist, region: PlacementRegion, *,
     inc = IncrementalHPWL(netlist)
     for _round in range(max_passes):
         before = stats.final_hpwl
-        stats.swaps_accepted += global_swap_pass(netlist, frozen=frozen,
-                                                 inc=inc)
-        stats.reorders_accepted += row_reorder_pass(netlist, region,
-                                                    window=window,
-                                                    frozen=frozen, inc=inc)
+        with tracer.phase("detailed.swap"):
+            stats.swaps_accepted += global_swap_pass(netlist, frozen=frozen,
+                                                     inc=inc)
+        with tracer.phase("detailed.reorder"):
+            stats.reorders_accepted += row_reorder_pass(
+                netlist, region, window=window, frozen=frozen, inc=inc,
+                tracer=tracer)
         stats.passes += 1
         stats.final_hpwl = netlist.hpwl()
         if before <= 0 or (before - stats.final_hpwl) / before < min_gain:

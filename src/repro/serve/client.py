@@ -53,8 +53,12 @@ class ServeClient:
     # -- connection ----------------------------------------------------
     def connect(self) -> "ServeClient":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout_s)
-        sock.connect(self.socket_path)
+        try:
+            sock.settimeout(self.timeout_s)
+            sock.connect(self.socket_path)
+        except BaseException:
+            sock.close()
+            raise
         self._sock = sock
         self._rfile = sock.makefile("rb")
         return self

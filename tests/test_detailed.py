@@ -1,11 +1,19 @@
 """Tests for detailed placement and the nonlinear engine."""
 
+import functools
+import itertools
+
 import pytest
 
+from repro.core import StructureAwarePlacer
 from repro.gen import build_design
+from repro.kernels import IncrementalHPWL
 from repro.place import (NonlinearOptions, NonlinearPlacer, PlacementArrays,
                          QuadraticPlacer, abacus_legalize, check_legal,
                          detailed_place, global_swap_pass, row_reorder_pass)
+from repro.place.abacus import _Segment
+from repro.place.legalize import blocked, row_blockages, rows_spanned
+from repro.runtime.telemetry import Tracer
 
 
 @pytest.fixture
@@ -55,6 +63,136 @@ class TestDetailedPlace:
         nl, region = legal_design.netlist, legal_design.region
         stats = detailed_place(nl, region)
         assert 0.0 <= stats.gain < 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _gp_positions(name):
+    """Global-placement corner positions of a suite design."""
+    design = build_design(name)
+    arrays = PlacementArrays.build(design.netlist)
+    result = QuadraticPlacer(arrays, design.region).place()
+    arrays.write_back(result.x, result.y)
+    return tuple((c.x, c.y) for c in design.netlist.cells)
+
+
+def _at_gp(name):
+    design = build_design(name)
+    for cell, (x, y) in zip(design.netlist.cells, _gp_positions(name)):
+        cell.x, cell.y = x, y
+    return design
+
+
+def _positions(netlist):
+    return [(c.x, c.y) for c in netlist.cells]
+
+
+def _reference_reorder(netlist, region, *, inc, window=3, frozen=None):
+    """Row reorder priced the long way: one propose/rollback per
+    permutation, moving the window's cells for each."""
+    frozen = frozen or set()
+    spans = row_blockages(netlist, region)
+    rows = {}
+    for cell in netlist.movable_cells():
+        spanned = rows_spanned(region, cell.y, cell.height)
+        if spanned:
+            rows.setdefault(spanned.start, []).append(cell)
+    accepted = 0
+    for j, row_cells in rows.items():
+        row_cells.sort(key=lambda c: c.x)
+        for i in range(len(row_cells) - window + 1):
+            win = row_cells[i:i + window]
+            if any(c.name in frozen for c in win):
+                continue
+            left = win[0].x
+            right = win[-1].x + win[-1].width
+            packed = sum(c.width for c in win)
+            if packed > right - left + 1e-9 or blocked(spans[j], left,
+                                                       left + packed):
+                continue
+            orig = [(c.x, c.y) for c in win]
+            idx = [c.index for c in win]
+            ys = [c.y for c in win]
+            best_perm = None
+            best_cost = inc.incident_cost(idx)
+            for perm in itertools.permutations(range(window)):
+                run = left
+                for pi in perm:
+                    win[pi].x = run
+                    run += win[pi].width
+                _b, cost = inc.propose(idx, [c.x for c in win], ys)
+                inc.rollback()
+                if cost + 1e-9 < best_cost:
+                    best_cost = cost
+                    best_perm = perm
+            if best_perm is None:
+                for c, (ox, oy) in zip(win, orig):
+                    c.x, c.y = ox, oy
+            else:
+                run = left
+                for pi in best_perm:
+                    win[pi].x = run
+                    run += win[pi].width
+                inc.update_cells(idx, [c.x for c in win], ys)
+                accepted += 1
+                row_cells[i:i + window] = [win[pi] for pi in best_perm]
+    return accepted
+
+
+class TestRowPassEquivalence:
+    """The row passes decide exactly as their reference loops do."""
+
+    @pytest.mark.parametrize("name", ["dp_alu16", "ctrl_glue2k"])
+    @pytest.mark.parametrize("with_frozen", [False, True])
+    def test_reorder_matches_per_permutation_loop(self, name, with_frozen):
+        runs = []
+        for reorder in (row_reorder_pass, _reference_reorder):
+            design = _at_gp(name)
+            nl, region = design.netlist, design.region
+            abacus_legalize(nl, region)
+            frozen = {c.name for c in nl.movable_cells()[::7]} \
+                if with_frozen else None
+            # a swap pass first, so the shared oracle's bounds come from
+            # incremental updates rather than a fresh build
+            inc = IncrementalHPWL(nl)
+            global_swap_pass(nl, frozen=frozen, inc=inc)
+            accepted = reorder(nl, region, frozen=frozen, inc=inc)
+            runs.append((accepted, _positions(nl), inc.total))
+        assert runs[0][0] > 0
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["dp_mul16", "ctrl_glue2k"])
+    def test_bounded_abacus_places_as_unbounded(self, name, monkeypatch):
+        design = _at_gp(name)
+        tracer = Tracer()
+        abacus_legalize(design.netlist, design.region, tracer=tracer)
+        bounded = _positions(design.netlist)
+        walks = tracer.count("legalize.abacus.walks")
+        assert 0 < walks < tracer.count("legalize.abacus.trials")
+
+        trial_add = _Segment.trial_add
+        monkeypatch.setattr(
+            _Segment, "trial_add",
+            lambda seg, cell, want, bound=None: trial_add(seg, cell, want))
+        design = _at_gp(name)
+        abacus_legalize(design.netlist, design.region)
+        assert _positions(design.netlist) == bounded
+
+
+class TestRowPassTelemetry:
+    def test_placer_trace_has_row_pass_phases(self):
+        design = build_design("dp_alu16")
+        tracer = Tracer()
+        StructureAwarePlacer().place(design.netlist, design.region,
+                                     tracer=tracer)
+        for phase in ("legalize.abacus", "detailed.swap",
+                      "detailed.reorder"):
+            assert tracer.phases(phase), phase
+        paths = {e["path"] for e in tracer.phases()}
+        assert "place/legalize/legalize.abacus" in paths
+        assert "place/detailed/detailed.reorder" in paths
+        walks = tracer.count("legalize.abacus.walks")
+        assert 0 < walks <= tracer.count("legalize.abacus.trials")
+        assert tracer.count("detailed.reorder.windows") > 0
 
 
 class TestNonlinearEngine:

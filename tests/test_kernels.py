@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval.steiner import rmst_length, steiner_length, total_steiner
 from repro.gen import build_design
+from repro.netlist import Netlist, default_library
 from repro.kernels import (IncrementalHPWL, Workspace, b2b_grad,
                            bell_value_grad, hpwl_kernel,
                            hpwl_per_net_kernel, rasterize_overlap)
@@ -221,6 +222,57 @@ _move = st.tuples(st.integers(0, 10 ** 9),       # cell picker
                   st.sampled_from(["commit", "rollback", "update"]))
 
 
+_BUS_MASTERS = ["INV", "NAND2", "XOR2", "FA", "MUX4"]
+_STEP = 0.7
+
+
+@st.composite
+def _window_case(draw):
+    """A netlist of small nets plus one bus above degree 24, a window of
+    2-5 cells, and candidate x vectors for the window.
+
+    Coordinates are integer multiples of a step that is not a binary
+    fraction, so bound ties are common and sums round (a wrong summation
+    order shows).  The window holds every holder of the bus's min x
+    ("all": the scan path), or shares its min and max x with a twin cell
+    outside ("some": the cached-bound path), or sits wherever it was
+    drawn ("free")."""
+    n = draw(st.integers(26, 34))
+    masters = draw(st.lists(st.sampled_from(_BUS_MASTERS), min_size=n,
+                            max_size=n))
+    xs = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    rows = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5,
+                        unique=True))
+    holders = draw(st.sampled_from(["all", "some", "free"]))
+    if holders == "all":
+        for c in idx:
+            xs[c] = -40
+    elif holders == "some":
+        lo_twin, hi_twin = [c for c in range(n) if c not in idx][:2]
+        for inside, twin, x in ((idx[0], lo_twin, -40), (idx[1], hi_twin, 70)):
+            masters[twin] = masters[inside]
+            xs[inside] = xs[twin] = x
+    nl = Netlist(library=default_library())
+    cells = [nl.add_cell(f"c{i}", masters[i], x=_STEP * xs[i],
+                         y=8.0 * rows[i]) for i in range(n)]
+    bus = nl.add_net("bus")
+    for cell in cells:
+        nl.connect(bus, cell, "A")
+    for k in range(draw(st.integers(2, 10))):
+        net = nl.add_net(f"n{k}", weight=draw(st.sampled_from(
+            [0.0, 0.3, 1.0, 2.7])))
+        for c in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=5)):
+            pins = [p.name for p in cells[c].cell_type.pins]
+            nl.connect(net, cells[c], draw(st.sampled_from(pins)))
+    candidates = draw(st.lists(
+        st.lists(st.integers(-50, 80).map(lambda v: _STEP * v),
+                 min_size=len(idx), max_size=len(idx)),
+        min_size=1, max_size=6))
+    return nl, idx, candidates
+
+
 class TestIncrementalHPWL:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(_move, min_size=1, max_size=12))
@@ -292,6 +344,24 @@ class TestIncrementalHPWL:
             cell.x += 3.0
         inc.resync()
         assert inc.total == pytest.approx(_tracked_total(nl), rel=RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_window_case())
+    def test_price_x_equals_propose(self, case):
+        nl, idx, candidates = case
+        inc = IncrementalHPWL(nl)
+        # the bus is above the bound-multiplicity threshold, so it takes
+        # the cached-bound or the scan path depending on the window
+        assert max(inc._degree) > 24
+        total, xs0, ys0 = inc.total, list(inc._x), list(inc._y)
+        prices = inc.price_x(idx, candidates)
+        assert inc.total == total
+        assert inc._x == xs0 and inc._y == ys0
+        ys = [nl.cells[c].y for c in idx]
+        for xs, price in zip(candidates, prices):
+            _before, after = inc.propose(idx, xs, ys)
+            inc.rollback()
+            assert price == after
 
 
 _points = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=20)

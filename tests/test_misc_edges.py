@@ -87,6 +87,12 @@ class TestAbacusCluster:
             cost, keep, composite = trial
             assert cost == pytest.approx(price, rel=1e-12, abs=1e-9)
             assert seg.displacement_floor(x, cell.width) <= price + 1e-9
+            # the pre-walk lower bound never exceeds the brute price (up
+            # to rounding), so a bound just above the price never skips
+            # the walk and the walk prices as before
+            assert seg.trial_add(cell, x, bound=price + 1e-9) == trial
+            # ... and a bound below every price always skips it
+            assert seg.trial_add(cell, x, bound=-1.0) is None
             seg.commit(cell, x, keep, composite)
             assert [cl.cells for cl in seg.clusters] == \
                 [cl.cells for cl in clusters]

@@ -1,5 +1,6 @@
 """Tests for repro.serve: protocol, queue, artifact cache, daemon."""
 
+import gc
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -648,6 +650,16 @@ class TestServeCli:
         assert rows[0]["job_id"].startswith("j")
         with ServeClient(socket, timeout_s=None) as client:
             _drain_and_join(client, thread)
+
+
+class TestServeClient:
+    def test_wait_ready_on_missing_socket_leaks_no_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert not wait_ready(tmp_path / "absent.sock", timeout_s=0.12)
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 # ----------------------------------------------------------------------
