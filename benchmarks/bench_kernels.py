@@ -340,7 +340,7 @@ def bench_end_to_end(sizes: tuple[int, ...]) -> list[dict]:
     for n in sizes:
         gd = datapath_fraction_design(f"f4_{n}", n, 0.55, seed=9)
         t0 = time.perf_counter()
-        outcome = StructureAwarePlacer(PlacerOptions(seed=0)).place(
+        outcome = StructureAwarePlacer(PlacerOptions()).place(
             gd.netlist, gd.region)
         dt = time.perf_counter() - t0
         row = {"design": f"f4_{n}", "cells": gd.netlist.num_cells,

@@ -70,7 +70,7 @@ FULL_FLOW_CELLS = 68000  # requested; the generator lands on 99,936 cells
 
 
 def _options(multilevel: bool) -> PlacerOptions:
-    opts = PlacerOptions(seed=0)
+    opts = PlacerOptions()
     if multilevel:
         opts.multilevel = MultilevelOptions(enabled=True)
     return opts

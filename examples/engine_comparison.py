@@ -1,13 +1,11 @@
-"""Engine comparison: quadratic vs nonlinear.
+"""Engine comparison: quadratic vs electrostatic.
 
 Run::
 
     python examples/engine_comparison.py
 
 Places one small adder design with the SimPL-style quadratic flow and
-the NTUplace-style nonlinear flow (the paper authors' engine family,
-with their weighted-average wirelength model) and prints
-quality/runtime.
+the ePlace-style electrostatic flow and prints quality/runtime.
 """
 
 from repro import (BaselinePlacer, PlacerOptions, UnitSpec, compose_design,
@@ -22,12 +20,9 @@ def make_design():
 def main() -> None:
     rows = []
 
-    for engine in ("quadratic", "nonlinear"):
+    for engine in ("quadratic", "electro"):
         design = make_design()
         opts = PlacerOptions(engine=engine)
-        if engine == "nonlinear":
-            opts.nonlinear.max_rounds = 6
-            opts.nonlinear.cg.max_iterations = 40
         outcome = BaselinePlacer(opts).place(design.netlist, design.region)
         report = evaluate_placement(design.netlist, design.region)
         rows.append({"engine": engine,

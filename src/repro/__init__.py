@@ -8,8 +8,9 @@ caveat).  The package provides:
   :mod:`repro.bookshelf`);
 - a synthetic datapath benchmark generator with ground-truth labels
   (:mod:`repro.gen`);
-- a full analytical placement engine — B2B quadratic and nonlinear global
-  placement, Tetris/Abacus legalization, detailed placement
+- a full analytical placement engine — B2B quadratic and ePlace
+  electrostatic global placement, Tetris/Abacus legalization, detailed
+  placement
   (:mod:`repro.place`);
 - the paper's contribution: automatic datapath extraction and
   structure-aware placement (:mod:`repro.core`);

@@ -50,12 +50,13 @@ import sys
 from .bookshelf import read_bookshelf, write_bookshelf
 from .core import BaselinePlacer, PlacerOptions, StructureAwarePlacer, \
     extract_datapaths
+from .core.structured_placer import LEGALIZATION_MODES
 from .errors import ReproError, ValidationError, exit_code_for
 from .eval import evaluate_placement, format_table, score_extraction
 from .gen import build_design, design_names, suite_names
 from .netlist import compute_stats
 from .netlist.validate import errors as validation_errors, validate
-from .place.multilevel import MultilevelOptions
+from .place.multilevel import ENGINES, MultilevelOptions
 from .runtime import apply_positions, render_profile, run_suite
 
 _PLACER_SETS = {
@@ -104,7 +105,6 @@ def _placer_options(args: argparse.Namespace) -> PlacerOptions:
         engine=getattr(args, "engine", "quadratic"),
         structure_weight=args.structure_weight,
         structure_legalization=args.legalization,
-        seed=args.seed,
     )
     if getattr(args, "multilevel", False):
         options.multilevel = MultilevelOptions(
@@ -422,12 +422,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--placer", default="both",
                        choices=sorted(_PLACER_SETS))
         p.add_argument("--engine", default="quadratic",
-                       choices=["quadratic", "nonlinear", "electro"],
+                       choices=ENGINES,
                        help="global-placement engine (electro = FFT "
                             "electrostatic spreading, Nesterov loop)")
         p.add_argument("--structure-weight", type=float, default=1.0)
         p.add_argument("--legalization", default="slices",
-                       choices=["slices", "blocks", "none"],
+                       choices=LEGALIZATION_MODES,
                        help="structure-preserving legalization mode")
         p.add_argument("--seed", type=int, default=0,
                        help="run seed (part of the cache key)")

@@ -2,7 +2,7 @@
 
 The structure-aware global placer keeps each extracted array in formation
 by adding pair terms ``w * (p_i - p_j + offset)^2`` to the quadratic (or
-nonlinear) objective:
+electrostatic) objective:
 
 - **intra-slice chains** (x and y): consecutive stage cells of one slice
   are tied at their planned spacing, keeping each bit's cells in a row;

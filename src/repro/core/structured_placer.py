@@ -24,6 +24,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from numbers import Real
+from typing import Any
 
 import numpy as np
 
@@ -37,15 +38,18 @@ from ..place.arrays import PlacementArrays
 from ..place.detailed import detailed_place
 from ..place.legalize import (blocked, check_legal, row_blockages,
                                rows_spanned, tetris_legalize)
-from ..place.electrostatic import ElectroOptions, ElectrostaticPlacer
-from ..place.multilevel import MultilevelOptions, multilevel_place
-from ..place.nonlinear import NonlinearOptions, NonlinearPlacer
-from ..place.quadratic import (GlobalPlaceOptions, IterationStat,
-                               QuadraticPlacer)
+from ..place.electrostatic import ElectroOptions
+from ..place.multilevel import (MultilevelOptions, check_engine,
+                                multilevel_place, place_flat)
+from ..place.quadratic import GlobalPlaceOptions, IterationStat
 from ..place.region import PlacementRegion
 from .alignment import build_alignment
 from .extraction import ExtractionOptions, ExtractionResult, extract_datapaths
 from .groups import ArrayPlan, group_ids, make_reprojector, plan_arrays
+
+#: ``structure_legalization`` modes, in the order ``--legalization`` lists
+#: them.
+LEGALIZATION_MODES = ("slices", "blocks", "none")
 
 
 @dataclass
@@ -53,9 +57,10 @@ class PlacerOptions:
     """Configuration shared by both placers.
 
     Attributes:
-        engine: ``"quadratic"`` (default, fast), ``"nonlinear"``, or
-            ``"electro"`` (FFT electrostatic spreading with a Nesterov
-            gradient loop — the fast choice on large flat designs).
+        engine: ``"quadratic"`` (default) or ``"electro"`` (FFT
+            electrostatic spreading with a Nesterov gradient loop — the
+            fast choice on large flat designs); see
+            :data:`repro.place.multilevel.ENGINES`.
         structure_weight: λ for the alignment forces (structure-aware
             only).
         use_fusion: move arrays through global placement as rigid macros
@@ -76,13 +81,11 @@ class PlacerOptions:
             and refines back down with warm-started solves.  A
             recoverable multilevel failure falls back to flat placement
             inside the engine (tracer event ``multilevel_fallback``).
-        nonlinear: knobs for the nonlinear engine (when selected).
         electro: knobs for the electrostatic engine (when selected).
         extraction: extraction knobs (structure-aware only).
         guard: numerical-guard knobs applied to whichever engine runs;
             a tripped guard raises :class:`~repro.errors.NumericalError`
             instead of emitting garbage positions.
-        seed: reserved for stochastic components.
     """
 
     engine: str = "quadratic"
@@ -93,20 +96,27 @@ class PlacerOptions:
     run_detailed: bool = True
     gp: GlobalPlaceOptions = field(default_factory=GlobalPlaceOptions)
     multilevel: MultilevelOptions = field(default_factory=MultilevelOptions)
-    nonlinear: NonlinearOptions = field(default_factory=NonlinearOptions)
     electro: ElectroOptions = field(default_factory=ElectroOptions)
     extraction: ExtractionOptions = field(default_factory=ExtractionOptions)
     guard: GuardOptions = field(default_factory=GuardOptions)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        """Reject an alignment weight the placer cannot honour.
+        """Reject options the placer cannot honour before any work runs.
 
         Raises:
-            OptionsError: ``structure_weight`` is not a finite number
-                >= 0 (NaN or infinity would silently fall to the
-                baseline rung; a negative weight repels aligned cells).
+            OptionsError: ``engine`` is not a known engine,
+                ``structure_legalization`` is not a known mode, or
+                ``structure_weight`` is not a finite number >= 0 (NaN or
+                infinity would silently fall to the baseline rung; a
+                negative weight repels aligned cells).
         """
+        check_engine(self.engine)
+        if self.structure_legalization not in LEGALIZATION_MODES:
+            raise OptionsError(
+                f"structure_legalization must be one of "
+                f"{', '.join(LEGALIZATION_MODES)}, got "
+                f"{self.structure_legalization!r}",
+                option="structure_legalization")
         weight = self.structure_weight
         if isinstance(weight, bool) or not isinstance(weight, Real) \
                 or not math.isfinite(weight) or weight < 0:
@@ -405,53 +415,23 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
     if resume is not None and resume.matches(arrays.num_cells):
         resume_x, resume_y = resume.x, resume.y
         resume_iteration = resume.iteration
+    common: dict[str, Any] = dict(
+        engine=options.engine, gp_options=options.gp,
+        electro_options=options.electro,
+        extra_pairs_x=forces.pairs_x if forces else None,
+        extra_pairs_y=forces.pairs_y if forces else None,
+        groups=groups, post_solve=post_solve, tracer=tracer,
+        guard=options.guard, checkpoint=checkpoint)
     if options.multilevel.enabled:
         result = multilevel_place(
-            arrays, region,
-            gp_options=options.gp, ml_options=options.multilevel,
-            engine=options.engine, nonlinear_options=options.nonlinear,
-            electro_options=options.electro,
-            extra_pairs_x=forces.pairs_x if forces else None,
-            extra_pairs_y=forces.pairs_y if forces else None,
-            groups=groups, post_solve=post_solve, tracer=tracer,
-            guard=options.guard, checkpoint=checkpoint,
-            atomic_groups=atomic_groups,
-            resume_x=resume_x, resume_y=resume_y,
-            resume_iteration=resume_iteration)
-        return result.x, result.y, result.history
-    if options.engine == "quadratic":
-        placer = QuadraticPlacer(
-            arrays, region, options=options.gp,
-            extra_pairs_x=forces.pairs_x if forces else None,
-            extra_pairs_y=forces.pairs_y if forces else None,
-            groups=groups, post_solve=post_solve, tracer=tracer,
-            guard=options.guard, checkpoint=checkpoint)
-        result = placer.place(resume_x, resume_y,
-                              resume_iteration=resume_iteration)
-        return result.x, result.y, result.history
-    if options.engine == "nonlinear":
-        placer = NonlinearPlacer(
-            arrays, region, options=options.nonlinear,
-            extra_pairs_x=forces.pairs_x if forces else None,
-            extra_pairs_y=forces.pairs_y if forces else None,
-            guard=options.guard, checkpoint=checkpoint)
-        result = placer.place(resume_x, resume_y)
-        history = [IterationStat(iteration=i + 1, hpwl_lower=h,
-                                 hpwl_upper=h, overflow=o, elapsed_s=0.0)
-                   for i, (h, o) in enumerate(result.history)]
-        return result.x, result.y, history
-    if options.engine == "electro":
-        placer = ElectrostaticPlacer(
-            arrays, region, options=options.electro,
-            extra_pairs_x=forces.pairs_x if forces else None,
-            extra_pairs_y=forces.pairs_y if forces else None,
-            guard=options.guard, checkpoint=checkpoint, tracer=tracer)
-        result = placer.place(resume_x, resume_y)
-        history = [IterationStat(iteration=i + 1, hpwl_lower=h,
-                                 hpwl_upper=h, overflow=o, elapsed_s=0.0)
-                   for i, (h, o) in enumerate(result.history)]
-        return result.x, result.y, history
-    raise OptionsError(f"unknown engine {options.engine!r}")
+            arrays, region, ml_options=options.multilevel,
+            atomic_groups=atomic_groups, resume_x=resume_x,
+            resume_y=resume_y, resume_iteration=resume_iteration,
+            **common)
+    else:
+        result = place_flat(arrays, region, x0=resume_x, y0=resume_y,
+                            resume_iteration=resume_iteration, **common)
+    return result.x, result.y, result.history
 
 
 class StructureAwarePlacer:
@@ -547,8 +527,8 @@ class StructureAwarePlacer:
                     optimize_flips(netlist, plans)
                 else:
                     raise OptionsError(
-                        "structure_legalization must be 'slices',"
-                        " 'blocks', or 'none'")
+                        f"structure_legalization must be one of "
+                        f"{', '.join(LEGALIZATION_MODES)}")
                 hpwl_legal = netlist.hpwl()
 
             with tracer.phase("detailed",

@@ -17,11 +17,12 @@ Kernel inventory:
 
 - :mod:`~repro.kernels.segment` — per-net (CSR segment) reductions via
   ``ufunc.reduceat``: HPWL, per-net HPWL, net bounds, pin→net
-  expansion.  Subsumes the former ``_segment_reduce`` helper of
-  ``repro.place.wirelength``.
+  expansion.
 - :mod:`~repro.kernels.density` — rasterized density accumulation and
   the NTUplace bell potential (value + gradient gather) via
-  clipped-overlap vectorization and ``np.add.at`` scatter.
+  clipped-overlap vectorization and ``np.add.at`` scatter.  No engine
+  calls the bell kernel; it stays for the kernel benchmark and
+  perfbench's ``kernels.density`` layer.
 - :mod:`~repro.kernels.incremental` — :class:`IncrementalHPWL`:
   per-net cached bounds with touched-net invalidation, so detailed
   placement rescores only affected nets per move.

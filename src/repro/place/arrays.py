@@ -2,8 +2,8 @@
 
 Analytical placement needs the hypergraph in CSR-like numpy form: one flat
 array of pins, per-pin cell indices and offsets, and net start/stop ranges.
-:class:`PlacementArrays` builds those views once; all wirelength/density
-models and optimizers consume it.
+:class:`PlacementArrays` builds those views once; the wirelength and
+density models and both global-placement engines consume it.
 
 Positions are handled as *cell center* arrays ``(N,)`` x and y.  Pin
 positions are ``center + offset`` where offsets are pin offsets relative to
@@ -220,9 +220,3 @@ class PlacementArrays:
         """(P,) pin coordinates for the given cell centers."""
         return (x[self.pin_cell] + self.pin_dx,
                 y[self.pin_cell] + self.pin_dy)
-
-    def scatter_to_cells(self, pin_grad: np.ndarray) -> np.ndarray:
-        """Accumulate per-pin gradient contributions onto cells (N,)."""
-        out = np.zeros(self.num_cells, dtype=float)
-        np.add.at(out, self.pin_cell, pin_grad)
-        return out

@@ -11,8 +11,8 @@ of the resulting charge distribution.  Solving the Poisson equation
 on the bin grid yields the potential ``psi``; the force on each cell is
 its charge times the negative potential gradient (the electric field),
 which simultaneously pushes cells out of overfilled bins and pulls them
-into underfilled ones — a *global* spreading signal, unlike the local
-bell penalty of :class:`~repro.place.density.BellDensity`.
+into underfilled ones — a *global* spreading signal, unlike NTUplace's
+local bell-shaped density penalty.
 
 The Poisson solve runs in the spectral domain through ``np.fft``: the
 charge grid is even-extended (mirror images across both axes), which
@@ -107,8 +107,8 @@ class ElectrostaticDensity:
         self.grid = grid
         self._movable_idx = np.nonzero(arrays.movable)[0]
 
-        # blockage-aware per-bin target area (same recipe as BellDensity:
-        # fixed cells consume supply, the remainder shares movable area)
+        # blockage-aware per-bin target area: fixed cells consume
+        # supply, the remainder shares movable area
         blockage = self._fixed_blockage()
         usable = np.maximum(grid.bin_area * target_density - blockage, 0.0)
         movable_area = float(arrays.area[arrays.movable].sum())

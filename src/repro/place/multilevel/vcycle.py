@@ -21,19 +21,25 @@ snapshots) apply only at the finest level, where the cell indices they
 were built for are valid.
 A recoverable numerical failure anywhere in the cycle falls back to
 flat placement (one tracer event + counter, no error escapes).
+
+:func:`place_flat` is the one flat-engine dispatch: a flat placement,
+the cycle's fallback and its checkpoint resume all go through it, and
+this module is the only one that branches on the engine name.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from typing import TYPE_CHECKING, Callable
 
-from ...errors import NumericalError
+from ...errors import NumericalError, OptionsError
 from ...runtime.telemetry import Tracer
 from ..arrays import PlacementArrays
+from ..electrostatic import ElectroOptions, ElectrostaticPlacer
 from ..quadratic import (GlobalPlaceOptions, GlobalPlaceResult,
                          IterationStat, QuadraticPlacer)
 from ..region import PlacementRegion
@@ -44,8 +50,19 @@ from .options import MultilevelOptions
 if TYPE_CHECKING:
     from ...robust.checkpoint import CheckpointHook
     from ...robust.guards import GuardOptions
-    from ..electrostatic import ElectroOptions
-    from ..nonlinear import NonlinearOptions
+
+#: The global-placement engines: ``"quadratic"`` (B2B + SimPL anchors)
+#: and ``"electro"`` (ePlace FFT electrostatics + Nesterov).
+ENGINES = ("quadratic", "electro")
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`~repro.errors.OptionsError` unless ``engine`` is one
+    of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise OptionsError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{', '.join(ENGINES)}", option="engine")
 
 
 @dataclass
@@ -122,17 +139,70 @@ def _build_levels(arrays: PlacementArrays, ml: MultilevelOptions,
     return levels
 
 
-def _nl_history(rounds, offset: int) -> list[IterationStat]:
+def _electro_history(rounds, offset: int) -> list[IterationStat]:
+    """Electro's ``(hpwl, overflow)`` rounds as iteration records."""
     return [IterationStat(iteration=offset + i + 1, hpwl_lower=h,
                           hpwl_upper=h, overflow=o, elapsed_s=0.0)
             for i, (h, o) in enumerate(rounds)]
+
+
+def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
+               engine: str = "quadratic",
+               gp_options: GlobalPlaceOptions | None = None,
+               electro_options: ElectroOptions | None = None,
+               extra_pairs_x: list[tuple[int, int, float,
+                                         float]] | None = None,
+               extra_pairs_y: list[tuple[int, int, float,
+                                         float]] | None = None,
+               groups: np.ndarray | None = None,
+               post_solve: Callable[[np.ndarray, np.ndarray],
+                                    None] | None = None,
+               tracer: Tracer | None = None,
+               guard: GuardOptions | None = None,
+               checkpoint: CheckpointHook | None = None,
+               x0: np.ndarray | None = None,
+               y0: np.ndarray | None = None,
+               resume_iteration: int = 0,
+               warm_seed: str = "direct") -> GlobalPlaceResult:
+    """One flat global placement with the named engine.
+
+    Args:
+        arrays / region: the design and its placement region.
+        engine: one of :data:`ENGINES`.
+        gp_options / electro_options: the engine's knobs.
+        extra_pairs_x / extra_pairs_y: alignment pair forces.
+        groups / post_solve: rigid-group spreading and fusion
+            reprojection (the quadratic engine only).
+        checkpoint: the runtime's per-iteration job hook.
+        x0 / y0: start positions (default: the engine's own start).
+        resume_iteration / warm_seed: the quadratic engine re-enters its
+            loop at this iteration; ``warm_seed`` is its cold-solve
+            policy (see :class:`~repro.place.quadratic.QuadraticPlacer`).
+
+    Raises:
+        OptionsError: ``engine`` is not one of :data:`ENGINES`.
+    """
+    check_engine(engine)
+    if engine == "electro":
+        placer = ElectrostaticPlacer(
+            arrays, region, options=electro_options or ElectroOptions(),
+            extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
+            guard=guard, checkpoint=checkpoint, tracer=tracer)
+        res = placer.place(x0, y0)
+        return GlobalPlaceResult(x=res.x, y=res.y,
+                                 history=_electro_history(res.history, 0))
+    placer = QuadraticPlacer(
+        arrays, region, options=gp_options,
+        extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
+        groups=groups, post_solve=post_solve, tracer=tracer,
+        guard=guard, checkpoint=checkpoint, warm_seed=warm_seed)
+    return placer.place(x0, y0, resume_iteration=resume_iteration)
 
 
 def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                      gp_options: GlobalPlaceOptions | None = None,
                      ml_options: MultilevelOptions | None = None,
                      engine: str = "quadratic",
-                     nonlinear_options: NonlinearOptions | None = None,
                      electro_options: ElectroOptions | None = None,
                      extra_pairs_x: list[tuple[int, int, float,
                                                float]] | None = None,
@@ -153,12 +223,11 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
     Args:
         arrays: flattened fine netlist.
         region: placement region (shared by every level).
-        gp_options / nonlinear_options: engine knobs; refinement passes
+        gp_options / electro_options: engine knobs; refinement passes
             derive per-level budgets from them.
         ml_options: V-cycle knobs.
-        engine: ``"quadratic"``, ``"nonlinear"``, or ``"electro"``
-            (the FFT electrostatic spreader — V-cycle refinement runs
-            short warm-started Nesterov passes per level).
+        engine: one of :data:`ENGINES`; under ``"electro"`` V-cycle
+            refinement runs short warm-started Nesterov passes per level.
         extra_pairs_x / extra_pairs_y: fine-level alignment pairs;
             projected through the cluster maps onto every level.
         groups / post_solve / checkpoint: finest-level-only hooks (rigid
@@ -172,47 +241,26 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
     Returns:
         The finest-level result; ``history`` concatenates every level's
         iterations under the accumulated counter.
+
+    Raises:
+        OptionsError: ``engine`` is not one of :data:`ENGINES`.
     """
+    check_engine(engine)
     tracer = tracer or Tracer()
     gp = gp_options or GlobalPlaceOptions()
     ml = ml_options or MultilevelOptions(enabled=True)
-
-    def place_flat(x0=None, y0=None, resume_it: int = 0,
-                   warm_seed: str = "direct") -> GlobalPlaceResult:
-        if engine == "nonlinear":
-            from ..nonlinear import NonlinearOptions, NonlinearPlacer
-            placer = NonlinearPlacer(
-                arrays, region,
-                options=nonlinear_options or NonlinearOptions(),
-                extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-                guard=guard, checkpoint=checkpoint)
-            res = placer.place(x0, y0)
-            return GlobalPlaceResult(x=res.x, y=res.y,
-                                     history=_nl_history(res.history, 0))
-        if engine == "electro":
-            from ..electrostatic import ElectroOptions, ElectrostaticPlacer
-            placer = ElectrostaticPlacer(
-                arrays, region,
-                options=electro_options or ElectroOptions(),
-                extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-                guard=guard, checkpoint=checkpoint, tracer=tracer)
-            res = placer.place(x0, y0)
-            return GlobalPlaceResult(x=res.x, y=res.y,
-                                     history=_nl_history(res.history, 0))
-        placer = QuadraticPlacer(
-            arrays, region, options=gp,
-            extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-            groups=groups, post_solve=post_solve, tracer=tracer,
-            guard=guard, checkpoint=checkpoint, warm_seed=warm_seed)
-        result = placer.place(x0, y0, resume_iteration=resume_it)
-        return result
+    flat = functools.partial(
+        place_flat, arrays, region, engine=engine, gp_options=gp,
+        electro_options=electro_options, extra_pairs_x=extra_pairs_x,
+        extra_pairs_y=extra_pairs_y, groups=groups, post_solve=post_solve,
+        tracer=tracer, guard=guard, checkpoint=checkpoint)
 
     if resume_x is not None and resume_iteration > 0:
         # Checkpoints are only recorded at the finest level; the coarse
         # phases are already paid for, so resumption continues flat.
         tracer.event("ml_resume_flat", iteration=resume_iteration)
-        return place_flat(resume_x, resume_y, resume_it=resume_iteration,
-                          warm_seed="coords")
+        return flat(x0=resume_x, y0=resume_y,
+                    resume_iteration=resume_iteration, warm_seed="coords")
 
     try:
         with tracer.phase("multilevel", engine=engine):
@@ -221,7 +269,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             top = len(levels) - 1
             tracer.incr("ml.levels", top)
             if top == 0:
-                return place_flat()
+                return flat()
 
             def level_pairs(k: int):
                 if k == 0:
@@ -244,27 +292,8 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                     warm_seed=warm_seed, preconditioner=preconditioner,
                     min_distance=min_distance)
 
-            def nonlinear_place(k: int, x0, y0, offset: int,
-                                refining: bool) -> GlobalPlaceResult:
-                from ..nonlinear import NonlinearOptions, NonlinearPlacer
-                px, py = level_pairs(k)
-                nl = nonlinear_options or NonlinearOptions()
-                if refining:
-                    nl = replace(nl, max_rounds=max(
-                        1, int(ml.refine_iterations)))
-                placer = NonlinearPlacer(
-                    levels[k].arrays, region, options=nl,
-                    extra_pairs_x=px, extra_pairs_y=py, guard=guard,
-                    checkpoint=checkpoint if k == 0 else None)
-                res = placer.place(x0, y0)
-                return GlobalPlaceResult(
-                    x=res.x, y=res.y,
-                    history=_nl_history(res.history, offset))
-
             def electro_place(k: int, x0, y0, offset: int,
                               refining: bool) -> GlobalPlaceResult:
-                from ..electrostatic import (ElectroOptions,
-                                             ElectrostaticPlacer)
                 px, py = level_pairs(k)
                 eo = electro_options or ElectroOptions()
                 if refining:
@@ -280,15 +309,12 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 res = placer.place(x0, y0)
                 return GlobalPlaceResult(
                     x=res.x, y=res.y,
-                    history=_nl_history(res.history, offset))
+                    history=_electro_history(res.history, offset))
 
             # --- coarsest level: full place from scratch ----------------
             with tracer.phase("ml_coarsest", level=top,
                               cells=levels[top].arrays.num_cells):
-                if engine == "nonlinear":
-                    res = nonlinear_place(top, None, None, 0,
-                                          refining=False)
-                elif engine == "electro":
+                if engine == "electro":
                     res = electro_place(top, None, None, 0,
                                         refining=False)
                 else:
@@ -317,10 +343,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                                   region.y_top - half_h[mv])
                 with tracer.phase("ml_refine", level=k,
                                   cells=fine.arrays.num_cells):
-                    if engine == "nonlinear":
-                        res = nonlinear_place(k, x0f, y0f, it,
-                                              refining=True)
-                    elif engine == "electro":
+                    if engine == "electro":
                         res = electro_place(k, x0f, y0f, it,
                                             refining=True)
                     else:
@@ -344,4 +367,4 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
         tracer.incr("ml.flat_fallbacks")
         tracer.event("multilevel_fallback", error=str(exc),
                      exc_type=type(exc).__name__)
-        return place_flat()
+        return flat()

@@ -64,7 +64,6 @@ class GlobalPlaceOptions:
         target_utilization: spreading capacity scale.
         b2b_refresh: rebuild the B2B linearisation every iteration (True)
             or reuse (False, faster but worse).
-        seed: reserved for stochastic variants.
     """
 
     max_iterations: int = 30
@@ -72,7 +71,6 @@ class GlobalPlaceOptions:
     anchor_alpha: float = 0.015
     target_utilization: float = 0.9
     b2b_refresh: bool = True
-    seed: int = 0
 
 
 @dataclass

@@ -1,29 +1,16 @@
-"""Wirelength models: HPWL, log-sum-exp, and weighted-average, with
-analytic gradients.
+"""Half-perimeter wirelength of a placement.
 
-All models operate on :class:`~repro.place.arrays.PlacementArrays` and cell
-center arrays.  The smooth models (LSE, WA) are the standard analytical
-placement surrogates:
-
-- **LSE** (log-sum-exp, Naylor et al.):
-  ``gamma * (log sum exp(x/gamma) + log sum exp(-x/gamma))`` per net/axis —
-  a strict over-approximation of max-min that tightens as gamma → 0.
-- **WA** (weighted-average, Hsu/Balabanov/Chang — the same authors'
-  wirelength model): ``(sum x e^{x/g}) / (sum e^{x/g}) - (sum x e^{-x/g}) /
-  (sum e^{-x/g})`` — a strict under-approximation with provably smaller
-  error than LSE for the same gamma.
-
-Both are implemented with max-shifted exponentials for numerical stability
-(the stabilisation scheme the TCAD'13 WA paper describes).
+Both functions operate on :class:`~repro.place.arrays.PlacementArrays`
+and cell center arrays, and run on the per-net segment kernels of
+:mod:`repro.kernels.segment`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import hpwl_kernel, hpwl_per_net_kernel, segment_reduce
+from ..kernels import hpwl_kernel, hpwl_per_net_kernel
 from .arrays import PlacementArrays
-from ..errors import OptionsError
 
 
 def hpwl(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray) -> float:
@@ -37,127 +24,3 @@ def hpwl_per_net(arrays: PlacementArrays, x: np.ndarray,
     """(M,) unweighted HPWL of each net."""
     px, py = arrays.pin_positions(x, y)
     return hpwl_per_net_kernel(px, py, arrays.net_start)
-
-
-# every per-net reduction routes through the shared kernel layer
-_segment_reduce = segment_reduce
-
-
-class _AxisModel:
-    """Shared per-axis machinery for the smooth models."""
-
-    def __init__(self, arrays: PlacementArrays, gamma: float):
-        if gamma <= 0:
-            raise OptionsError("gamma must be positive")
-        self.arrays = arrays
-        self.gamma = gamma
-        self._starts = arrays.net_start
-        self._pin_net = arrays.pin_net()
-
-    def _shifted_exp(self, coords: np.ndarray, sign: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """exp(sign * (coord - per-net extreme)/gamma) per pin, and the
-        per-net extreme used for the shift."""
-        signed = sign * coords
-        net_max = _segment_reduce(signed, self._starts, "max")
-        shifted = (signed - net_max[self._pin_net]) / self.gamma
-        return np.exp(shifted), net_max
-
-
-def lse_wirelength(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
-                   gamma: float) -> float:
-    """Log-sum-exp smooth wirelength (weighted)."""
-    value, _gx, _gy = lse_wirelength_grad(arrays, x, y, gamma,
-                                          need_grad=False)
-    return value
-
-
-def lse_wirelength_grad(arrays: PlacementArrays, x: np.ndarray,
-                        y: np.ndarray, gamma: float,
-                        need_grad: bool = True
-                        ) -> tuple[float, np.ndarray, np.ndarray]:
-    """LSE wirelength and its gradient w.r.t. cell centers.
-
-    Returns:
-        (value, grad_x, grad_y); gradients are zero-filled arrays when
-        ``need_grad`` is False.
-    """
-    model = _AxisModel(arrays, gamma)
-    weights = arrays.net_weight
-    total = 0.0
-    grads = []
-    for coords in (arrays.pin_positions(x, y)):
-        axis_total = 0.0
-        pin_grad = np.zeros(arrays.num_pins)
-        for sign in (1.0, -1.0):
-            exps, net_max = model._shifted_exp(coords, sign)
-            sums = _segment_reduce(exps, model._starts, "sum")
-            # gamma*log(sum exp(sign*c/gamma)) with the max-shift restored
-            axis_total += float(np.dot(weights, gamma * np.log(sums) + net_max))
-            if need_grad:
-                denom = sums[model._pin_net]
-                pin_grad += sign * weights[model._pin_net] * exps / denom
-        total += axis_total
-        grads.append(arrays.scatter_to_cells(pin_grad) if need_grad
-                     else np.zeros(arrays.num_cells))
-    gx, gy = grads
-    if need_grad:
-        mask = ~arrays.movable
-        gx[mask] = 0.0
-        gy[mask] = 0.0
-    return total, gx, gy
-
-
-def wa_wirelength_grad(arrays: PlacementArrays, x: np.ndarray,
-                       y: np.ndarray, gamma: float,
-                       need_grad: bool = True
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted-average wirelength and gradient w.r.t. cell centers.
-
-    The WA estimator per net/axis is
-    ``E+ - E-`` with ``E± = (Σ c·e^{±c/γ}) / (Σ e^{±c/γ})``.
-    Gradient per pin follows the quotient rule; see the TCAD'13 WA paper.
-    """
-    model = _AxisModel(arrays, gamma)
-    weights = arrays.net_weight
-    pin_net = model._pin_net
-    starts = model._starts
-    total = 0.0
-    grads = []
-    for coords in arrays.pin_positions(x, y):
-        axis_value = np.zeros(arrays.num_nets)
-        pin_grad = np.zeros(arrays.num_pins)
-        for sign in (1.0, -1.0):
-            exps, _net_max = model._shifted_exp(coords, sign)
-            sum_e = _segment_reduce(exps, starts, "sum")
-            sum_ce = _segment_reduce(coords * exps, starts, "sum")
-            est = sum_ce / sum_e  # per-net weighted average extreme
-            axis_value += sign * est
-            if need_grad:
-                # d est / d c_k = e_k (1 + sign*(c_k - est)/gamma) / sum_e
-                d = exps * (1.0 + sign * (coords - est[pin_net]) / gamma) \
-                    / sum_e[pin_net]
-                pin_grad += sign * weights[pin_net] * d
-        total += float(np.dot(weights, axis_value))
-        grads.append(arrays.scatter_to_cells(pin_grad) if need_grad
-                     else np.zeros(arrays.num_cells))
-    gx, gy = grads
-    if need_grad:
-        mask = ~arrays.movable
-        gx[mask] = 0.0
-        gy[mask] = 0.0
-    return total, gx, gy
-
-
-def wa_wirelength(arrays: PlacementArrays, x: np.ndarray, y: np.ndarray,
-                  gamma: float) -> float:
-    """Weighted-average smooth wirelength (weighted by net weight)."""
-    value, _gx, _gy = wa_wirelength_grad(arrays, x, y, gamma,
-                                         need_grad=False)
-    return value
-
-
-WL_MODELS = {
-    "lse": lse_wirelength_grad,
-    "wa": wa_wirelength_grad,
-}

@@ -2,7 +2,7 @@
 
 Two layers of defence:
 
-- :class:`GuardedSolve` wraps a single linear/nonlinear solve: it applies
+- :class:`GuardedSolve` wraps a single linear solve: it applies
   the ``solver_nan`` fault-injection hook, then verifies the solution is
   finite, raising :class:`~repro.errors.NumericalError` instead of
   letting NaN positions leak into the pipeline.

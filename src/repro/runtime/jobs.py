@@ -10,7 +10,6 @@ only, never live cells), telemetry events, and error/retry accounting.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from ..core import PlacerOptions
@@ -29,7 +28,7 @@ class PlacementJob:
         placer: ``"baseline"`` or ``"structure"``.
         options: placer options; defaults applied lazily so the common
             case stays hashable and tiny.
-        seed: run seed; overrides ``options.seed``.
+        seed: run seed; part of the job's cache key.
     """
 
     design: str
@@ -48,9 +47,8 @@ class PlacementJob:
         return f"{self.design}:{self.placer}:s{self.seed}"
 
     def resolved_options(self) -> PlacerOptions:
-        """Options with the job seed folded in."""
-        base = self.options or PlacerOptions()
-        return dataclasses.replace(base, seed=self.seed)
+        """The job's options, defaults applied."""
+        return self.options or PlacerOptions()
 
 
 @dataclass

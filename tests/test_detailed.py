@@ -1,4 +1,4 @@
-"""Tests for detailed placement and the nonlinear engine."""
+"""Tests for detailed placement."""
 
 import functools
 import itertools
@@ -8,9 +8,9 @@ import pytest
 from repro.core import StructureAwarePlacer
 from repro.gen import build_design
 from repro.kernels import IncrementalHPWL
-from repro.place import (NonlinearOptions, NonlinearPlacer, PlacementArrays,
-                         QuadraticPlacer, abacus_legalize, check_legal,
-                         detailed_place, global_swap_pass, row_reorder_pass)
+from repro.place import (PlacementArrays, QuadraticPlacer, abacus_legalize,
+                         check_legal, detailed_place, global_swap_pass,
+                         row_reorder_pass)
 from repro.place.abacus import _Segment
 from repro.place.legalize import blocked, row_blockages, rows_spanned
 from repro.runtime.telemetry import Tracer
@@ -193,29 +193,3 @@ class TestRowPassTelemetry:
         walks = tracer.count("legalize.abacus.walks")
         assert 0 < walks <= tracer.count("legalize.abacus.trials")
         assert tracer.count("detailed.reorder.windows") > 0
-
-
-class TestNonlinearEngine:
-    def test_nonlinear_place_reduces_hpwl(self):
-        design = build_design("dp_add8")
-        arrays = PlacementArrays.build(design.netlist)
-        x0, y0 = arrays.initial_positions()
-        from repro.place.wirelength import hpwl
-        before = hpwl(arrays, x0, y0)
-        opts = NonlinearOptions(max_rounds=4)
-        opts.cg.max_iterations = 25
-        placer = NonlinearPlacer(arrays, design.region, options=opts)
-        result = placer.place()
-        assert hpwl(arrays, result.x, result.y) < before
-        assert result.rounds >= 1
-
-    def test_wa_model_selected_by_default(self):
-        assert NonlinearOptions().wirelength_model == "wa"
-
-    def test_unknown_model_rejected(self):
-        design = build_design("dp_add8")
-        arrays = PlacementArrays.build(design.netlist)
-        with pytest.raises(ValueError):
-            NonlinearPlacer(arrays, design.region,
-                            options=NonlinearOptions(
-                                wirelength_model="bogus"))

@@ -189,8 +189,8 @@ class TestStatsHistograms:
 class TestOptionPlumbing:
     def test_baseline_inherits_engine(self):
         from repro.core import BaselinePlacer, PlacerOptions
-        base = BaselinePlacer(PlacerOptions(engine="nonlinear"))
-        assert base.options.engine == "nonlinear"
+        base = BaselinePlacer(PlacerOptions(engine="electro"))
+        assert base.options.engine == "electro"
         assert base.options.structure_weight == 0.0
         assert base.options.structure_legalization == "none"
 

@@ -155,7 +155,7 @@ class TestCoarsening:
         xs = [x[i] for i in cl.members[cid]]
         assert xs == sorted(xs)            # left-to-right in slice order
 
-    @pytest.mark.parametrize("engine", ["quadratic", "nonlinear", "electro"])
+    @pytest.mark.parametrize("engine", ["quadratic", "electro"])
     def test_no_netlist_above_level_zero(self, engine, monkeypatch):
         design = build_design("ctrl_glue2k")
         arrays = PlacementArrays.build(design.netlist)
@@ -361,7 +361,7 @@ class TestOptionsValidation:
 class TestEndToEnd:
     def _run(self, n=800):
         gd = datapath_fraction_design(f"f4_{n}", n, 0.55, seed=9)
-        opts = PlacerOptions(seed=0)
+        opts = PlacerOptions()
         opts.multilevel = MultilevelOptions(enabled=True)
         StructureAwarePlacer(opts).place(gd.netlist, gd.region)
         return gd
@@ -375,7 +375,7 @@ class TestEndToEnd:
     def test_multilevel_quality_near_flat(self):
         gd_ml = self._run()
         gd_flat = datapath_fraction_design("f4_800", 800, 0.55, seed=9)
-        StructureAwarePlacer(PlacerOptions(seed=0)).place(
+        StructureAwarePlacer(PlacerOptions()).place(
             gd_flat.netlist, gd_flat.region)
         h_ml = evaluate_placement(gd_ml.netlist, gd_ml.region).hpwl
         h_flat = evaluate_placement(gd_flat.netlist, gd_flat.region).hpwl

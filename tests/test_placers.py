@@ -9,9 +9,15 @@ from repro.core import (BaselinePlacer, PlacerOptions, StructureAwarePlacer,
                         extract_datapaths)
 from repro.core.groups import group_ids, make_reprojector, plan_arrays
 from repro.core.alignment import build_alignment
+from repro.core.structured_placer import _run_engine
+from repro.errors import OptionsError
 from repro.gen import UnitSpec, build_design, compose_design
-from repro.place import PlacementArrays, check_legal
+from repro.place import PlacementArrays, QuadraticPlacer, check_legal
 from repro.place.electrostatic import ElectroOptions
+from repro.place.multilevel import (ENGINES, MultilevelOptions,
+                                    multilevel_place, place_flat)
+from repro.robust.checkpoint import Checkpoint
+from repro.runtime.telemetry import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -106,18 +112,9 @@ class TestStructureAwarePlacer:
 
     def test_bad_legalization_mode_rejected(self, small_design_factory):
         d = small_design_factory()
-        opts = PlacerOptions(structure_legalization="bogus")
         with pytest.raises(ValueError):
+            opts = PlacerOptions(structure_legalization="bogus")
             StructureAwarePlacer(opts).place(d.netlist, d.region)
-
-    def test_nonlinear_engine_runs(self):
-        d = compose_design("nl", [UnitSpec("ripple_adder", 4)],
-                           glue_cells=40, seed=2)
-        opts = PlacerOptions(engine="nonlinear")
-        opts.nonlinear.max_rounds = 3
-        opts.nonlinear.cg.max_iterations = 20
-        out = StructureAwarePlacer(opts).place(d.netlist, d.region)
-        assert out.legal
 
     def test_electro_engine_runs(self):
         d = compose_design("el", [UnitSpec("ripple_adder", 4)],
@@ -255,3 +252,59 @@ class TestDeterminism:
             out = StructureAwarePlacer().place(d.netlist, d.region)
             finals.append(out.hpwl_final)
         assert finals[0] == pytest.approx(finals[1])
+
+
+class TestEngineDispatch:
+    """Every global placement goes through one dispatch, which knows
+    exactly the engines in ``ENGINES``."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flat_equals_one_level_vcycle(self, engine):
+        positions = []
+        for multilevel in (False, True):
+            d = build_design("dp_alu16")
+            # a V-cycle that may not coarsen places flat
+            ml = MultilevelOptions(
+                enabled=multilevel,
+                coarsest_cells=len(d.netlist.movable_cells()))
+            opts = PlacerOptions(engine=engine, multilevel=ml)
+            tracer = Tracer()
+            StructureAwarePlacer(opts).place(d.netlist, d.region,
+                                             tracer=tracer)
+            assert len(tracer.phases("multilevel")) == multilevel
+            assert tracer.count("ml.levels") == 0
+            positions.append(d.netlist.positions())
+        assert (positions[0] == positions[1]).all()
+
+    def test_flat_quadratic_resume_seeds_cold_solves_directly(self):
+        d = build_design("dp_add8")
+        arrays = PlacementArrays.build(d.netlist)
+        snaps = []
+
+        def hook(iteration, x, y):
+            if iteration == 4:
+                snaps.append(Checkpoint(iteration, x.copy(), y.copy()))
+
+        QuadraticPlacer(arrays, d.region, checkpoint=hook).place()
+        (snap,) = snaps
+        got, ref = Tracer(), Tracer()
+        x, y, _history = _run_engine(arrays, d.region, PlacerOptions(),
+                                     None, None, tracer=got, resume=snap)
+        want = QuadraticPlacer(arrays, d.region, tracer=ref,
+                               warm_seed="direct").place(
+            snap.x, snap.y, resume_iteration=snap.iteration)
+        assert (x == want.x).all() and (y == want.y).all()
+        # here a "coords" seed happens to land on the same positions;
+        # the cold solves it seeds directly tell the policies apart
+        assert got.count("gp.direct_seeds") == \
+            ref.count("gp.direct_seeds") > 0
+
+    @pytest.mark.parametrize("engine", ["nonlinear", "bogus"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(OptionsError, match="engine"):
+            PlacerOptions(engine=engine)
+        d = build_design("dp_add8")
+        arrays = PlacementArrays.build(d.netlist)
+        for place in (multilevel_place, place_flat):
+            with pytest.raises(OptionsError, match="engine"):
+                place(arrays, d.region, engine=engine)

@@ -74,7 +74,7 @@ class TestProtocol:
     def test_options_hydration_round_trip(self):
         from repro.core import PlacerOptions
         from repro.runtime.cache import canonical_options
-        options = PlacerOptions(structure_weight=2.5, seed=7)
+        options = PlacerOptions(structure_weight=2.5, engine="electro")
         options.multilevel.enabled = True
         rebuilt = protocol.options_from_dict(canonical_options(options))
         assert rebuilt == options
@@ -513,7 +513,7 @@ class TestDaemonIntegration:
     @pytest.mark.parametrize("bad", [
         {"gp": 3}, {"multilevel": 5}, {"structure_weight": "x"},
         {"gp": {"max_iterations": "x"}}, {"gp": {"max_iterations": 2.5}},
-        {"structure_weight": True}])
+        {"structure_weight": True}, {"nonlinear": {}}, {"seed": 3}])
     def test_malformed_options_are_a_protocol_error(self, serve_root,
                                                    bad):
         daemon, thread = _start_daemon(serve_root, cache_dir=None)
@@ -529,13 +529,19 @@ class TestDaemonIntegration:
 
     def test_non_finite_structure_weight_is_an_options_error(
             self, serve_root):
-        _daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        daemon, thread = _start_daemon(serve_root, cache_dir=None)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
-            with pytest.raises(ServeError) as excinfo:
-                client.submit("dp_add8",
-                              options={"structure_weight": float("nan")})
-            assert excinfo.value.code == "options"
-            assert "structure_weight" in str(excinfo.value)
+            for bad in ({"structure_weight": float("nan")},
+                        {"engine": "nonlinear"},
+                        {"structure_legalization": "bogus"}):
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("dp_add8", options=bad)
+                assert excinfo.value.code == "options"
+                assert next(iter(bad)) in str(excinfo.value)
+            # rejected at the door: no job ran, so the breaker heard
+            # nothing
+            assert daemon.supervisor.breaker.snapshot()["window"] == 0
+            assert client.stats()["stats"]["queue"]["failed"] == 0
             _drain_and_join(client, thread)
 
     def test_unknown_job_id_is_an_error_response(self, serve_root):

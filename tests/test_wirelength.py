@@ -1,12 +1,11 @@
-"""Tests for wirelength models, including numerical gradient checks."""
+"""Tests for HPWL and the flattened placement arrays."""
 
 import numpy as np
 import pytest
 
 from repro.gen import build_design
 from repro.place import PlacementArrays
-from repro.place.wirelength import (hpwl, hpwl_per_net, lse_wirelength_grad,
-                                    wa_wirelength_grad)
+from repro.place.wirelength import hpwl, hpwl_per_net
 
 
 @pytest.fixture(scope="module")
@@ -46,65 +45,6 @@ class TestHpwl:
         per_net = hpwl_per_net(arrays, x, y)
         assert float(per_net @ arrays.net_weight) == pytest.approx(
             hpwl(arrays, x, y))
-
-
-class TestSmoothModels:
-    @pytest.mark.parametrize("grad_fn", [lse_wirelength_grad,
-                                         wa_wirelength_grad])
-    def test_value_bounds(self, small, grad_fn):
-        """LSE upper-bounds HPWL; WA lower-bounds it."""
-        arrays, x, y = small
-        exact = hpwl(arrays, x, y)
-        value, _gx, _gy = grad_fn(arrays, x, y, gamma=4.0, need_grad=False)
-        if grad_fn is lse_wirelength_grad:
-            assert value >= exact - 1e-6
-        else:
-            assert value <= exact + 1e-6
-
-    @pytest.mark.parametrize("grad_fn", [lse_wirelength_grad,
-                                         wa_wirelength_grad])
-    def test_converges_to_hpwl_as_gamma_shrinks(self, small, grad_fn):
-        arrays, x, y = small
-        exact = hpwl(arrays, x, y)
-        v_wide, *_ = grad_fn(arrays, x, y, gamma=16.0, need_grad=False)
-        v_tight, *_ = grad_fn(arrays, x, y, gamma=0.25, need_grad=False)
-        assert abs(v_tight - exact) < abs(v_wide - exact)
-        assert v_tight == pytest.approx(exact, rel=0.05)
-
-    @pytest.mark.parametrize("grad_fn", [lse_wirelength_grad,
-                                         wa_wirelength_grad])
-    def test_gradient_matches_finite_difference(self, small, grad_fn):
-        arrays, x, y = small
-        gamma = 4.0
-        value, gx, gy = grad_fn(arrays, x, y, gamma)
-        rng = np.random.default_rng(7)
-        movable = np.nonzero(arrays.movable)[0]
-        eps = 1e-5
-        for k in rng.choice(movable, size=6, replace=False):
-            for coords, grad in ((x, gx), (y, gy)):
-                orig = coords[k]
-                coords[k] = orig + eps
-                up, *_ = grad_fn(arrays, x, y, gamma, need_grad=False)
-                coords[k] = orig - eps
-                down, *_ = grad_fn(arrays, x, y, gamma, need_grad=False)
-                coords[k] = orig
-                numeric = (up - down) / (2 * eps)
-                assert grad[k] == pytest.approx(numeric, rel=1e-3,
-                                                abs=1e-6)
-
-    @pytest.mark.parametrize("grad_fn", [lse_wirelength_grad,
-                                         wa_wirelength_grad])
-    def test_fixed_cells_have_zero_gradient(self, small, grad_fn):
-        arrays, x, y = small
-        _v, gx, gy = grad_fn(arrays, x, y, gamma=4.0)
-        fixed = ~arrays.movable
-        assert np.all(gx[fixed] == 0.0)
-        assert np.all(gy[fixed] == 0.0)
-
-    def test_invalid_gamma(self, small):
-        arrays, x, y = small
-        with pytest.raises(ValueError):
-            lse_wirelength_grad(arrays, x, y, gamma=0.0)
 
 
 class TestArrays:
