@@ -1,7 +1,8 @@
 """Perf-regression harness for the vectorized kernel layer.
 
 Times every kernel in :mod:`repro.kernels` against its retained scalar
-reference on a large generated design, checks 1e-9 relative equivalence
+reference (the per-pin B2B gradient against the enumerated pair list it
+replaced) on a large generated design, checks 1e-9 relative equivalence
 (exit 1 on disagreement — the hard CI gate), measures the workspace
 scratch-reuse delta (bit-identity gated), races the electrostatic engine
 against the flat B2B quadratic engine on a ~100k-cell design (speed and
@@ -34,9 +35,9 @@ import numpy as np
 
 from repro.core import PlacerOptions, StructureAwarePlacer
 from repro.gen import datapath_fraction_design
-from repro.kernels import (IncrementalHPWL, Workspace, bell_value_grad,
-                           expand_pin_net, hpwl_kernel, hpwl_per_net_kernel,
-                           rasterize_overlap)
+from repro.kernels import (IncrementalHPWL, Workspace, b2b_grad,
+                           bell_value_grad, expand_pin_net, hpwl_kernel,
+                           hpwl_per_net_kernel, rasterize_overlap)
 from repro.kernels.b2b import b2b_pairs
 from repro.kernels.reference import (bell_value_grad_reference,
                                      hpwl_per_net_reference, hpwl_reference,
@@ -44,7 +45,7 @@ from repro.kernels.reference import (bell_value_grad_reference,
                                      rasterize_overlap_reference)
 from repro.place import PlacementArrays
 from repro.place.b2b import B2BBuilder
-from repro.place.electrostatic import ElectrostaticPlacer
+from repro.place.electrostatic import ElectroOptions, ElectrostaticPlacer
 from repro.place.multilevel import MultilevelOptions
 from repro.place.multilevel.vcycle import multilevel_place
 from repro.place.quadratic import QuadraticPlacer
@@ -225,6 +226,26 @@ def bench_kernels(n_cells: int, failures: list[str], *,
           f"frs {cold_s * 1e3:9.2f} ms   ws  {warm_s * 1e3:9.2f} ms   "
           f"saved {out['b2b_assembly']['workspace_saved_frac'] * 100:+.1f}%"
           f"   err {ws_err:.1e} {'OK' if ws_err == 0.0 else 'FAIL'}")
+
+    # --- B2B gradient: per-pin kernel vs the enumerated pair list -----
+    # (the electro engine's clamp; error relative to the largest entry,
+    # because a cell pulled equally both ways sums to ~0 on both paths)
+    eps = ElectroOptions().min_distance
+
+    def pair_grad() -> np.ndarray:
+        pin_pos = x[arrays.pin_cell] + arrays.pin_dx
+        return b2b_grad(*b2b_pairs(pin_pos, starts, weights,
+                                   arrays.pin_cell, arrays.pin_dx,
+                                   pin_net, eps), x)[1]
+
+    want = pair_grad()
+    got = builder.grad_axis(x, arrays.pin_dx, min_distance=eps)
+    out["b2b_grad"] = _record(
+        "b2b_grad", _best_of(pair_grad, 5),
+        _best_of(lambda: builder.grad_axis(x, arrays.pin_dx,
+                                           min_distance=eps), 5),
+        float(np.abs(got - want).max()
+              / max(np.abs(want).max(), 1e-12)), failures)
 
     # --- incremental swap evaluation ----------------------------------
     inc = IncrementalHPWL(nl)

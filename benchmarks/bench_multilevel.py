@@ -34,9 +34,9 @@ win) but the HPWL, legality, and determinism gates still apply.
 ``--full-flow`` runs only the full-flow leg: the 99,936-cell
 ``datapath_fraction_design("engines_68000", 68000, 0.55, seed=9)``
 through both placers with the electro engine and the V-cycle.  It
-records GP, legalized and final HPWL, per-stage seconds, slice
-formation and legality violations under a ``"full_flow"`` key, and
-gates only on legality.
+records GP, legalized and final HPWL, the density overflow GP ended
+at (``gp_overflow``), per-stage seconds, slice formation and legality
+violations under a ``"full_flow"`` key, and gates only on legality.
 
 Every multilevel row also records ``coarsen_s``, the V-cycle's
 coarsening time (the program trace's ``ml_coarsen`` phases, part of
@@ -213,6 +213,7 @@ def full_flow(failures: list[str]) -> dict:
             "hpwl_gp": round(outcome.hpwl_gp, 1),
             "hpwl_legal": round(outcome.hpwl_legal, 1),
             "hpwl_final": round(outcome.hpwl_final, 1),
+            "gp_overflow": round(outcome.gp_overflow, 4),
             "time_s": round(outcome.runtime_s, 2),
             "extract_s": round(outcome.extract_s, 2),
             "gp_s": round(outcome.gp_s, 2),
@@ -227,7 +228,8 @@ def full_flow(failures: list[str]) -> dict:
         rows[placer.name] = row
         print(f"  {placer.name:<16} {row['cells']} cells   "
               f"gp {row['hpwl_gp']:.4g}  legal {row['hpwl_legal']:.4g}  "
-              f"final {row['hpwl_final']:.4g}   {row['time_s']:.1f} s "
+              f"final {row['hpwl_final']:.4g}   gp overflow "
+              f"{row['gp_overflow']}   {row['time_s']:.1f} s "
               f"(extract {row['extract_s']} / gp {row['gp_s']}, coarsen "
               f"{row['coarsen_s']} / "
               f"legalize {row['legalize_s']} / detailed "

@@ -66,7 +66,9 @@ class PlacerOptions:
         use_fusion: move arrays through global placement as rigid macros
             (reprojected every solve).  Off by default: elastic alignment
             forces preserve more wirelength freedom; fusion is the
-            ablation/strict mode.
+            ablation/strict mode.  The quadratic engine only: electro
+            has no rigid-group or reprojection hook, so fusion under
+            ``engine="electro"`` is rejected.
         use_alignment: add alignment pair forces to global placement.
         structure_legalization: ``"slices"`` (default — each bit slice
             is one Abacus unit as wide as the slice, legalized in the same
@@ -105,12 +107,17 @@ class PlacerOptions:
 
         Raises:
             OptionsError: ``engine`` is not a known engine,
-                ``structure_legalization`` is not a known mode, or
-                ``structure_weight`` is not a finite number >= 0 (NaN or
-                infinity would silently fall to the baseline rung; a
-                negative weight repels aligned cells).
+                ``use_fusion`` is set under ``engine="electro"`` (which
+                would ignore it), ``structure_legalization`` is not a
+                known mode, or ``structure_weight`` is not a finite
+                number >= 0 (NaN or infinity would silently fall to the
+                baseline rung; a negative weight repels aligned cells).
         """
         check_engine(self.engine)
+        if self.use_fusion and self.engine == "electro":
+            raise OptionsError(
+                "use_fusion needs the quadratic engine: electro has no "
+                "rigid-group or reprojection hook", option="use_fusion")
         if self.structure_legalization not in LEGALIZATION_MODES:
             raise OptionsError(
                 f"structure_legalization must be one of "
@@ -149,6 +156,13 @@ class PlaceOutcome:
     @property
     def legal(self) -> bool:
         return self.violations == 0
+
+    @property
+    def gp_overflow(self) -> float:
+        """Density overflow at the end of global placement: the last
+        ``gp_history`` record's, NaN without a history."""
+        return self.gp_history[-1].overflow if self.gp_history \
+            else math.nan
 
     def row(self) -> dict[str, object]:
         return {

@@ -26,15 +26,19 @@ Kernel inventory:
 - :mod:`~repro.kernels.incremental` — :class:`IncrementalHPWL`:
   per-net cached bounds with touched-net invalidation, so detailed
   placement rescores only affected nets per move.
-- :mod:`~repro.kernels.b2b` — bound-to-bound boundary-pin selection,
-  pair/system assembly for the quadratic engine, and the direct pair
-  gradient (:func:`b2b_grad`) for the electrostatic engine.
+- :mod:`~repro.kernels.b2b` — bound-to-bound boundary-pin selection and
+  pair/system assembly for the quadratic engine; the per-pin gradient
+  (:func:`b2b_pin_grad` over a per-design :class:`NetSplit`: 2-pin nets
+  in one closed-form expression, larger nets reduced per net) for the
+  electrostatic engine's Nesterov loop; and the pair-list gradient
+  (:func:`b2b_grad`) for the structure-alignment pairs.
 - :mod:`~repro.kernels.arena` — CSR net-filter compaction so the
   placement array builder consumes shared-memory arenas directly.
 """
 
 from .arena import compact_csr
-from .b2b import assemble_pairs, b2b_grad, b2b_pairs, boundary_pins
+from .b2b import (NetSplit, assemble_pairs, b2b_grad, b2b_pairs,
+                  b2b_pin_grad, boundary_pins, split_nets)
 from .density import bell_value_grad, rasterize_overlap
 from .incremental import IncrementalHPWL
 from .segment import (expand_pin_net, hpwl_kernel, hpwl_per_net_kernel,
@@ -43,10 +47,12 @@ from .workspace import Workspace
 
 __all__ = [
     "IncrementalHPWL",
+    "NetSplit",
     "Workspace",
     "assemble_pairs",
     "b2b_grad",
     "b2b_pairs",
+    "b2b_pin_grad",
     "bell_value_grad",
     "boundary_pins",
     "compact_csr",
@@ -56,4 +62,5 @@ __all__ = [
     "net_bounds",
     "rasterize_overlap",
     "segment_reduce",
+    "split_nets",
 ]

@@ -12,12 +12,20 @@ per call) can be reused across calls through an optional
 :class:`~repro.kernels.workspace.Workspace`; slice-assignment into the
 reused buffers produces the same values as the concatenations it
 replaces, so results are bit-identical.  :func:`b2b_grad` evaluates the
-gradient of the B2B quadratic form directly from the pair list — no
-sparse assembly — which is what the electrostatic engine's Nesterov
-loop consumes every iteration.
+gradient of a pair list — no sparse assembly — for the
+structure-alignment pairs.
+
+:func:`b2b_pin_grad` is the gradient the electrostatic engine's
+Nesterov loop consumes every iteration.  It enumerates no pairs: a
+per-design :class:`NetSplit` sends each 2-pin net through one
+closed-form vector expression and reduces only the nets of 3 or more
+pins, folding each interior pin's pair terms onto the net's boundary
+pins.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,3 +191,135 @@ def b2b_grad(cell_a: np.ndarray, cell_b: np.ndarray, w: np.ndarray,
     grad = (np.bincount(cell_a, weights=wd, minlength=n)
             - np.bincount(cell_b, weights=wd, minlength=n))
     return value, grad
+
+
+@dataclass(frozen=True)
+class NetSplit:
+    """Per-design partition of the nets for :func:`b2b_pin_grad`.
+
+    A 2-pin net's B2B model is its one boundary pair, so each becomes a
+    pin pair; nets of 3 or more pins keep a compacted CSR.  Nets of
+    fewer than 2 pins, zero-weight nets and 2-pin nets whose pins share
+    a cell add nothing to the gradient and are left out.
+
+    Attributes:
+        pair_a / pair_b: (K,) the two pins of each kept 2-pin net.
+        pair_cell_a / pair_cell_b: (K,) their cells.
+        pair_w: (K,) ``2 * wnet`` of each 2-pin net, where
+            ``wnet = weight * 2 / (deg - 1)`` is the B2B net weight.
+        pins: (Q,) the pins of the kept larger nets, net by net.
+        pin_cells: (Q,) their cells.
+        start: (L+1,) CSR offsets of the larger nets into ``pins``.
+        pin_net: (Q,) index of each entry's net among the larger nets.
+        pin_w: (Q,) ``2 * wnet`` of each entry's net.
+    """
+
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_cell_a: np.ndarray
+    pair_cell_b: np.ndarray
+    pair_w: np.ndarray
+    pins: np.ndarray
+    pin_cells: np.ndarray
+    start: np.ndarray
+    pin_net: np.ndarray
+    pin_w: np.ndarray
+
+
+def split_nets(net_start: np.ndarray, net_weight: np.ndarray,
+               pin_cell: np.ndarray) -> NetSplit:
+    """Build the :class:`NetSplit` of one design (static: positions
+    play no part)."""
+    degrees = np.diff(net_start)
+    wnet = np.zeros(degrees.shape[0])
+    live = (degrees >= 2) & (net_weight != 0)
+    wnet[live] = net_weight[live] * 2.0 / (degrees[live] - 1)
+
+    first = net_start[:-1]
+    two = np.flatnonzero(live & (degrees == 2))
+    two = two[pin_cell[first[two]] != pin_cell[first[two] + 1]]
+    pair_a = first[two]
+    pair_b = pair_a + 1
+
+    big = np.flatnonzero(live & (degrees >= 3))
+    big_deg = degrees[big]
+    start = np.zeros(big.shape[0] + 1, dtype=np.int64)
+    np.cumsum(big_deg, out=start[1:])
+    pin_net = np.repeat(np.arange(big.shape[0], dtype=np.int64), big_deg)
+    pins = np.arange(start[-1], dtype=np.int64) - start[pin_net] \
+        + first[big][pin_net]
+    return NetSplit(
+        pair_a=pair_a, pair_b=pair_b,
+        pair_cell_a=pin_cell[pair_a], pair_cell_b=pin_cell[pair_b],
+        pair_w=2.0 * wnet[two],
+        pins=pins, pin_cells=pin_cell[pins], start=start,
+        pin_net=pin_net, pin_w=2.0 * wnet[big][pin_net])
+
+
+def _clamped(d: np.ndarray, sep: np.ndarray, eps: float) -> np.ndarray:
+    """``t(d) = d / max(sep, eps)`` with ``sep = |d|``: the B2B pair
+    weight's clamped ``1/|d|`` times the separation."""
+    return d / np.maximum(sep, eps)
+
+
+def b2b_pin_grad(split: NetSplit, coords: np.ndarray,
+                 offsets: np.ndarray, eps: float) -> np.ndarray:
+    """(N,) gradient of the B2B quadratic cost at the linearisation
+    point, without enumerating pairs.
+
+    Equals ``b2b_grad(*b2b_pairs(...), coords)[1]`` up to rounding
+    and summation order: a pair ``(a, b)`` of weight
+    ``wnet / max(|d|, eps)`` adds ``2 * wnet * t(d)`` to cell ``a`` and
+    its negative to cell ``b``, where ``t(d) = d / max(|d|, eps)`` is
+    ±1 once the pins are ``eps`` apart.  As on the pair path, ``d``'s
+    numerator is the cell-center difference plus the offset difference
+    and the clamp reads the pin-position difference.  A 2-pin net is
+    its one pair.  In a net of 3 or more pins every pin ``k`` has the
+    terms ``tl = t(p_k - p_lo)`` and ``th = t(p_k - p_hi)`` against the
+    first-occurrence boundary pins; the boundary pair ``(lo, hi)`` is
+    ``hi``'s ``tl`` term (``lo``'s ``th`` is zeroed so it is counted
+    once), and ``lo`` and ``hi`` take the negated net sums of ``tl`` and
+    ``th``.  Terms between two pins of one cell are zeroed, as the pair
+    path drops those pairs.
+
+    Args:
+        split: the design's :func:`split_nets`.
+        coords: (N,) cell centers on this axis (all cells).
+        offsets: (P,) pin offsets on this axis.
+        eps: pin-separation clamp of the ``1/|d|`` weights.
+
+    Returns:
+        (N,) gradient over *all* cells; callers mask the fixed ones.
+    """
+    n = coords.shape[0]
+    ca = coords[split.pair_cell_a]
+    cb = coords[split.pair_cell_b]
+    oa = offsets[split.pair_a]
+    ob = offsets[split.pair_b]
+    g2 = split.pair_w * _clamped((ca - cb) + (oa - ob),
+                                 np.abs((ca + oa) - (cb + ob)), eps)
+    # a float base: np.bincount of nothing is an integer array
+    grad = np.zeros(n)
+    grad += np.bincount(split.pair_cell_a, weights=g2, minlength=n)
+    grad -= np.bincount(split.pair_cell_b, weights=g2, minlength=n)
+
+    c = coords[split.pin_cells]
+    o = offsets[split.pins]
+    pos = c + o
+    lo, hi = boundary_pins(pos, split.start, split.pin_net)
+    seeds = split.start[:-1]
+    lo_of = lo[split.pin_net]
+    hi_of = hi[split.pin_net]
+    gl = split.pin_w * _clamped((c - c[lo_of]) + (o - o[lo_of]),
+                                np.abs(pos - pos[lo_of]), eps)
+    gh = split.pin_w * _clamped((c - c[hi_of]) + (o - o[hi_of]),
+                                np.abs(pos - pos[hi_of]), eps)
+    cells = split.pin_cells
+    gl[cells == cells[lo_of]] = 0.0
+    gh[cells == cells[hi_of]] = 0.0
+    gh[lo] = 0.0
+    g = gl + gh
+    g[lo] -= np.add.reduceat(gl, seeds)
+    g[hi] -= np.add.reduceat(gh, seeds)
+    grad += np.bincount(split.pin_cells, weights=g, minlength=n)
+    return grad

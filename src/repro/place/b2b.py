@@ -12,12 +12,15 @@ positive-definite system ``A x = b`` over *movable cell centers* (fixed
 pins and pin offsets are folded into ``b``) using the vectorized pair
 kernels of :mod:`repro.kernels.b2b`; ``build_axis_reference`` retains the
 original scalar assembly for the equivalence tests and benchmarks.
+:meth:`B2BBuilder.grad_axis` evaluates the same cost's gradient per pin,
+with no system and no pair list, for the electrostatic engine.
 Systems solve with Jacobi-preconditioned conjugate gradient and accept a
 warm start from the previous solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,8 @@ import scipy.sparse as sp
 from typing import TYPE_CHECKING
 
 from ..errors import NumericalError
-from ..kernels import Workspace, assemble_pairs, b2b_pairs, expand_pin_net
+from ..kernels import (NetSplit, Workspace, assemble_pairs, b2b_pairs,
+                       b2b_pin_grad, expand_pin_net, split_nets)
 from .arrays import PlacementArrays
 
 if TYPE_CHECKING:
@@ -273,33 +277,24 @@ class B2BBuilder:
         return QuadraticSystem(A=A.tocsr(), b=b, cells=self.movable_cells)
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _split(self) -> NetSplit:
+        arrays = self.arrays
+        return split_nets(arrays.net_start, arrays.net_weight,
+                          arrays.pin_cell)
+
     def grad_axis(self, coords: np.ndarray, offsets: np.ndarray,
-                  extra_pairs: list[tuple[int, int, float, float]] | None = None,
-                  min_distance: float = _EPS) -> tuple[float, np.ndarray]:
-        """Value and (N,) gradient of the B2B quadratic cost at the
-        current linearisation point — no sparse assembly.
+                  min_distance: float = _EPS) -> np.ndarray:
+        """(N,) gradient of the B2B quadratic cost at the current
+        linearisation point — no sparse assembly, no pair list.
 
         The electrostatic engine's Nesterov loop consumes ``dWL/dx``
-        directly every iteration; enumerating the pairs and folding them
-        with :func:`repro.kernels.b2b.b2b_grad` skips the COO→CSR
-        conversion the solve path pays.  Fixed-cell entries of the
-        returned gradient are meaningless and must be masked by the
-        caller.
+        directly every iteration; :func:`repro.kernels.b2b.b2b_pin_grad`
+        evaluates it per pin over the design's :class:`NetSplit`, built
+        on the first call.  Fixed-cell entries of the returned gradient
+        are meaningless and must be masked by the caller.
         """
-        from ..kernels import b2b_grad
-        arrays = self.arrays
-        pin_pos = coords[arrays.pin_cell] + offsets
-        ca, cb, w, const = b2b_pairs(
-            pin_pos, arrays.net_start, arrays.net_weight, arrays.pin_cell,
-            offsets, self._pin_net, min_distance,
-            workspace=self.workspace)
-        eca, ecb, ew, econst = _as_pair_arrays(extra_pairs)
-        if eca.size:
-            ca = np.concatenate([ca, eca])
-            cb = np.concatenate([cb, ecb])
-            w = np.concatenate([w, ew])
-            const = np.concatenate([const, econst])
-        return b2b_grad(ca, cb, w, const, coords)
+        return b2b_pin_grad(self._split, coords, offsets, min_distance)
 
     # ------------------------------------------------------------------
     def build_axis_reference(self, coords: np.ndarray, offsets: np.ndarray,

@@ -25,8 +25,9 @@ engine's recursive bisection spreading dominates.
 
 The outer loop is Nesterov's accelerated gradient method with a
 Barzilai–Borwein steplength (ePlace Algorithm 1), using the B2B
-wirelength gradient evaluated directly from the pair list
-(:meth:`~repro.place.b2b.B2BBuilder.grad_axis` — no sparse assembly).
+wirelength gradient evaluated per pin
+(:meth:`~repro.place.b2b.B2BBuilder.grad_axis` — no sparse assembly, no
+pair list).
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ class ElectroOptions:
             runs hundreds of cheap iterations, not a dozen expensive
             rounds).
         min_distance: B2B distance clamp for pair weights.
-        overflow_every: exact-overflow / history cadence (iterations);
-            the exact raster is ~10x the cost of one gradient step, so
-            it is not evaluated every iteration.
+        overflow_every: overflow-probe / history cadence (iterations).
+            Every iteration rasterizes the exact cell footprints for the
+            density charge; a probe adds the exact overflow and HPWL
+            evaluation, the guard check and the job hook, so it is not
+            run every iteration.
         step_cap_bins: upper bound on the per-iteration displacement of
             the steepest cell, in bin pitches (keeps early BB steps from
             catapulting cells across the die).
@@ -86,8 +89,8 @@ class ElectroResult:
     y: np.ndarray
     rounds: int
     final_overflow: float
-    history: list[tuple[float, float]] = field(default_factory=list)
-    # history entries: (hpwl, overflow) per probe
+    history: list[tuple[int, float, float]] = field(default_factory=list)
+    # history entries: (Nesterov iteration, hpwl, overflow) per probe
 
 
 class ElectrostaticDensity:
@@ -239,8 +242,7 @@ class ElectrostaticPlacer:
 
     Minimises ``WL(x, y) + lambda * D(x, y)`` where WL is the B2B
     quadratic wirelength at the current linearisation point (gradient
-    straight off the pair list, no solve) and D the eDensity field
-    energy.  ``extra_pairs_x`` / ``extra_pairs_y`` add the same
+    evaluated per pin, no solve) and D the eDensity field energy.  ``extra_pairs_x`` / ``extra_pairs_y`` add the same
     structure-alignment terms the other engines accept.
     """
 
@@ -277,18 +279,18 @@ class ElectrostaticPlacer:
                         self.region.y_top - hh[mv])
 
     def _wl_grad(self, x: np.ndarray, y: np.ndarray
-                 ) -> tuple[float, np.ndarray, np.ndarray]:
-        """B2B wirelength value and gradient, both axes, plus the
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """B2B wirelength gradient, both axes, plus the
         structure-alignment pair terms."""
         opts = self.options
         with self.tracer.phase("kernel.wl_grad"):
-            wx, gx = self.builder.grad_axis(
+            gx = self.builder.grad_axis(
                 x, self.arrays.pin_dx, min_distance=opts.min_distance)
-            wy, gy = self.builder.grad_axis(
+            gy = self.builder.grad_axis(
                 y, self.arrays.pin_dy, min_distance=opts.min_distance)
-        px, pgx = b2b_grad(*self._pairs_x, x)
-        py, pgy = b2b_grad(*self._pairs_y, y)
-        return wx + wy + px + py, gx + pgx, gy + pgy
+        _, pgx = b2b_grad(*self._pairs_x, x)
+        _, pgy = b2b_grad(*self._pairs_y, y)
+        return gx + pgx, gy + pgy
 
     def _density_grad(self, x: np.ndarray, y: np.ndarray
                       ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -299,7 +301,7 @@ class ElectrostaticPlacer:
     def _grad(self, lam: float, x: np.ndarray, y: np.ndarray
               ) -> np.ndarray:
         """Masked objective gradient as one (2N,) vector."""
-        _, gwx, gwy = self._wl_grad(x, y)
+        gwx, gwy = self._wl_grad(x, y)
         _, gdx, gdy = self._density_grad(x, y)
         n = self.arrays.num_cells
         g = np.empty(2 * n)
@@ -366,7 +368,7 @@ class ElectrostaticPlacer:
         self._clamp(u[:n], u[n:])
 
         # initial multiplier: balance the gradient one-norms
-        _, gwx, gwy = self._wl_grad(u[:n], u[n:])
+        gwx, gwy = self._wl_grad(u[:n], u[n:])
         _, gdx, gdy = self._density_grad(u[:n], u[n:])
         wl_norm = float(np.abs(gwx).sum() + np.abs(gwy).sum())
         d_norm = float(np.abs(gdx).sum() + np.abs(gdy).sum())
@@ -379,7 +381,7 @@ class ElectrostaticPlacer:
             bounds=(self.region.x, self.region.y,
                     self.region.x_end, self.region.y_top),
             movable=arrays.movable)
-        history: list[tuple[float, float]] = []
+        history: list[tuple[int, float, float]] = []
         step_cap = opts.step_cap_bins * min(self.grid.bin_w,
                                             self.grid.bin_h)
 
@@ -415,6 +417,7 @@ class ElectrostaticPlacer:
             u = u_new
             a = a_new
             lam *= opts.lambda_growth
+            self.tracer.incr("gp.iterations")
 
             probe = (rounds % opts.overflow_every == 0
                      or rounds == opts.max_iterations)
@@ -433,7 +436,7 @@ class ElectrostaticPlacer:
                 else:
                     ovf = math.inf
                     wl = math.inf
-                history.append((wl, ovf))
+                history.append((rounds, wl, ovf))
                 iterate_guard.check(rounds, x, y, overflow=ovf, hpwl=wl)
                 if self.checkpoint is not None:
                     self.checkpoint(rounds, x, y)

@@ -24,8 +24,12 @@ class MultilevelOptions:
         coarsest_cells: stop coarsening once a level has at most this
             many movable cells; the coarsest level is placed from
             scratch, so it should stay cheap.
-        refine_iterations: anchored GP iterations run per finer level
-            after declustering (the warm-started refinement budget).
+        refine_iterations: the warm-started refinement budget per finer
+            level after declustering: anchored GP rounds under the
+            quadratic engine (every finer level, the finest included);
+            under electro, ``refine_iterations * overflow_every``
+            Nesterov iterations per coarse level only — the finest
+            level runs the engine's own budget to its target overflow.
         coarsest_iterations: GP iteration cap for the coarsest-level
             solve.  Cluster granularity often cannot reach the flat
             ``target_overflow``, so without a cap the coarsest level

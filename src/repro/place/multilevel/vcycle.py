@@ -4,14 +4,24 @@ The cycle coarsens the netlist level by level (structure-preserving
 clustering + coarse level construction, both on the CSR arrays: only
 level 0 has a :class:`~repro.netlist.Netlist`), places the coarsest level
 from scratch, then walks back down: interpolate cluster positions to
-members and run a short warm-started refinement per finer level.
+members and refine each finer level from that warm start.
+
+Refinement budgets: the quadratic engine runs ``refine_iterations``
+anchored rounds per finer level, the finest included.  The electrostatic
+engine runs ``refine_iterations * overflow_every`` Nesterov iterations
+per coarse level, and the finest level runs under the caller's
+:class:`~repro.place.electrostatic.ElectroOptions` — up to
+``max_iterations``, stopping at ``target_overflow`` — as a flat run
+does, so global placement hands legalization a spread placement.
 
 The GP iteration counter accumulates across levels: the coarsest place
-consumes iterations ``1..e``, the next refinement re-enters the loop at
-``e`` via ``resume_iteration`` and runs ``refine_iterations`` more, and
-so on — the SimPL anchor-weight ramp therefore continues monotonically
-down the cycle, so each finer level is refined under progressively
-stiffer anchors (small corrections, cheap warm-started CG solves).
+consumes iterations ``1..e``, and the next refinement numbers its own
+iterations (quadratic rounds, electro Nesterov iterations) from ``e``,
+and so on.  Under the quadratic engine the refinement passes
+``start_iteration``, so the SimPL anchor-weight ramp continues
+monotonically down the cycle and each finer level is refined under
+progressively stiffer anchors (small corrections, cheap warm-started CG
+solves).
 
 Structure hooks: alignment pair forces are projected through the
 cluster map onto every level (intra-cluster pairs vanish — slice
@@ -139,11 +149,22 @@ def _build_levels(arrays: PlacementArrays, ml: MultilevelOptions,
     return levels
 
 
-def _electro_history(rounds, offset: int) -> list[IterationStat]:
-    """Electro's ``(hpwl, overflow)`` rounds as iteration records."""
-    return [IterationStat(iteration=offset + i + 1, hpwl_lower=h,
+def _electro_history(probes: list[tuple[int, float, float]],
+                     offset: int) -> list[IterationStat]:
+    """Electro's ``(iteration, hpwl, overflow)`` probes as iteration
+    records, numbered by Nesterov iteration from ``offset``."""
+    return [IterationStat(iteration=offset + i, hpwl_lower=h,
                           hpwl_upper=h, overflow=o, elapsed_s=0.0)
-            for i, (h, o) in enumerate(rounds)]
+            for i, h, o in probes]
+
+
+def _shifted(hook: CheckpointHook | None,
+             offset: int) -> CheckpointHook | None:
+    """``hook`` numbering iterations from ``offset``, as the records of
+    the same level are."""
+    if hook is None or offset == 0:
+        return hook
+    return lambda it, x, y: hook(offset + it, x, y)
 
 
 def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
@@ -227,7 +248,9 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             derive per-level budgets from them.
         ml_options: V-cycle knobs.
         engine: one of :data:`ENGINES`; under ``"electro"`` V-cycle
-            refinement runs short warm-started Nesterov passes per level.
+            refinement runs short warm-started Nesterov passes per
+            coarse level and a full one (to ``target_overflow``) at the
+            finest.
         extra_pairs_x / extra_pairs_y: fine-level alignment pairs;
             projected through the cluster maps onto every level.
         groups / post_solve / checkpoint: finest-level-only hooks (rigid
@@ -298,13 +321,14 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 eo = electro_options or ElectroOptions()
                 if refining:
                     # warm start: refine_iterations probe rounds of the
-                    # (cheap) Nesterov loop per level
+                    # (cheap) Nesterov loop per coarse level
                     eo = replace(eo, max_iterations=max(
                         1, int(ml.refine_iterations)) * eo.overflow_every)
                 placer = ElectrostaticPlacer(
                     levels[k].arrays, region, options=eo,
                     extra_pairs_x=px, extra_pairs_y=py, guard=guard,
-                    checkpoint=checkpoint if k == 0 else None,
+                    checkpoint=_shifted(checkpoint, offset) if k == 0
+                    else None,
                     tracer=tracer)
                 res = placer.place(x0, y0)
                 return GlobalPlaceResult(
@@ -344,8 +368,10 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 with tracer.phase("ml_refine", level=k,
                                   cells=fine.arrays.num_cells):
                     if engine == "electro":
+                        # the finest level runs the caller's budget to
+                        # the target overflow, as a flat run does
                         res = electro_place(k, x0f, y0f, it,
-                                            refining=True)
+                                            refining=k > 0)
                     else:
                         # ILU policy: a fresh incomplete factor per
                         # solve (the B2B linearisation drifts between

@@ -508,7 +508,90 @@ class TestPoissonSolver:
         assert ey[4, 2] < 0 and ey[4, 6] > 0  # outward in y
 
 
+@st.composite
+def _b2b_arrays(draw):
+    """A small CSR design for the per-pin gradient: net degrees 1-4 and
+    25-30, a few cells (so one cell often has several pins on a net),
+    zero-weight nets, fixed cells, and coordinates that are either
+    integer-snapped with half-unit offsets (ties, coincident pins) or
+    free floats."""
+    n_cells = draw(st.integers(2, 10))
+    degrees = draw(st.lists(st.one_of(st.integers(1, 4),
+                                      st.integers(25, 30)),
+                            min_size=1, max_size=8))
+    n_pins = sum(degrees)
+    pin_cell = np.array(draw(st.lists(st.integers(0, n_cells - 1),
+                                      min_size=n_pins, max_size=n_pins)))
+    snap = draw(st.booleans())
+    coords = np.array(draw(st.lists(
+        st.floats(-60.0, 60.0, allow_nan=False), min_size=n_cells,
+        max_size=n_cells)))
+    offsets = np.array(draw(st.lists(
+        st.floats(-3.0, 3.0, allow_nan=False), min_size=n_pins,
+        max_size=n_pins)))
+    if snap:
+        coords = np.round(coords)
+        offsets = np.round(offsets * 2.0) / 2.0
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                     min_size=len(degrees),
+                                     max_size=len(degrees))))
+    movable = np.array(draw(st.lists(st.booleans(), min_size=n_cells,
+                                     max_size=n_cells)))
+    ones = np.ones(n_cells)
+    arrays = PlacementArrays(
+        pin_cell=pin_cell.astype(np.int64), pin_dx=offsets,
+        pin_dy=np.zeros(n_pins),
+        net_start=np.concatenate(([0], np.cumsum(degrees))).astype(np.int64),
+        net_weight=weights, movable=movable, width=ones, height=ones,
+        center_x=coords, center_y=np.zeros(n_cells))
+    return arrays, coords, draw(st.sampled_from([1e-2, 1.0]))
+
+
 class TestB2BGrad:
+    @settings(max_examples=300, deadline=None)
+    @given(_b2b_arrays())
+    def test_pin_grad_matches_pair_path(self, case):
+        """The per-pin kernel behind grad_axis equals the gradient of the
+        enumerated pair list to 1e-12 of its largest entry.
+
+        Where the pair terms cancel (a cell pulled equally both ways),
+        the pair path's own rounding is relative to its terms, not to
+        the near-zero result, so the scale is the larger of max |g| and
+        the largest single pair term.
+        """
+        from repro.kernels import b2b_pairs, expand_pin_net
+        arrays, coords, eps = case
+        offsets = arrays.pin_dx
+        pin_pos = coords[arrays.pin_cell] + offsets
+        ca, cb, w, const = b2b_pairs(
+            pin_pos, arrays.net_start, arrays.net_weight, arrays.pin_cell,
+            offsets, expand_pin_net(arrays.net_start), eps)
+        _, want = b2b_grad(ca, cb, w, const, coords)
+        got = B2BBuilder(arrays).grad_axis(coords, offsets,
+                                           min_distance=eps)
+        terms = 2.0 * w * (coords[ca] - coords[cb] + const)
+        scale = max(np.abs(want).max(), np.abs(terms).max(initial=0.0))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+    def test_pin_grad_drops_same_cell_pairs(self):
+        """Pins of one cell pull on nothing: a net whose pins all sit on
+        one cell gives an exact zero, as the pair path (which drops
+        those pairs) does, not a rounding residual."""
+        # offsets under the 1.0 clamp make the terms fractions whose
+        # sums would leave a residual if same-cell terms were summed
+        arrays = PlacementArrays(
+            pin_cell=np.array([0, 0, 0, 1, 1], dtype=np.int64),
+            pin_dx=np.array([0.25, -0.22, -0.01, 0.48, 0.46]),
+            pin_dy=np.zeros(5), net_start=np.array([0, 3, 5]),
+            net_weight=np.array([1.0 / 3.0, 0.7]),
+            movable=np.ones(2, dtype=bool), width=np.ones(2),
+            height=np.ones(2), center_x=np.array([1.1, 7.3]),
+            center_y=np.zeros(2))
+        grad = B2BBuilder(arrays).grad_axis(arrays.center_x, arrays.pin_dx,
+                                            min_distance=1.0)
+        assert grad.tolist() == [0.0, 0.0]
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_grad_matches_finite_differences(self, seed):
@@ -544,7 +627,7 @@ class TestB2BGrad:
         coords = rng.uniform(0.0, 100.0, arrays.num_cells)
         builder = B2BBuilder(arrays)
         system = builder.build_axis(coords, arrays.pin_dx)
-        _value, grad = builder.grad_axis(coords, arrays.pin_dx)
+        grad = builder.grad_axis(coords, arrays.pin_dx)
         want = 2.0 * (system.A @ coords[system.cells] - system.b)
         # accumulation orders differ (bincount vs CSR row sums), so this
         # is an analytic-identity check, not a bit-identity one

@@ -110,6 +110,15 @@ class TestStructureAwarePlacer:
             diffs = np.diff(rows)
             assert np.all(diffs == d.region.row_height)
 
+    def test_fusion_under_electro_rejected(self):
+        # electro has no rigid-group or reprojection hook, so fusion
+        # would be ignored without a word
+        with pytest.raises(OptionsError) as excinfo:
+            PlacerOptions(engine="electro", use_fusion=True)
+        assert excinfo.value.option == "use_fusion"
+        PlacerOptions(engine="electro")
+        PlacerOptions(use_fusion=True)
+
     def test_bad_legalization_mode_rejected(self, small_design_factory):
         d = small_design_factory()
         with pytest.raises(ValueError):
@@ -131,6 +140,49 @@ class TestStructureAwarePlacer:
                              multilevel=MultilevelOptions(enabled=True))
         out = StructureAwarePlacer(opts).place(d.netlist, d.region)
         assert out.legal
+
+    def test_electro_history_numbers_nesterov_iterations(self):
+        # gp_history, the job hook and the gp.iterations counter count
+        # the same Nesterov iterations (the hook runs at every probe)
+        d = build_design("dp_mix32")
+        hooked: list[int] = []
+        tracer = Tracer()
+        out = StructureAwarePlacer(PlacerOptions(engine="electro")).place(
+            d.netlist, d.region, tracer=tracer,
+            checkpoint=lambda it, _x, _y: hooked.append(it))
+        every = ElectroOptions().overflow_every
+        assert hooked[:3] == [every, 2 * every, 3 * every]
+        assert [h.iteration for h in out.gp_history] == hooked
+        assert tracer.count("gp.iterations") == hooked[-1]
+
+    @pytest.mark.parametrize("placer_cls", [StructureAwarePlacer,
+                                            BaselinePlacer])
+    def test_electro_multilevel_gp_reaches_target_overflow(self,
+                                                           placer_cls):
+        # the V-cycle's finest electro level runs to the target, as a
+        # flat run does; coarse levels keep their short refinement.
+        # Records and the finest level's job hook count Nesterov
+        # iterations across the levels
+        d = build_design("ctrl_glue2k")
+        opts = PlacerOptions(engine="electro",
+                             multilevel=MultilevelOptions(enabled=True))
+        hooked: list[int] = []
+        tracer = Tracer()
+        out = placer_cls(opts).place(
+            d.netlist, d.region, tracer=tracer,
+            checkpoint=lambda it, _x, _y: hooked.append(it))
+        assert tracer.count("ml.levels") >= 1
+        assert out.gp_overflow <= ElectroOptions().target_overflow
+        assert out.legal
+        records = [h.iteration for h in out.gp_history]
+        assert records[-len(hooked):] == hooked
+        assert tracer.count("gp.iterations") == records[-1]
+
+    def test_gp_overflow_without_history_is_nan(self):
+        from repro.core import PlaceOutcome
+        out = PlaceOutcome(placer="p", design="d", hpwl_gp=1.0,
+                           hpwl_legal=1.0, hpwl_final=1.0, runtime_s=0.0)
+        assert np.isnan(out.gp_overflow)
 
     def test_electro_spreads_below_target_overflow(self):
         from repro.place import PlacementArrays

@@ -544,6 +544,18 @@ class TestDaemonIntegration:
             assert client.stats()["stats"]["queue"]["failed"] == 0
             _drain_and_join(client, thread)
 
+    def test_fusion_under_electro_is_an_options_error(self, serve_root):
+        daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("dp_mul16", options={"engine": "electro",
+                                                   "use_fusion": True})
+            assert excinfo.value.code == "options"
+            assert "use_fusion" in str(excinfo.value)
+            assert daemon.supervisor.breaker.snapshot()["window"] == 0
+            assert client.stats()["stats"]["queue"]["failed"] == 0
+            _drain_and_join(client, thread)
+
     def test_unknown_job_id_is_an_error_response(self, serve_root):
         _daemon, thread = _start_daemon(serve_root)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
