@@ -51,8 +51,7 @@ def _run_f4() -> str:
         n = _LARGE_SIZE
         d = datapath_fraction_design(f"f4_{n}", n, 0.55, seed=9)
         opts = PlacerOptions(
-            seed=0, engine="electro",
-            multilevel=MultilevelOptions(enabled=True))
+            engine="electro", multilevel=MultilevelOptions(enabled=True))
         struct = StructureAwarePlacer(opts).place(d.netlist, d.region)
         points.append({
             "cells": d.netlist.num_cells,

@@ -14,8 +14,12 @@ kernels of :mod:`repro.kernels.b2b`; ``build_axis_reference`` retains the
 original scalar assembly for the equivalence tests and benchmarks.
 :meth:`B2BBuilder.grad_axis` evaluates the same cost's gradient per pin,
 with no system and no pair list, for the electrostatic engine.
-Systems solve with Jacobi-preconditioned conjugate gradient and accept a
-warm start from the previous solve.
+Every system is symmetric positive-definite (a graph Laplacian plus
+non-negative anchor and alignment terms plus a ridge).
+:meth:`QuadraticSystem.solve_direct` factorizes it exactly with
+SuperLU's settings for that case; :meth:`QuadraticSystem.solve` runs
+preconditioned conjugate gradient from a warm start and falls back to
+the same factorization.
 """
 
 from __future__ import annotations
@@ -39,14 +43,45 @@ if TYPE_CHECKING:
 _EPS = 1e-6
 
 
+def _spd_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Exact solve of one B2B system by sparse LU with SPD settings.
+
+    A symmetric positive-definite matrix needs no pivoting, so SuperLU
+    may keep the diagonal pivots (``diag_pivot_thresh=0``) and order
+    the columns for ``A + A^T`` with minimum degree.  SuperLU's
+    defaults for an unsymmetric matrix (COLAMD with partial pivoting)
+    fill far more on these systems: 930k against 258k factor nonzeros
+    on ``ctrl_glue2k``.
+
+    Raises:
+        NumericalError: an exactly singular factor or a non-finite
+            solution (near-singular system).
+    """
+    from scipy.sparse.linalg import splu
+    try:
+        # canonical guarded implementation: the singular factor and the
+        # finiteness check raise NumericalError. repro-lint: disable=NUM01
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:                  # exactly singular
+        raise NumericalError(
+            f"direct solver: {exc} (singular system)",
+            stage="solve", reason="nan") from exc
+    sol = np.atleast_1d(lu.solve(b))
+    if not np.all(np.isfinite(sol)):
+        raise NumericalError(
+            "direct solver produced non-finite solution "
+            "(near-singular system)", stage="solve", reason="nan")
+    return sol
+
+
 @dataclass
 class QuadraticSystem:
     """One axis of the B2B system restricted to movable cells.
 
     ``A`` is CSR ``(m, m)``; ``b`` is ``(m,)``; ``cells`` maps dense row
     -> netlist cell index.  ``last_cg_iterations`` records the inner
-    iteration count of the most recent :meth:`solve` (0 when the direct
-    fallback ran immediately).
+    iteration count of the most recent :meth:`solve` (0 when no CG ran).
     """
 
     A: sp.csr_matrix
@@ -67,8 +102,7 @@ class QuadraticSystem:
                 anchor ramp.
             tol: relative residual tolerance.
             max_iterations: CG budget before handing off to the direct
-                fallback (callers adapt it per axis — see
-                :meth:`repro.place.quadratic.QuadraticPlacer._solve_axis`).
+                fallback.
             M: optional preconditioner operator (e.g. from
                 :meth:`ilu_preconditioner`, possibly factored from an
                 earlier nearby system); defaults to Jacobi.
@@ -81,9 +115,9 @@ class QuadraticSystem:
 
         Raises:
             NumericalError: the system itself is poisoned (non-finite
-                right-hand side — upstream positions already diverged)
-                or both CG and the direct fallback produced non-finite
-                values (near-singular system).
+                right-hand side — upstream positions already diverged),
+                or the direct fallback met a singular or near-singular
+                system.
         """
         if not np.all(np.isfinite(self.b)):
             raise NumericalError(
@@ -117,13 +151,7 @@ class QuadraticSystem:
             return sol
         if info > 0 or not np.all(np.isfinite(sol)):
             # not converged (or diverged): fall back to a direct solve
-            from scipy.sparse.linalg import spsolve
-            # repro-lint: disable=NUM01 -- same guarded path as above
-            sol = spsolve(self.A.tocsc(), self.b)
-        if not np.all(np.isfinite(np.atleast_1d(sol))):
-            raise NumericalError(
-                "linear solver produced non-finite solution "
-                "(near-singular system)", stage="solve", reason="nan")
+            return _spd_solve(self.A, self.b)
         return sol
 
     def ilu_preconditioner(self, drop_tol: float = 1e-3,
@@ -141,8 +169,9 @@ class QuadraticSystem:
 
         Returns:
             A ``LinearOperator`` usable as :meth:`solve`'s ``M``, or
-            None when the factorization fails (singular pivot) — the
-            caller falls back to Jacobi.
+            None when the factorization fails (singular pivot): then
+            :meth:`solve` scales by the diagonal (Jacobi) and the
+            quadratic placer's ILU policy solves directly.
         """
         from scipy.sparse.linalg import LinearOperator, spilu
         try:
@@ -156,28 +185,21 @@ class QuadraticSystem:
     def solve_direct(self) -> np.ndarray:
         """Sparse direct solve — the exact solution, no CG attempt.
 
-        Used to seed the warm start of a cold (no previous solution)
-        solve: the degenerate early B2B systems never converge under PCG
-        and always end in the direct fallback, so seeding from the direct
-        result skips the doomed CG attempt and pins the cold solve to the
-        exact trajectory regardless of the CG budget.
+        The flat quadratic placer solves every axis this way: its B2B
+        systems (coincident pins at the centered start, clamped 1/|d|
+        weights spanning ~7 decades) almost never converge under
+        Jacobi-preconditioned CG, and one SPD factorization costs less
+        than a CG attempt that ends in it.
 
         Raises:
-            NumericalError: non-finite right-hand side or solution.
+            NumericalError: non-finite right-hand side, a singular
+                system, or a non-finite solution.
         """
         if not np.all(np.isfinite(self.b)):
             raise NumericalError(
                 "non-finite right-hand side in quadratic system",
                 stage="solve", reason="nan")
-        from scipy.sparse.linalg import spsolve
-        # canonical guarded implementation: the finiteness check below
-        # raises NumericalError on garbage. repro-lint: disable=NUM01
-        sol = np.atleast_1d(spsolve(self.A.tocsc(), self.b))
-        if not np.all(np.isfinite(sol)):
-            raise NumericalError(
-                "direct solver produced non-finite solution "
-                "(near-singular system)", stage="solve", reason="nan")
-        return sol
+        return _spd_solve(self.A, self.b)
 
 
 def _as_pair_arrays(extra_pairs) -> tuple[np.ndarray, np.ndarray,

@@ -183,8 +183,7 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
                checkpoint: CheckpointHook | None = None,
                x0: np.ndarray | None = None,
                y0: np.ndarray | None = None,
-               resume_iteration: int = 0,
-               warm_seed: str = "direct") -> GlobalPlaceResult:
+               resume_iteration: int = 0) -> GlobalPlaceResult:
     """One flat global placement with the named engine.
 
     Args:
@@ -196,9 +195,8 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
             reprojection (the quadratic engine only).
         checkpoint: the runtime's per-iteration job hook.
         x0 / y0: start positions (default: the engine's own start).
-        resume_iteration / warm_seed: the quadratic engine re-enters its
-            loop at this iteration; ``warm_seed`` is its cold-solve
-            policy (see :class:`~repro.place.quadratic.QuadraticPlacer`).
+        resume_iteration: the quadratic engine re-enters its loop at
+            this iteration.
 
     Raises:
         OptionsError: ``engine`` is not one of :data:`ENGINES`.
@@ -216,7 +214,7 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
         arrays, region, options=gp_options,
         extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
         groups=groups, post_solve=post_solve, tracer=tracer,
-        guard=guard, checkpoint=checkpoint, warm_seed=warm_seed)
+        guard=guard, checkpoint=checkpoint)
     return placer.place(x0, y0, resume_iteration=resume_iteration)
 
 
@@ -283,7 +281,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
         # phases are already paid for, so resumption continues flat.
         tracer.event("ml_resume_flat", iteration=resume_iteration)
         return flat(x0=resume_x, y0=resume_y,
-                    resume_iteration=resume_iteration, warm_seed="coords")
+                    resume_iteration=resume_iteration)
 
     try:
         with tracer.phase("multilevel", engine=engine):
@@ -301,8 +299,8 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 return (_map_pairs(extra_pairs_x, lvl.fine_to_here),
                         _map_pairs(extra_pairs_y, lvl.fine_to_here))
 
-            def level_placer(k: int, opts_k, warm_seed: str,
-                             preconditioner: str = "jacobi",
+            def level_placer(k: int, opts_k,
+                             preconditioner: str = "direct",
                              min_distance: float | None = None):
                 px, py = level_pairs(k)
                 return QuadraticPlacer(
@@ -312,7 +310,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                     post_solve=post_solve if k == 0 else None,
                     tracer=tracer, guard=guard,
                     checkpoint=checkpoint if k == 0 else None,
-                    warm_seed=warm_seed, preconditioner=preconditioner,
+                    preconditioner=preconditioner,
                     min_distance=min_distance)
 
             def electro_place(k: int, x0, y0, offset: int,
@@ -345,7 +343,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                     opts_c = replace(gp, max_iterations=min(
                         gp.max_iterations,
                         max(1, int(ml.coarsest_iterations))))
-                    res = level_placer(top, opts_c, "direct").place()
+                    res = level_placer(top, opts_c).place()
             history = list(res.history)
             it = history[-1].iteration if history else 0
 
@@ -376,9 +374,9 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                         # ILU policy: a fresh incomplete factor per
                         # solve (the B2B linearisation drifts between
                         # rounds, so a frozen factor stalls) — cheap
-                        # next to the spsolve it replaces.
+                        # next to the full factorization it replaces.
                         res = level_placer(
-                            k, gp, "coords", preconditioner="ilu",
+                            k, gp, preconditioner="ilu",
                             min_distance=float(
                                 ml.refine_min_distance)).refine(
                             x0f, y0f, iterations=refine_n,

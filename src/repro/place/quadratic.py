@@ -36,14 +36,6 @@ from .spreading import spread_positions
 from .wirelength import hpwl
 from ..errors import OptionsError
 
-# CG iteration budget per solve.  Early B2B systems (coincident pins ->
-# clamped 1/|d| weights spanning ~7 decades) never converge at rtol=1e-8
-# and always end in the direct fallback; when an axis keeps hitting the
-# cap its budget halves down to the floor so the burned-before-fallback
-# CG time shrinks, and restores fully the moment a solve converges.
-_CG_BUDGET = 200
-_CG_BUDGET_MIN = 25
-
 # CG budget when an ILU preconditioner is active.  An ILU-preconditioned
 # iteration costs about the same as a Jacobi one, but a solve that needs
 # more than ~10 iterations is mildly degenerate rather than hopeless —
@@ -115,22 +107,19 @@ class QuadraticPlacer:
             garbage positions.
         checkpoint: optional ``(iteration, x, y)`` hook called once per
             outer iteration — the runtime's checkpoint/resume recorder.
-        warm_seed: warm-start policy for a *cold* axis solve (no previous
-            solution of matching shape).  ``"direct"`` (default) seeds CG
-            at the exact direct-solve result, so the first GP iteration
-            follows the direct trajectory independent of the CG budget;
-            ``"coords"`` seeds from the current coordinates — used by the
-            multilevel refinement passes, whose interpolated positions
-            are already near the solution and must not pay a factorize.
-        preconditioner: ``"jacobi"`` (default) — diagonal scaling with
-            the direct fallback on CG stagnation; ``"ilu"`` — an
-            incomplete-LU factor built per solve, after which CG
-            converges in ~10 iterations.  The refactor sounds wasteful
-            but is ~10-30x cheaper than one full factorization, and the
-            B2B linearisation moves enough between refinement rounds
-            that a frozen factor stalls CG into the direct fallback —
-            this policy is what makes multilevel refinement cheap at
-            scale.
+        preconditioner: axis solve policy.  ``"direct"`` (default) —
+            one exact SPD factorization per axis
+            (:meth:`~repro.place.b2b.QuadraticSystem.solve_direct`), no
+            CG: the flat loop's systems (coincident pins at the centered
+            start, clamped 1/|d| weights) almost never converge under
+            Jacobi-preconditioned CG.  ``"ilu"`` — CG warm-started from
+            the previous solution (or the current coordinates) under an
+            incomplete-LU factor built per solve, after which it
+            converges in ~10 iterations; the direct factorization is its
+            stall fallback.  The refactor sounds wasteful, but the B2B
+            linearisation moves enough between refinement rounds that a
+            frozen factor stalls CG; this policy is what makes the
+            multilevel refinement passes cheap at scale.
         min_distance: pin-separation clamp forwarded to
             :meth:`repro.place.b2b.B2BBuilder.build_axis` (None keeps
             the builder default).  Refinement passes raise it to ~1
@@ -150,8 +139,7 @@ class QuadraticPlacer:
                  tracer: Tracer | None = None,
                  guard: GuardOptions | None = None,
                  checkpoint: CheckpointHook | None = None,
-                 warm_seed: str = "direct",
-                 preconditioner: str = "jacobi",
+                 preconditioner: str = "direct",
                  min_distance: float | None = None) -> None:
         self.arrays = arrays
         self.region = region
@@ -170,22 +158,15 @@ class QuadraticPlacer:
         # checkpoint(iteration, x, y): periodic snapshot hook used by the
         # runtime's crash/timeout resume path
         self.checkpoint = checkpoint
-        if warm_seed not in ("direct", "coords"):
-            raise OptionsError(f"unknown warm_seed policy: {warm_seed!r}")
-        self.warm_seed = warm_seed
-        if preconditioner not in ("jacobi", "ilu"):
+        if preconditioner not in ("direct", "ilu"):
             raise OptionsError(
                 f"unknown preconditioner policy: {preconditioner!r}")
         self.preconditioner = preconditioner
         self.min_distance = min_distance
         self._builder = B2BBuilder(arrays)
-        # previous solve's solution per axis — warm start for the next
-        # anchored solve (the GP lower bound moves little late in the ramp)
+        # previous ILU solve's solution per axis — warm start for the
+        # next one (refinement rounds move the solution little)
         self._warm: dict[str, np.ndarray | None] = {"x": None, "y": None}
-        # per-axis CG budget: halves when CG keeps hitting the cap (the
-        # system is too ill-conditioned for PCG, direct fallback decides
-        # anyway), restores when a solve converges within budget
-        self._cg_budget: dict[str, int] = {"x": _CG_BUDGET, "y": _CG_BUDGET}
 
     # ------------------------------------------------------------------
     def _solve_axis(self, coords: np.ndarray, offsets: np.ndarray,
@@ -199,40 +180,28 @@ class QuadraticPlacer:
                                               anchors=anchors,
                                               anchor_weight=anchor_w,
                                               extra_pairs=extra, **kwargs)
-        warm = self._warm.get(axis)
-        if warm is not None and warm.shape == system.cells.shape:
-            x0 = warm
-            self.tracer.incr("gp.warm_starts")
-        elif self.warm_seed == "direct":
-            # Cold solve: the degenerate first-iteration system (coincident
-            # pins at the centered start) never converges under PCG, so
-            # seed from the exact direct solution — CG sees a converged
-            # residual and returns it unchanged, which keeps small designs
-            # on the direct trajectory whatever the CG budget is.
-            x0 = system.solve_direct()
-            self.tracer.incr("gp.direct_seeds")
-        else:
-            x0 = coords[system.cells]
-        M = None
-        if self.preconditioner == "ilu":
-            M = system.ilu_preconditioner()
-            if M is not None:
-                self.tracer.incr("gp.ilu_factorizations")
-        solve = GuardedSolve(system.solve, stage="global_place",
-                             design=self.arrays.name,
-                             guard=self.guard)
-        budget = _CG_BUDGET_ILU if M is not None else self._cg_budget[axis]
-        sol = solve(x0=x0, max_iterations=budget, M=M)
+        M = system.ilu_preconditioner() \
+            if self.preconditioner == "ilu" else None
         if M is None:
-            if system.last_cg_iterations >= budget:
-                self._cg_budget[axis] = max(budget // 2, _CG_BUDGET_MIN)
+            # the direct policy, or an ILU factor that hit a zero pivot
+            sol = GuardedSolve(system.solve_direct, stage="global_place",
+                               design=self.arrays.name, guard=self.guard)()
+        else:
+            self.tracer.incr("gp.ilu_factorizations")
+            warm = self._warm.get(axis)
+            if warm is not None and warm.shape == system.cells.shape:
+                x0 = warm
+                self.tracer.incr("gp.warm_starts")
             else:
-                self._cg_budget[axis] = _CG_BUDGET
-        elif system.last_cg_iterations >= budget:
-            self.tracer.incr("gp.ilu_stalls")
+                x0 = coords[system.cells]
+            solve = GuardedSolve(system.solve, stage="global_place",
+                                 design=self.arrays.name, guard=self.guard)
+            sol = solve(x0=x0, max_iterations=_CG_BUDGET_ILU, M=M)
+            if system.last_cg_iterations >= _CG_BUDGET_ILU:
+                self.tracer.incr("gp.ilu_stalls")
+            self.tracer.incr("gp.cg_iterations", system.last_cg_iterations)
         self._warm[axis] = np.asarray(sol, dtype=float).copy()
         self.tracer.incr("gp.solves")
-        self.tracer.incr("gp.cg_iterations", system.last_cg_iterations)
         out = coords.copy()
         out[system.cells] = sol
         return out

@@ -6,10 +6,14 @@ this suite is the CI gate the perf harness relies on: a kernel change
 that drifts from the reference fails here before any benchmark runs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import NumericalError
 from repro.eval.steiner import rmst_length, steiner_length, total_steiner
 from repro.gen import build_design
 from repro.netlist import Netlist, default_library
@@ -23,7 +27,7 @@ from repro.kernels.reference import (bell_value_grad_reference,
                                      rasterize_overlap_reference,
                                      rmst_length_reference)
 from repro.place import PlacementArrays
-from repro.place.b2b import B2BBuilder
+from repro.place.b2b import B2BBuilder, QuadraticSystem
 
 RTOL = 1e-9
 
@@ -172,13 +176,9 @@ class TestB2BAssembly:
         np.testing.assert_allclose(sol2, sol, rtol=1e-6, atol=1e-8)
 
     def test_direct_seed_parity(self):
-        """A cold solve seeded from solve_direct equals the direct result.
-
-        This is the f4_400 drift fix: a tight CG budget on the first GP
-        iteration used to return a slightly-off "converged" solution on
-        small designs; seeding from the direct solve pins the cold solve
-        to the exact trajectory regardless of the budget.
-        """
+        """CG seeded at the direct solution returns it unchanged: the
+        residual at the seed already meets the tolerance, so no CG
+        iteration runs, whatever the budget."""
         design, arrays = _design_arrays()
         builder = B2BBuilder(arrays)
         x0, _y0 = arrays.initial_positions()
@@ -194,20 +194,79 @@ class TestB2BAssembly:
         assert system2.last_cg_iterations == 0
 
     def test_placer_cold_solve_matches_direct_trajectory(self):
-        """QuadraticPlacer's cold axis solve is CG-budget independent."""
+        """The default cold axis solve is the exact direct solve, and a
+        CG attempt that stalls falls back to the same factorization."""
         from repro.place.quadratic import QuadraticPlacer
         design, arrays = _design_arrays()
         x0, _y0 = arrays.initial_positions()
         centered = x0.copy()
         centered[arrays.movable] = np.mean(x0)
-        tight = QuadraticPlacer(arrays, design.region)
-        tight._cg_budget = {"x": 25, "y": 25}
-        roomy = QuadraticPlacer(arrays, design.region)
-        got_tight = tight._solve_axis(centered, arrays.pin_dx, None, 0.0,
-                                      [], axis="x")
-        got_roomy = roomy._solve_axis(centered, arrays.pin_dx, None, 0.0,
-                                      [], axis="x")
-        np.testing.assert_array_equal(got_tight, got_roomy)
+        got = QuadraticPlacer(arrays, design.region)._solve_axis(
+            centered, arrays.pin_dx, None, 0.0, [], axis="x")
+        system = B2BBuilder(arrays).build_axis(centered, arrays.pin_dx)
+        exact = system.solve_direct()
+        np.testing.assert_array_equal(got[system.cells], exact)
+        stalled = system.solve(max_iterations=1)
+        assert system.last_cg_iterations == 1
+        np.testing.assert_array_equal(stalled, exact)
+
+
+def _backward_error(system, sol) -> float:
+    """Normwise backward error ``|Ax - b| / (|A| |x| + |b|)`` (inf-norms):
+    the relative perturbation of ``A`` and ``b`` that ``sol`` solves
+    exactly.  Clamped 1/|d| weights make ``|A| |x|`` dwarf ``|b|`` on
+    the centered systems, so the plain relative residual ``|Ax - b| /
+    |b|`` of an exact solve reads ~1e-9 there."""
+    a_norm = float(abs(system.A).sum(axis=1).max())
+    return float(np.abs(system.A @ sol - system.b).max()
+                 / (a_norm * np.abs(sol).max() + np.abs(system.b).max()))
+
+
+class TestDirectSolve:
+    """``QuadraticSystem.solve_direct`` factorizes with SPD settings (no
+    pivoting, minimum degree on ``A + A^T``); every B2B system is SPD."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["random", "snapped", "centered"]),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_solve_direct_is_backward_stable(self, seed, positions,
+                                             with_anchors, with_extra,
+                                             with_fixed):
+        """Random, integer-snapped (tied pins) and centered (coincident
+        pins, weights clamped at 1e-6) positions; with and without
+        anchors, alignment pairs and fixed cells."""
+        design, arrays = _design_arrays()
+        if not with_fixed:
+            arrays = replace(arrays, movable=np.ones_like(arrays.movable))
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0.0, 100.0, arrays.num_cells)
+        if positions == "snapped":
+            coords = np.round(coords / 5.0) * 5.0
+        elif positions == "centered":
+            coords[arrays.movable] = 50.0
+        anchors = rng.uniform(0.0, 100.0, arrays.num_cells) \
+            if with_anchors else None
+        pairs = rng.integers(0, arrays.num_cells, (12, 2))
+        extra = [(int(i), int(j), 1.0, float(rng.uniform(-3.0, 3.0)))
+                 for i, j in pairs if i != j] if with_extra else None
+        system = B2BBuilder(arrays).build_axis(
+            coords, arrays.pin_dx, anchors=anchors,
+            anchor_weight=rng.uniform(0.01, 1.0) if with_anchors else 0.0,
+            extra_pairs=extra)
+        sol = system.solve_direct()
+        assert sol.shape == system.b.shape
+        assert _backward_error(system, sol) <= 1e-12
+
+    def test_singular_system_raises_numerical_error(self):
+        """A pure Laplacian (no anchor, no fixed pin, no ridge) has an
+        exactly singular factor; that is a NumericalError, as a
+        non-finite solution is."""
+        A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        system = QuadraticSystem(A=A, b=np.array([1.0, -1.0]),
+                                 cells=np.arange(2))
+        with pytest.raises(NumericalError, match="singular"):
+            system.solve_direct()
 
 
 def _tracked_total(netlist) -> float:

@@ -13,6 +13,7 @@ from repro.core.structured_placer import _run_engine
 from repro.errors import OptionsError
 from repro.gen import UnitSpec, build_design, compose_design
 from repro.place import PlacementArrays, QuadraticPlacer, check_legal
+from repro.place.b2b import B2BBuilder
 from repro.place.electrostatic import ElectroOptions
 from repro.place.multilevel import (ENGINES, MultilevelOptions,
                                     multilevel_place, place_flat)
@@ -339,17 +340,36 @@ class TestEngineDispatch:
 
         QuadraticPlacer(arrays, d.region, checkpoint=hook).place()
         (snap,) = snaps
-        got, ref = Tracer(), Tracer()
+        got = Tracer()
         x, y, _history = _run_engine(arrays, d.region, PlacerOptions(),
                                      None, None, tracer=got, resume=snap)
-        want = QuadraticPlacer(arrays, d.region, tracer=ref,
-                               warm_seed="direct").place(
+        want = QuadraticPlacer(arrays, d.region).place(
             snap.x, snap.y, resume_iteration=snap.iteration)
         assert (x == want.x).all() and (y == want.y).all()
-        # here a "coords" seed happens to land on the same positions;
-        # the cold solves it seeds directly tell the policies apart
-        assert got.count("gp.direct_seeds") == \
-            ref.count("gp.direct_seeds") > 0
+        # every axis solve of the resumed loop is one exact factorization
+        assert got.count("gp.solves") > 0
+        assert got.count("gp.cg_iterations") == 0
+
+    def test_flat_quadratic_runs_no_cg(self, monkeypatch):
+        """The default flat quadratic flow never calls CG: both placers
+        finish legal without it, and an axis solve is the direct one."""
+        import scipy.sparse.linalg as spla
+
+        def no_cg(*_args, **_kwargs):
+            raise AssertionError("the flat quadratic flow called CG")
+
+        monkeypatch.setattr(spla, "cg", no_cg)
+        for placer in (StructureAwarePlacer(), BaselinePlacer()):
+            d = build_design("dp_add8")
+            assert placer.place(d.netlist, d.region).legal
+        d = build_design("dp_add8")
+        arrays = PlacementArrays.build(d.netlist)
+        x, _y = arrays.initial_positions()
+        got = QuadraticPlacer(arrays, d.region)._solve_axis(
+            x, arrays.pin_dx, x, 0.1, [], axis="x")
+        system = B2BBuilder(arrays).build_axis(x, arrays.pin_dx, anchors=x,
+                                               anchor_weight=0.1)
+        assert (got[system.cells] == system.solve_direct()).all()
 
     @pytest.mark.parametrize("engine", ["nonlinear", "bogus"])
     def test_unknown_engine_rejected(self, engine):
