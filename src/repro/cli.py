@@ -526,10 +526,13 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds (with --pool)")
     p_serve.add_argument("--pool", action="store_true",
-                         help="run each job in a process pool for crash/"
-                              "timeout isolation (cancel tokens cross "
-                              "the process boundary via the shared-"
-                              "memory cancel board)")
+                         help="place in worker processes for crash/"
+                              "timeout isolation: one long-lived worker "
+                              "per --workers slot, started on its first "
+                              "job and replaced only after a crash, "
+                              "timeout or interrupt (cancel tokens "
+                              "cross the process boundary via the "
+                              "shared-memory cancel board)")
     p_serve.add_argument("--no-shm", action="store_true",
                          help="disable shared-memory arena dispatch to "
                               "pool workers (designs are rebuilt "

@@ -134,6 +134,12 @@ class NetlistArena:
     def num_pins(self) -> int:
         return int(self.pin_cell.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the array fields (the blob adds names and header)."""
+        return sum(int(getattr(self, name).nbytes)
+                   for name, _ in _ARRAY_FIELDS)
+
     # ------------------------------------------------------------------
     # compile
     # ------------------------------------------------------------------

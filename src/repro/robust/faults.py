@@ -29,18 +29,24 @@ Shared-memory arena fault points (:mod:`repro.runtime.shm`; the leak
 gate in the chaos soak drives these):
 
 - ``worker_kill`` — a pool worker process dies via ``os._exit(1)`` at
-  the top of its job, before any cleanup runs.  Occurrence windows are
-  *per process*, so retried jobs land on fresh workers and die again
-  until the retry budget reports a terminal ``crash`` — the harshest
-  test that no shared-memory segment is orphaned;
+  the top of its job, before any cleanup runs.  A crash replaces the
+  pool, so a retried job lands on a fresh worker, whose window starts
+  over: ``worker_kill`` kills the first job of each fresh worker, and
+  retries die again until the retry budget reports a terminal
+  ``crash`` — the harshest test that no shared-memory segment is
+  orphaned;
 - ``shm_unavailable`` — arena export pretends ``/dev/shm`` is broken
   (as an ``OSError`` from segment creation would), forcing the pickled
   fallback transport and its ``arena.fallback_pickle`` counter.
 
 Injection sites call :func:`fault_fires` with the fault name; the module
 keeps per-process occurrence counters so ``count``/``skip`` windows work
-deterministically.  With the variable unset every call is a cheap
-dictionary miss — production runs pay nothing.
+deterministically.  Windows therefore count per *worker process*, and
+one pool worker serves many jobs (``run --workers N`` keeps its workers
+for the batch, ``serve --pool`` until a crash, timeout or interrupt
+replaces them): ``solver_nan:1`` fires once per worker, not per job.
+With the variable unset every call is a cheap dictionary miss —
+production runs pay nothing.
 
 The env value is parsed once per distinct string (memoized), and a
 malformed entry raises :class:`~repro.errors.OptionsError` naming the

@@ -23,6 +23,12 @@ rest of the batch.  Timeouts become retryable when checkpoints are
 enabled (the retry makes forward progress from the snapshot); without
 checkpoints they stay terminal, as before.
 
+The pool always comes from a :class:`PoolSlot`.  A batch of ``run``
+owns a slot for its own length; the serve daemon keeps one per bridge
+thread, so one worker process serves job after job and pays its
+start-up (fork, lazy scipy imports, arena attach) once.  A slot is
+replaced only after a worker crash, a timeout or an interrupt.
+
 Parallel dispatch ships designs as shared-memory netlist arenas
 (:mod:`repro.runtime.shm`): each unique design is compiled and exported
 once per batch and jobs carry a ~200-byte :class:`ArenaRef`, so an
@@ -44,6 +50,7 @@ hooks poll.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from concurrent import futures as cf
 from concurrent.futures.process import BrokenProcessPool
@@ -296,6 +303,115 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
     return result
 
 
+def _detach_signals() -> None:
+    """Pool-worker initializer: drop the serve daemon's signal plumbing.
+
+    A worker forked from a daemon serving on its main thread inherits
+    the asyncio loop's no-op SIGTERM handler and its signal wake-up
+    descriptor.  It would then ignore the SIGTERM :class:`PoolSlot`
+    sends a timed-out or interrupted worker, and the signal byte would
+    reach the daemon's own loop as a shutdown request.  SIGINT keeps
+    its inherited handler: a terminal's Ctrl-C reaches the daemon too,
+    which drains the worker's job rather than losing it.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _terminate_workers(pool: cf.ProcessPoolExecutor) -> None:
+    """SIGTERM every live worker process of ``pool``."""
+    processes = getattr(pool, "_processes", None) or {}
+    for proc in list(processes.values()):
+        try:
+            proc.terminate()
+        except (OSError, ValueError, AttributeError):
+            pass  # already gone; nothing left to reclaim
+
+
+class PoolSlot:
+    """A process pool kept across the runs of one caller.
+
+    The pool starts on the first :meth:`pool` call (counted as
+    ``executor.pool_starts`` on that run's tracer) and serves every
+    later run until :meth:`replace` discards it: after a worker crash,
+    a timeout or an interrupt.  One run at a time holds the slot
+    (:meth:`claim`); :meth:`kill` terminates the workers only while the
+    run it names still holds it, so an interrupt that arrives after its
+    job finished never reaches the job the slot runs next.
+
+    Args:
+        workers: process count of the pool.
+    """
+
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = max(workers, 1)
+        self._lock = threading.Lock()
+        self._pool: cf.ProcessPoolExecutor | None = None
+        self._holder: object | None = None
+        self._closed = False
+
+    def claim(self) -> object:
+        """Hold the slot for one run; returns the run's token."""
+        token = object()
+        with self._lock:
+            self._holder = token
+        return token
+
+    def unclaim(self, token: object) -> None:
+        with self._lock:
+            if self._holder is token:
+                self._holder = None
+
+    def pool(self, tracer: Tracer) -> cf.ProcessPoolExecutor:
+        """The live pool, started (or restarted when broken) on demand.
+
+        Raises:
+            BrokenProcessPool: the slot was closed.
+        """
+        with self._lock:
+            if self._closed:
+                raise BrokenProcessPool("pool slot is closed")
+            pool = self._pool
+            if pool is not None and not getattr(pool, "_broken", False):
+                return pool
+            fresh = cf.ProcessPoolExecutor(max_workers=self.workers,
+                                           initializer=_detach_signals)
+            self._pool = fresh
+        if pool is not None:  # a worker died while the slot sat idle
+            pool.shutdown(wait=False, cancel_futures=True)
+        tracer.incr("executor.pool_starts")
+        return fresh
+
+    def replace(self) -> None:
+        """Discard the pool; the next :meth:`pool` starts a fresh one.
+
+        Workers still running (a timed-out job) are terminated: their
+        results would be discarded anyway.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            _terminate_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def kill(self, token: object) -> None:
+        """Terminate the workers if run ``token`` still holds the slot."""
+        with self._lock:
+            if self._holder is token and self._pool is not None:
+                _terminate_workers(self._pool)
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the pool down for good (a run still holding the slot
+        has its workers terminated rather than waited for)."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+            if pool is not None and self._holder is not None:
+                _terminate_workers(pool)
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
+
+
 class BatchExecutor:
     """Fans placement jobs out with timeout, retry, and telemetry.
 
@@ -326,6 +442,9 @@ class BatchExecutor:
         heartbeat: called on every global-placement iteration of a
             serial run (the daemon's lease renewal); heartbeats do not
             cross the process boundary in pool mode.
+        slot: the :class:`PoolSlot` a parallel run takes its pool from
+            (the serve daemon passes its bridge thread's); None gives
+            each run a slot of ``workers`` processes that it closes.
     """
 
     def __init__(self, workers: int = 0, *,
@@ -335,7 +454,8 @@ class BatchExecutor:
                  fallback: bool = True, shm: bool = True,
                  arenas: ArenaProvider | None = None,
                  cancel: threading.Event | None = None,
-                 heartbeat: Callable[[], None] | None = None) -> None:
+                 heartbeat: Callable[[], None] | None = None,
+                 slot: PoolSlot | None = None) -> None:
         self.workers = workers
         self.cache = cache
         self.timeout_s = timeout_s
@@ -344,7 +464,10 @@ class BatchExecutor:
         self.fallback = fallback
         self.shm = shm
         self.arenas = arenas
-        self._active_pool: cf.ProcessPoolExecutor | None = None
+        self.slot = slot
+        #: (slot, token) of the latest parallel run; the slot honours
+        #: a kill only while that token still holds it
+        self._claim: tuple[PoolSlot, object] | None = None
         self._interrupted = False
         self.cancel = cancel if cancel is not None else threading.Event()
         self.heartbeat = heartbeat
@@ -364,23 +487,19 @@ class BatchExecutor:
 
         The serve watchdog calls this on a stalled job.  The cancel
         token is set first, so a serial execution that is still healthy
-        exits gracefully at its next iteration.  In pool mode the live
-        worker processes are then terminated, and the broken pool
-        surfaces as a terminal ``interrupted`` result (no internal
-        retry — requeue policy belongs to the supervisor, not this
-        executor).
+        exits gracefully at its next iteration.  In pool mode the
+        worker processes of this run's slot are then terminated, and
+        the broken pool surfaces as a terminal ``interrupted`` result
+        (no internal retry — requeue policy belongs to the supervisor,
+        not this executor).  Once the run has ended the call kills
+        nothing: the slot may already be running someone else's job.
         """
         self._interrupted = True
         self.cancel_all()
-        pool = self._active_pool
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except (OSError, ValueError, AttributeError):
-                pass  # already gone; nothing left to reclaim
+        claim = self._claim
+        if claim is not None:
+            slot, token = claim
+            slot.kill(token)
 
     # ------------------------------------------------------------------
     def run(self, jobs: list[PlacementJob],
@@ -484,26 +603,24 @@ class BatchExecutor:
                 if job.design not in shipments:
                     shipments[job.design] = provider.shipment(job.design)
 
-        def submit(pool: cf.ProcessPoolExecutor, idx: int,
-                   job: PlacementJob) -> cf.Future:
-            return pool.submit(_worker_execute, job, cache_spec,
-                               ckpt_root, self.fallback, tracer.clock(),
-                               shipments.get(job.design), board_ref)
+        def submit(job: PlacementJob) -> cf.Future:
+            return slot.pool(tracer).submit(
+                _worker_execute, job, cache_spec, ckpt_root,
+                self.fallback, tracer.clock(), shipments.get(job.design),
+                board_ref)
 
-        def rebuild(pool: cf.ProcessPoolExecutor, after: int,
-                    pending: dict[int, cf.Future]
-                    ) -> cf.ProcessPoolExecutor:
+        def rebuild(after: int, pending: dict[int, cf.Future]) -> None:
             """Replace a broken/abandoned pool, resubmitting later jobs."""
-            pool.shutdown(wait=False, cancel_futures=True)
-            fresh = cf.ProcessPoolExecutor(max_workers=self.workers)
+            slot.replace()
             for j, fut in list(pending.items()):
                 if j > after and not fut.done():
-                    pending[j] = submit(fresh, j, jobs[j])
-            return fresh
+                    pending[j] = submit(jobs[j])
 
-        pool = cf.ProcessPoolExecutor(max_workers=self.workers)
-        self._active_pool = pool
+        slot = self.slot if self.slot is not None \
+            else PoolSlot(self.workers)
+        token = slot.claim()
         self._interrupted = False
+        self._claim = (slot, token)
         results: list[JobResult | None] = [None] * len(jobs)
         board: CancelBoard | None = None
         try:
@@ -517,8 +634,7 @@ class BatchExecutor:
             if self.cancel.is_set() and board is not None:
                 board.set()
             board_ref = board.ref() if board is not None else None
-            pending = {idx: submit(pool, idx, job)
-                       for idx, job in enumerate(jobs)}
+            pending = {idx: submit(job) for idx, job in enumerate(jobs)}
             for idx, job in enumerate(jobs):
                 attempts = 1
                 while True:
@@ -539,10 +655,9 @@ class BatchExecutor:
                         error = f"timeout after {self.timeout_s}s"
                         kind = "timeout"
                         # the stuck worker cannot be reclaimed mid-
-                        # flight: abandon the pool so the retry (or the
+                        # flight: replace the pool so the retry (or the
                         # remaining jobs) get fresh workers
-                        pool = rebuild(pool, idx, pending)
-                        self._active_pool = pool
+                        rebuild(idx, pending)
                         if self.checkpoints is None:
                             # no snapshot to resume from — retrying
                             # would repeat the same budget-blowing run
@@ -563,8 +678,7 @@ class BatchExecutor:
                         # rebuild it before retrying or moving on
                         error = repr(exc)
                         kind = "crash"
-                        pool = rebuild(pool, idx, pending)
-                        self._active_pool = pool
+                        rebuild(idx, pending)
                     # sanctioned fault boundary: worker exceptions are
                     # shipped back as JobResult records with their
                     # taxonomy kind. repro-lint: disable=NUM03
@@ -578,7 +692,7 @@ class BatchExecutor:
                         break
                     attempts += 1
                     tracer.incr("executor.retry")
-                    pending[idx] = submit(pool, idx, job)
+                    pending[idx] = submit(job)
                 results[idx] = result
         finally:
             # teardown order is safe even with stragglers: unlinking a
@@ -586,8 +700,13 @@ class BatchExecutor:
             # worker that is still attached keeps reading valid memory
             if board is not None:
                 board.close(unlink=True)
-            self._active_pool = None
-            pool.shutdown(wait=False, cancel_futures=True)
+            slot.unclaim(token)
+            if self._interrupted:
+                # the kill may have landed after the last result: never
+                # hand a possibly killed pool to the slot's next run
+                slot.replace()
+            if slot is not self.slot:
+                slot.close(wait=False)
             if owned_store is not None:
                 for name, value in owned_store.counters.items():
                     tracer.incr(name, value)

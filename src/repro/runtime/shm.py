@@ -9,8 +9,11 @@ This module owns the *transport* side of the netlist-arena subsystem
   the same design ships only an :class:`ArenaRef` (digest + segment
   name, ~200 bytes pickled) instead of the Python netlist graph.
 - :func:`attach_shipment` — worker-side attach with a per-process cache
-  keyed by digest, so a worker maps each design's segment once per
-  lifetime no matter how many jobs it executes.
+  keyed by digest, so a worker maps each design's segment once no
+  matter how many jobs it executes.  Pool workers are long-lived (the
+  serve daemon keeps one per bridge slot), so the cache is an LRU under
+  :func:`arena_budget`, the same budget the daemon's registry keeps
+  released designs under (both admit through :func:`lru_admit`).
 - :class:`CancelBoard` — one shared byte per batch, the executor's
   cancel token mirrored where pool workers can poll it mid-iteration
   (the graceful counterpart to ``BatchExecutor.interrupt()``'s
@@ -46,6 +49,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Protocol
@@ -55,6 +59,9 @@ from ..netlist.arena import NetlistArena
 from ..robust.faults import fault_fires
 
 __all__ = [
+    "ARENA_BUDGET_BYTES",
+    "arena_budget",
+    "lru_admit",
     "ArenaRef",
     "Shipment",
     "ArenaStore",
@@ -63,6 +70,54 @@ __all__ = [
     "CancelBoard",
     "CancelBoardRef",
 ]
+
+
+#: ceiling on the bytes of arenas kept for designs no running job
+#: needs: the serve registry's released exports (:mod:`repro.serve.arena`)
+#: and each worker's attach cache.  64 MiB holds about five 50k-cell
+#: blobs; :func:`arena_budget` lowers it on a small ``/dev/shm``.
+ARENA_BUDGET_BYTES = 64 * 1024 * 1024
+
+#: the tmpfs POSIX shared-memory segments live in (Linux)
+_SHM_DIR = "/dev/shm"
+
+
+def arena_budget() -> int:
+    """Bytes of arenas an LRU may keep past their jobs, read now.
+
+    :data:`ARENA_BUDGET_BYTES`, capped at a quarter of the space free
+    in ``/dev/shm`` (the ceiling alone when that cannot be read).
+    Docker's default ``/dev/shm`` is 64 MiB, and kept segments must
+    leave room for the exports of running jobs.  Every kept page, the
+    registry's or a worker's mapping of a segment already unlinked,
+    counts as used space, so what is kept lowers the next budget.
+    """
+    try:
+        fs = os.statvfs(_SHM_DIR)
+    except OSError:
+        return ARENA_BUDGET_BYTES
+    return min(ARENA_BUDGET_BYTES, fs.f_bavail * fs.f_frsize // 4)
+
+
+def lru_admit(lru: OrderedDict[str, int], key: str, nbytes: int,
+              budget: int) -> list[str]:
+    """Make ``key`` (``nbytes``) the most recently used entry of ``lru``,
+    then evict least recently used entries until the rest fit ``budget``.
+
+    Returns the evicted keys, oldest first.  A key larger than the
+    whole budget is never kept: it is returned at once.
+    """
+    lru.pop(key, None)
+    if nbytes > budget:
+        return [key]
+    lru[key] = nbytes
+    total = sum(lru.values())
+    evicted = []
+    while total > budget:
+        name, size = lru.popitem(last=False)
+        total -= size
+        evicted.append(name)
+    return evicted
 
 
 @dataclass(frozen=True)
@@ -146,6 +201,7 @@ class ArenaStore:
         from ..netlist.arena import NetlistArena as _Arena
         compiled = _Arena.compile(build_design(design))
         with self._lock:
+            self._incr("arena.compiles")
             # a racing thread may have compiled too; first one wins so
             # every consumer shares one object
             arena = self._arenas.setdefault(design, compiled)
@@ -154,6 +210,18 @@ class ArenaStore:
     def digest(self, design: str) -> str:
         """Netlist fingerprint for ``design`` (compiling if needed)."""
         return self.arena(design).digest
+
+    def footprint(self, design: str) -> int:
+        """Bytes ``design`` holds here: its exported blob, else the
+        arrays of its compile (0 when neither exists)."""
+        with self._lock:
+            shipment = self._shipments.get(design)
+            arena = self._arenas.get(design)
+        if shipment is not None and shipment.ref is not None:
+            return shipment.ref.nbytes
+        if shipment is not None and shipment.arena_blob is not None:
+            return len(shipment.arena_blob)
+        return arena.nbytes if arena is not None else 0
 
     def shipment(self, design: str) -> Shipment | None:
         """Export ``design`` and return its dispatch decision.
@@ -184,40 +252,61 @@ class ArenaStore:
 
     def _export(self, design: str, arena: NetlistArena) -> Shipment:
         blob = arena.to_bytes()
-        if not fault_fires("shm_unavailable"):
+        shm = None if fault_fires("shm_unavailable") \
+            else self._segment(arena.digest, len(blob))
+        if shm is not None:
             try:
+                shm.buf[:len(blob)] = blob
                 with self._lock:
-                    self._seq += 1
-                    seq = self._seq
-                shm = shared_memory.SharedMemory(
-                    name=_segment_name(arena.digest, seq),
-                    create=True, size=len(blob))
-            except OSError:
-                pass  # /dev/shm missing, full, or name exhausted
-            else:
-                try:
-                    shm.buf[:len(blob)] = blob
-                    with self._lock:
-                        self._segments[shm.name] = shm
-                except BaseException:
-                    # nothing owns the segment yet: unlink before the
-                    # exception propagates or /dev/shm keeps it forever
-                    shm.close()
-                    shm.unlink()
-                    raise
-                ref = ArenaRef(digest=arena.digest, segment=shm.name,
-                               nbytes=len(blob), design=design,
-                               creator_pid=os.getpid())
-                self._incr("arena.exports")
-                return Shipment(
-                    transport="shm", design=design, digest=arena.digest,
-                    ref=ref,
-                    bytes_per_job=len(pickle.dumps(
-                        ref, protocol=pickle.HIGHEST_PROTOCOL)))
+                    self._segments[shm.name] = shm
+            except BaseException:
+                # nothing owns the segment yet: unlink before the
+                # exception propagates or /dev/shm keeps it forever
+                shm.close()
+                shm.unlink()
+                raise
+            ref = ArenaRef(digest=arena.digest, segment=shm.name,
+                           nbytes=len(blob), design=design,
+                           creator_pid=os.getpid())
+            self._incr("arena.exports")
+            return Shipment(
+                transport="shm", design=design, digest=arena.digest,
+                ref=ref,
+                bytes_per_job=len(pickle.dumps(
+                    ref, protocol=pickle.HIGHEST_PROTOCOL)))
         self._incr("arena.fallback_pickle")
         return Shipment(transport="pickle", design=design,
                         digest=arena.digest, arena_blob=blob,
                         bytes_per_job=len(blob))
+
+    def _segment(self, digest: str,
+                 size: int) -> shared_memory.SharedMemory | None:
+        """A new segment of ``size`` bytes with every page reserved, or
+        None when ``/dev/shm`` cannot hold it (missing, full, or name
+        exhausted).
+
+        tmpfs allocates a page at its first write, and a write past a
+        full ``/dev/shm`` raises SIGBUS, which no handler catches.
+        Reserving the pages first turns a full ``/dev/shm`` into the
+        pickle transport instead of a dead process.
+        """
+        with self._lock:
+            self._seq += 1
+            seq = self._seq
+        try:
+            shm = shared_memory.SharedMemory(
+                name=_segment_name(digest, seq), create=True, size=size)
+        except OSError:
+            return None
+        try:
+            os.posix_fallocate(shm._fd, 0, size)  # type: ignore[attr-defined]  # noqa: SLF001
+        except BaseException as exc:
+            shm.close()
+            shm.unlink()
+            if isinstance(exc, OSError):
+                return None  # ENOSPC: /dev/shm is full
+            raise
+        return shm
 
     # ------------------------------------------------------------------
     def _release_segment(self, name: str) -> None:
@@ -264,9 +353,17 @@ class ArenaStore:
 # ----------------------------------------------------------------------
 
 #: per-process attach cache: digest -> (arena, segment handle or None).
-#: Entries live for the worker's lifetime; pool workers are recycled
-#: wholesale, so there is no eviction.
-_ATTACH_CACHE: dict[str, tuple[NetlistArena, shared_memory.SharedMemory | None]] = {}
+#: A pool worker serves job after job, so entries past
+#: :func:`arena_budget` are evicted and their mappings closed.
+_ATTACH_CACHE: dict[
+    str, tuple[NetlistArena, shared_memory.SharedMemory | None]] = {}
+
+#: the attach cache's digests, least recently used first -> bytes
+_ATTACH_LRU: OrderedDict[str, int] = OrderedDict()
+
+#: evicted handles whose zero-copy views were still alive; closed as
+#: soon as the views are gone
+_CLOSING: list[shared_memory.SharedMemory] = []
 
 
 def _untrack(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
@@ -301,36 +398,55 @@ def attach_shipment(shipment: Shipment) -> NetlistArena:
     """
     cached = _ATTACH_CACHE.get(shipment.digest)
     if cached is not None:
+        _ATTACH_LRU.move_to_end(shipment.digest)
         return cached[0]
+    shm: shared_memory.SharedMemory | None = None
     if shipment.transport == "shm" and shipment.ref is not None:
         shm = shared_memory.SharedMemory(name=shipment.ref.segment)
         _untrack(shm, shipment.ref.creator_pid)
+        # the handle must outlive the zero-copy views: it is closed
+        # only after eviction, once the views are gone; the creating
+        # process owns the unlink
         arena = NetlistArena.from_buffer(
             shm.buf[:shipment.ref.nbytes])
-        # the handle must outlive the zero-copy views; it is never
-        # closed here — the OS reclaims the mapping at process exit and
-        # the creating process owns the unlink
-        _ATTACH_CACHE[shipment.digest] = (arena, shm)
-        return arena
-    if shipment.arena_blob is None:
+        nbytes = shipment.ref.nbytes
+    elif shipment.arena_blob is not None:
+        arena = NetlistArena.from_buffer(shipment.arena_blob)
+        nbytes = len(shipment.arena_blob)
+    else:
         raise ValidationError(
             "shipment carries neither a segment nor a blob")
-    arena = NetlistArena.from_buffer(shipment.arena_blob)
-    _ATTACH_CACHE[shipment.digest] = (arena, None)
+    _ATTACH_CACHE[shipment.digest] = (arena, shm)
+    # an evicted design may be this one (larger than the budget): the
+    # job still uses it, and its handle closes once the views are gone
+    _evict_attached(lru_admit(_ATTACH_LRU, shipment.digest, nbytes,
+                              arena_budget()))
     return arena
+
+
+def _evict_attached(digests: list[str]) -> None:
+    """Drop ``digests`` from the attach cache, then close every evicted
+    handle no zero-copy view still pins."""
+    for digest in digests:
+        # keep no reference to the evicted arena: its views pin the map
+        shm = _ATTACH_CACHE.pop(digest)[1]
+        if shm is not None:
+            _CLOSING.append(shm)
+    pending = list(_CLOSING)
+    _CLOSING.clear()
+    for shm in pending:
+        try:
+            shm.close()
+        except BufferError:
+            _CLOSING.append(shm)  # views still alive: retry later
+        except OSError:  # repro-lint: disable=NUM03
+            pass  # mapping already gone; nothing left to close
 
 
 def _clear_attach_cache() -> None:
     """Test hook: drop this process's attach cache (closing handles)."""
-    for _, shm in _ATTACH_CACHE.values():
-        if shm is not None:
-            try:
-                shm.close()
-            except (OSError, BufferError):  # repro-lint: disable=NUM03
-                # BufferError: zero-copy arena views are still alive;
-                # the mapping is reclaimed by gc once they die
-                pass
-    _ATTACH_CACHE.clear()
+    _ATTACH_LRU.clear()
+    _evict_attached(list(_ATTACH_CACHE))
 
 
 # ----------------------------------------------------------------------

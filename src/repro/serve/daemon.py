@@ -32,6 +32,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..errors import OptionsError, ReproError
 from ..runtime.cache import (ArtifactCache, canonical_options, job_key,
@@ -71,10 +72,14 @@ class ServeConfig:
         max_pending: bounded-admission cap (queued + running).
         retries: executor retry budget per job.
         timeout_s: per-job wall-clock budget (pool mode).
-        pool: run each placement in a single-worker process pool.
+        pool: place in worker processes: each bridge thread keeps one
+            long-lived single-worker pool, started on its first job and
+            replaced only after a crash, a timeout or an interrupt.
         shm: in pool mode, ship designs to workers as shared-memory
-            arenas held by a refcounted registry (default); ``False``
-            restores per-job rebuild dispatch.
+            arenas held by a refcounted registry that keeps recently
+            released designs under a byte budget (64 MiB, or a quarter
+            of the free ``/dev/shm`` when that is less; default);
+            ``False`` restores per-job rebuild dispatch.
         fallback: run the degradation ladder (default).
         stall_timeout_s: a running job with no lease heartbeat for this
             long is declared stuck (watchdog interrupts + requeues it).
@@ -157,8 +162,9 @@ class PlacementDaemon:
             journal = JobJournal(self._journal_path)
         self.journal = journal
 
-        #: refcounted arena exports shared by every pool worker; None
-        #: outside pool mode (threads place in-process, no shipping)
+        #: refcounted arena exports shared by every pool worker, kept
+        #: past their last job under a byte budget; None outside pool
+        #: mode (threads place in-process, no shipping)
         self.arenas: ArenaRegistry | None = None
         if config.pool and config.shm:
             self.arenas = ArenaRegistry()
@@ -206,25 +212,48 @@ class PlacementDaemon:
             del self.tracer.events[:_EVENT_CAP // 2]
 
     # -- arena lifecycle -----------------------------------------------
-    def _acquire_arena(self, record: QueuedJob) -> None:
-        """Pin the job's design arena until the job turns terminal.
+    async def _admit_holding_arena(
+            self, design: str,
+            admit: Callable[[], QueuedJob]) -> QueuedJob:
+        """Enqueue a job for ``design`` through ``admit`` holding a
+        reference on its arena taken first, and hand the reference to
+        the job (or back, when admission raises).
 
-        Called off the event loop after admission (the first reference
-        compiles and exports the arena).  The lease-flag transition is
-        guarded so a job racing to a terminal state between admission
-        and this call cannot strand a reference.
+        A bridge thread may pop and ship the job at once; a reference
+        taken after the enqueue would leave a window in which an
+        eviction unlinks the segment it ships.  The acquire runs off
+        the event loop (the first reference compiles) and takes no
+        reference for an uncompilable design, whose job runs via
+        rebuild.
         """
-        if self.arenas is None:
-            return
-        if not self.arenas.acquire(record.job.design):
-            return  # uncompilable design: job runs via rebuild
+        arenas = self.arenas
+        held = arenas is not None and \
+            await asyncio.to_thread(arenas.acquire, design)
+        try:
+            record = admit()
+        except ReproError:
+            if held and arenas is not None:
+                arenas.release(design)
+            raise
+        if held:
+            self._lease_arena(record)
+        return record
+
+    def _lease_arena(self, record: QueuedJob) -> None:
+        """Hand a reference already taken on the job's design to the
+        admitted job until it turns terminal.
+
+        The lease-flag transition is guarded so a job racing to a
+        terminal state between admission and this call cannot strand
+        the reference.
+        """
         release = False
         with self._arena_lock:
             if record.arena_lease or record.terminal:
                 release = True  # raced: the terminal hook already ran
             else:
                 record.arena_lease = True
-        if release:
+        if release and self.arenas is not None:
             self.arenas.release(record.job.design)
 
     def _on_terminal(self, record: QueuedJob) -> None:
@@ -338,7 +367,11 @@ class PlacementDaemon:
                         job, priority=priority,
                         job_id=entry.get("job_id"),
                         attempts=attempts)
-                    self._acquire_arena(record)
+                    # no bridge thread runs yet: taking the reference
+                    # after admission is safe here
+                    if self.arenas is not None and \
+                            self.arenas.acquire(job.design):
+                        self._lease_arena(record)
                     self.tracer.incr("serve.replayed")
                 self.metrics.record_submitted()
             except ReproError as exc:
@@ -453,8 +486,9 @@ class PlacementDaemon:
                             retry_after_s=self.supervisor.breaker
                             .retry_after_s())
                     try:
-                        record = self.queue.submit(job,
-                                                   priority=priority)
+                        record = await self._admit_holding_arena(
+                            job.design, lambda: self.queue.submit(
+                                job, priority=priority))
                     except ReproError:
                         # a half-open probe that failed admission must
                         # hand its slot back
@@ -462,8 +496,6 @@ class PlacementDaemon:
                         raise
                     record.spans["cache_probe"] = probe_s
                     self.metrics.record_submitted()
-                    await asyncio.to_thread(self._acquire_arena,
-                                            record)
             except ReproError:
                 self.metrics.record_rejected()
                 raise
@@ -539,10 +571,12 @@ class PlacementDaemon:
 
     async def _handle_requeue(self, message: dict) -> dict:
         with self.tracer.phase("serve.requeue"):
-            record = self.queue.revive(message["job_id"])
+            job_id = message["job_id"]
             # revival leaves a terminal state, whose hook released the
-            # arena reference — take a fresh one for the new attempt
-            await asyncio.to_thread(self._acquire_arena, record)
+            # arena reference: the new attempt takes a fresh one
+            record = await self._admit_holding_arena(
+                self._record_or_raise(job_id).job.design,
+                lambda: self.queue.revive(job_id))
             self.tracer.incr("serve.requeued")
             return protocol.ok_response(**record.describe())
 

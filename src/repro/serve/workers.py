@@ -3,12 +3,16 @@
 Each bridge thread pops one :class:`~repro.serve.queue.QueuedJob` at a
 time and runs it through :class:`~repro.runtime.executor.BatchExecutor`
 — the exact engine ``repro-place run`` uses — so the daemon inherits
-the PR-1/PR-2 execution semantics wholesale: bit-identical results,
+its execution semantics wholesale: bit-identical results,
 degradation-ladder fallback, taxonomy ``error_kind`` reporting, and
-checkpoint/resume.  In ``pool`` mode every job runs in a single-worker
-process pool (full crash/timeout isolation); otherwise it runs serially
-inside the bridge thread (the executor's ``workers=0`` path, same
-results by construction).
+checkpoint/resume.  In ``pool`` mode each bridge thread keeps one
+single-worker process pool (a :class:`~repro.runtime.executor.PoolSlot`)
+that runs its jobs in a separate process: it starts on the thread's
+first job, serves every later one, and is replaced only after a crash,
+a timeout or a supervisor interrupt, so a worker's start-up is paid
+once, not per job.  Otherwise jobs run serially inside the bridge
+thread (the executor's ``workers=0`` path, same results by
+construction).
 
 The bridge hands the executor only the job's cancel token
 (``record.cancel``) and a lease heartbeat; neither needs checkpoints.
@@ -26,13 +30,15 @@ healthy in-thread placement beats once per global-placement iteration.
 When the watchdog declares an execution stuck it calls
 :meth:`~repro.runtime.executor.BatchExecutor.interrupt`, which trips
 the job's *original* cancel token (pool mode: kills the worker process
-too), and requeues the job under a new epoch; whatever the dead
-execution eventually reports is discarded by the queue's epoch guard
-and counted as ``worker.zombie_results``.  A hung bridge thread cannot
-be killed, so the watchdog *abandons* it —
-:meth:`WorkerBridge.abandon_worker` hands its slot to a fresh thread,
-and :meth:`WorkerBridge.stop` counts threads that never came back as
-``worker.leaked``.
+too, but only while that execution still holds the slot — a late
+interrupt never reaches the slot's next job), and requeues the job
+under a new epoch; whatever the dead execution eventually reports is
+discarded by the queue's epoch guard and counted as
+``worker.zombie_results``.  A hung bridge thread cannot be killed, so
+the watchdog *abandons* it — :meth:`WorkerBridge.abandon_worker` hands
+its slot to a fresh thread, and :meth:`WorkerBridge.stop` counts
+threads that never came back as ``worker.leaked``, then shuts every
+pool slot down so a drain leaves no worker process behind.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import TYPE_CHECKING, Callable
 from ..robust.checkpoint import CheckpointStore
 from ..robust.faults import fault_fires
 from ..runtime.cache import ArtifactCache
-from ..runtime.executor import BatchExecutor
+from ..runtime.executor import BatchExecutor, PoolSlot
 from ..runtime.jobs import JobResult
 from ..runtime.telemetry import Tracer
 from . import protocol
@@ -76,18 +82,21 @@ class WorkerBridge:
         checkpoint_root: checkpoint directory: resume state only (a
             cancelled job's final snapshot, crash/timeout resume).
             Cancel and heartbeats work without it.
-        pool: run each job in a single-worker process pool instead of
-            in-thread (isolation at the cost of process startup).
-            Heartbeats do not cross the process boundary, so in pool
-            mode the watchdog's ``stall_timeout_s`` acts as a coarse
-            wall-clock backstop — set it above the expected job length.
+        pool: run jobs in a separate worker process instead of
+            in-thread: one long-lived single-worker pool per bridge
+            thread, started on its first job (crash and timeout
+            isolation; the start-up is paid once per thread and once
+            per replacement).  Heartbeats do not cross the process
+            boundary, so in pool mode the watchdog's
+            ``stall_timeout_s`` acts as a coarse wall-clock backstop —
+            set it above the expected job length.
         timeout_s: per-job wall-clock budget (pool mode only).
         retries: executor retry budget for crashing jobs.
         fallback: run the degradation ladder (default).
         shm: ship designs into pool workers as shared-memory arenas
             (default); off, each pool job rebuilds its design.
-        arenas: daemon-owned refcounted arena provider shared by every
-            per-job executor (None: each executor exports its own).
+        arenas: daemon-owned arena registry shared by every per-job
+            executor (None: each executor exports its own).
         clock: shared tracer clock.
         metrics: live stats aggregation.
         emit: callback receiving JSON-ready telemetry rows (the daemon
@@ -127,6 +136,8 @@ class WorkerBridge:
         self.requeue_cancelled = False
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        #: pool mode: one slot per bridge thread, keyed by thread name
+        self._slots: dict[str, PoolSlot] = {}
         self._abandoned: set[str] = set()
         self._spawn_seq = 0
         self.counters: dict[str, int] = {}
@@ -167,6 +178,8 @@ class WorkerBridge:
         typically executions wedged past the watchdog's reach.  They
         are counted (``worker.leaked``), reported as a telemetry row,
         and surfaced through ``stats`` rather than silently dropped.
+        Every pool slot is then shut down (a leaked thread's worker is
+        terminated), so no worker process outlives the bridge.
         """
         self._stop.set()
         deadline = self.clock() + join_timeout_s
@@ -175,6 +188,10 @@ class WorkerBridge:
             thread.join(timeout=max(deadline - self.clock(), 0.0))
             if thread.is_alive():
                 leaked.append(thread.name)
+        with self._counter_lock:
+            slots = list(self._slots.values())
+        for slot in slots:
+            slot.close()
         if leaked:
             with self._counter_lock:
                 self.counters["worker.leaked"] = \
@@ -194,6 +211,21 @@ class WorkerBridge:
             if record is None:
                 continue
             self._execute(record)
+
+    def _slot(self) -> PoolSlot | None:
+        """The calling bridge thread's pool slot (pool mode only).
+
+        Made on the thread's first job; its pool starts when that job
+        is submitted, so an idle daemon has no worker process.
+        """
+        if not self.pool:
+            return None
+        name = threading.current_thread().name
+        with self._counter_lock:
+            slot = self._slots.get(name)
+            if slot is None:
+                slot = self._slots[name] = PoolSlot(1)
+        return slot
 
     # -- execution -----------------------------------------------------
     def _execute(self, record: QueuedJob) -> None:
@@ -215,7 +247,7 @@ class WorkerBridge:
             timeout_s=self.timeout_s, retries=self.retries,
             checkpoints=checkpoints, fallback=self.fallback,
             shm=self.shm, arenas=self.arenas, cancel=token,
-            heartbeat=heartbeat)
+            heartbeat=heartbeat, slot=self._slot())
 
         if supervisor is not None:
             lease = supervisor.acquire(record, worker=worker,

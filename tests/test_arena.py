@@ -5,10 +5,15 @@ reconstruct round-trips (property-based, including zero-pin nets and
 fixed-only designs), the shared-memory store and its pickled fallback,
 the arena-direct ``PlacementArrays`` construction path, cross-process
 cancel boards, parallel-vs-serial placement bit-identity, the
-worker-crash leak gate, and the serve registry's refcount lifecycle.
+worker-crash leak gate, the long-lived pool slot a daemon thread keeps,
+and the serve registry's refcount lifecycle and byte-budget LRU.
 """
 
+import errno
 import os
+import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.netlist.arena import NetlistArena
 from repro.place import PlacementRegion
 from repro.place.arrays import PlacementArrays
 from repro.robust import faults
+from repro.runtime import shm
 from repro.runtime.cache import (job_key, job_key_from_digest,
                                  netlist_fingerprint)
 from repro.runtime.executor import BatchExecutor
@@ -269,6 +275,42 @@ class TestArenaStore:
             attach_shipment(Shipment(transport="shm", design="x",
                                      digest="missing"))
 
+    def test_full_shm_falls_back_to_pickle(self, monkeypatch):
+        """An export /dev/shm cannot hold ships pickled: writing it into
+        pages tmpfs cannot back would be a SIGBUS."""
+        def full(fd, offset, size):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm.os, "posix_fallocate", full)
+        store = ArenaStore()
+        try:
+            shipment = store.shipment("dp_add8")
+            assert shipment.transport == "pickle"
+            stats = store.stats()
+            assert stats["arena.fallback_pickle"] == 1
+            assert stats["arena.segments"] == 0
+            assert _shm_leftovers() == []
+        finally:
+            store.close()
+
+    def test_attach_cache_evicts_past_the_budget(self, monkeypatch):
+        store = ArenaStore()
+        try:
+            ships = [store.shipment(d) for d in ("dp_add8", "dp_alu16")]
+            # room for the larger blob, not for both
+            monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES",
+                                max(s.ref.nbytes for s in ships))
+            _clear_attach_cache()
+            for shipment in ships:
+                assert attach_shipment(shipment).digest == shipment.digest
+            assert list(shm._ATTACH_CACHE) == [ships[1].digest]
+            assert list(shm._ATTACH_LRU) == [ships[1].digest]
+            assert shm._CLOSING == []  # the evicted mapping was closed
+        finally:
+            _clear_attach_cache()
+            store.close()
+        assert _shm_leftovers() == []
+
 
 class TestCancelBoard:
     def test_set_and_attach(self):
@@ -384,11 +426,152 @@ class TestDaemonLeakGate:
         assert _shm_leftovers() == []
 
 
+def _pool_daemon(sock: str, **overrides):
+    """An in-process ``--pool --workers 1`` daemon with no persistence."""
+    from repro.serve.daemon import PlacementDaemon, ServeConfig
+
+    config = dict(socket_path=sock, workers=1, pool=True, shm=True,
+                  cache_dir=None, checkpoint_dir=None, spool_dir=None)
+    config.update(overrides)
+    return PlacementDaemon(ServeConfig(**config))
+
+
+def _serve(daemon):
+    import threading
+
+    thread = threading.Thread(target=daemon.run, daemon=True)
+    thread.start()
+    assert daemon.started.wait(15)
+    return thread
+
+
+def _wait_running(client, job_id: str) -> None:
+    """Poll until the job runs; fail naming the state it ended in."""
+    deadline = time.monotonic() + 60
+    while (state := client.status(job_id)["state"]) != "running":
+        assert state == "queued", \
+            f"job ended {state} before it was seen running"
+        assert time.monotonic() < deadline, "job never ran"
+        time.sleep(0.005)
+
+
+class TestPoolSlot:
+    def test_late_interrupt_spares_the_next_job(self, tmp_path,
+                                                 monkeypatch):
+        """A finished job's interrupt must not kill the worker that now
+        runs the slot's next job."""
+        from repro.serve.client import ServeClient
+
+        daemon = _pool_daemon(str(tmp_path / "late.sock"))
+        interrupts = {}
+        acquire = daemon.supervisor.acquire
+
+        def spy(record, **kwargs):
+            interrupts[record.job_id] = kwargs["interrupt"]
+            return acquire(record, **kwargs)
+
+        monkeypatch.setattr(daemon.supervisor, "acquire", spy)
+        thread = _serve(daemon)
+        try:
+            with ServeClient(daemon.config.socket_path) as client:
+                first = client.submit("dp_add8",
+                                      placer="structure")["job_id"]
+                assert client.result(first, wait=True,
+                                     timeout=120)["state"] == "done"
+                second = client.submit("ctrl_glue2k",
+                                       placer="structure")["job_id"]
+                _wait_running(client, second)
+                interrupts[first]()
+                # the interrupt landed while the next job held the slot
+                assert client.status(second)["state"] == "running"
+                final = client.result(second, wait=True, timeout=120)
+                assert final["state"] == "done", final
+                assert final["attempts"] == 1
+                stats = client.stats()["stats"]
+                assert stats["executor"]["executor.pool_starts"] == 1
+                client.shutdown(mode="drain")
+        finally:
+            daemon.request_shutdown("drain")
+            thread.join(30)
+        assert _shm_leftovers() == []
+
+    def test_admission_holds_the_arena_before_enqueue(self, tmp_path,
+                                                      monkeypatch):
+        """A cold submit holds its design's arena before the job is
+        enqueued (a bridge thread may ship it at once, and an eviction
+        must not unlink it first); a rejected submit hands it back."""
+        from repro.serve.client import ServeClient, ServeError
+
+        daemon = _pool_daemon(str(tmp_path / "hold.sock"), max_pending=1)
+        held = []
+        submit = daemon.queue.submit
+
+        def spy(job, **kwargs):
+            held.append(daemon.arenas.stats()["arena.references"])
+            return submit(job, **kwargs)
+
+        monkeypatch.setattr(daemon.queue, "submit", spy)
+        thread = _serve(daemon)
+        try:
+            with ServeClient(daemon.config.socket_path) as client:
+                first = client.submit("ctrl_glue2k",
+                                      placer="structure")["job_id"]
+                with pytest.raises(ServeError, match="queue is full"):
+                    client.submit("dp_add8", placer="baseline")
+                assert held == [1, 2]
+                assert client.result(first, wait=True,
+                                     timeout=120)["state"] == "done"
+                stats = client.stats()["stats"]["arena"]
+                assert stats["arena.references"] == 0
+                assert stats["arena.retained_designs"] == 2
+                client.shutdown(mode="drain")
+        finally:
+            daemon.request_shutdown("drain")
+            thread.join(30)
+        assert _shm_leftovers() == []
+
+    def test_worker_kill_replaces_the_slot_pool(self, tmp_path,
+                                                monkeypatch):
+        """A reused worker that dies mid-job costs one requeue and one
+        fresh pool; the job then ends done and no segment leaks."""
+        from repro.serve.client import ServeClient
+
+        # each worker process survives its first job, dies in its second
+        monkeypatch.setenv(faults.ENV_VAR, "worker_kill:1:1")
+        faults.reset()
+        daemon = _pool_daemon(str(tmp_path / "kill.sock"), retries=0,
+                              backoff_base_s=0.05, scan_interval_s=0.05)
+        thread = _serve(daemon)
+        try:
+            with ServeClient(daemon.config.socket_path) as client:
+                first = client.submit("dp_add8", placer="baseline")
+                assert client.result(first["job_id"], wait=True,
+                                     timeout=120)["state"] == "done"
+                second = client.submit("dp_add8", placer="baseline",
+                                       seed=1)
+                final = client.result(second["job_id"], wait=True,
+                                      timeout=120)
+                assert final["state"] == "done", final
+                assert final["attempts"] == 2
+                stats = client.stats()["stats"]
+                assert stats["executor"]["executor.pool_starts"] == 2
+                assert stats["executor"]["worker.crash"] == 1
+                assert stats["arena"]["arena.references"] == 0
+                client.shutdown(mode="drain")
+        finally:
+            daemon.request_shutdown("drain")
+            thread.join(30)
+            faults.reset()
+        assert _shm_leftovers() == []
+
+
 # ----------------------------------------------------------------------
 # serve registry lifecycle
 # ----------------------------------------------------------------------
 class TestArenaRegistry:
     def test_refcount_lifecycle(self):
+        """The last release keeps the export for the next job; close()
+        (or eviction, below) is what unlinks it."""
         reg = ArenaRegistry()
         try:
             assert reg.acquire("dp_add8")
@@ -399,14 +582,162 @@ class TestArenaRegistry:
             shipment = reg.shipment("dp_add8")
             assert shipment is not None and shipment.transport == "shm"
             reg.release("dp_add8")
-            assert _shm_leftovers() != [] or \
-                reg.stats()["arena.references"] == 1
-            reg.release("dp_add8")  # last ref: segment unlinked
-            assert reg.stats()["arena.references"] == 0
-            assert _shm_leftovers() == []
+            assert reg.stats()["arena.references"] == 1
+            reg.release("dp_add8")  # last ref: retained, still linked
+            stats = reg.stats()
+            assert stats["arena.references"] == 0
+            assert stats["arena.retained_designs"] == 1
+            assert stats["arena.retained_bytes"] == shipment.ref.nbytes
+            assert shipment.ref.segment in _shm_leftovers()
+            # the next job reuses the compile and the export
+            assert reg.acquire("dp_add8")
+            assert reg.shipment("dp_add8") is shipment
+            assert reg.stats()["arena.compiles"] == 1
+            assert reg.stats()["arena.exports"] == 1
+            reg.release("dp_add8")
             reg.release("dp_add8")  # over-release is a no-op
+            assert reg.stats()["arena.references"] == 0
+        finally:
+            reg.close()  # unlinks what the LRU kept
+        assert _shm_leftovers() == []
+
+    def test_eviction_unlinks_the_least_recently_used(self, monkeypatch):
+        reg = ArenaRegistry()
+        try:
+            ships = {}
+            for design in ("dp_add8", "dp_alu16"):
+                assert reg.acquire(design)
+                ships[design] = reg.shipment(design)
+            # room for the larger segment, not for both
+            monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES", max(
+                s.ref.nbytes for s in ships.values()))
+            reg.release("dp_add8")
+            reg.release("dp_alu16")  # over budget: dp_add8 goes
+            leftovers = _shm_leftovers()
+            assert ships["dp_add8"].ref.segment not in leftovers
+            assert ships["dp_alu16"].ref.segment in leftovers
+            stats = reg.stats()
+            assert stats["arena.designs"] == 1
+            assert stats["arena.retained_designs"] == 1
+            # a referenced design is never evicted, whatever the budget
+            monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES", 0)
+            assert reg.acquire("dp_alu16")
+            assert reg.digest("dp_add8")  # compiled, evicted at once
+            assert ships["dp_alu16"].ref.segment in _shm_leftovers()
+            assert reg.stats()["arena.designs"] == 1
+            assert reg.stats()["arena.compiles"] == 3
         finally:
             reg.close()
+        assert _shm_leftovers() == []
+
+    def test_budget_is_capped_by_free_shm(self, monkeypatch):
+        """A ceiling larger than /dev/shm can hold is cut to a quarter
+        of the space /dev/shm has free."""
+        reg = ArenaRegistry()
+        try:
+            ships = {}
+            for design in ("dp_add8", "dp_alu16"):
+                assert reg.acquire(design)
+                ships[design] = reg.shipment(design)
+            largest = max(s.ref.nbytes for s in ships.values())
+            statvfs = os.statvfs
+
+            def small_shm(path):
+                if path == shm._SHM_DIR:  # a quarter holds one design
+                    return SimpleNamespace(f_bavail=4 * largest,
+                                           f_frsize=1)
+                return statvfs(path)
+
+            monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES", 1 << 40)
+            monkeypatch.setattr(shm.os, "statvfs", small_shm)
+            assert shm.arena_budget() == largest
+            reg.release("dp_add8")
+            reg.release("dp_alu16")  # over a quarter: dp_add8 goes
+            leftovers = _shm_leftovers()
+            assert ships["dp_add8"].ref.segment not in leftovers
+            assert ships["dp_alu16"].ref.segment in leftovers
+            assert reg.stats()["arena.retained_bytes"] == largest
+        finally:
+            reg.close()
+        assert _shm_leftovers() == []
+
+    def test_concurrent_churn_never_unlinks_a_referenced_export(
+            self, monkeypatch):
+        """More threads than cores acquire, ship, fingerprint and
+        release under a budget that holds one design, so every release
+        evicts: a segment must stay linked while its job holds it."""
+        import threading
+
+        designs = ("dp_add8", "dp_alu16")
+        reg = ArenaRegistry()
+        budget = max(reg.shipment(d).ref.nbytes for d in designs)
+        monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES", budget)
+        problems: list[str] = []
+
+        def churn(k: int) -> None:
+            for i in range(8):
+                design = designs[(k + i) % 2]
+                if not reg.acquire(design):
+                    problems.append(f"acquire {design} failed")
+                    continue
+                segment = reg.shipment(design).ref.segment
+                reg.digest(designs[(k + i + 1) % 2])
+                if not os.path.exists(f"/dev/shm/{segment}"):
+                    problems.append(f"{segment} unlinked while held")
+                reg.release(design)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+            assert problems == []
+            stats = reg.stats()
+            assert stats["arena.references"] == 0
+            assert stats["arena.retained_bytes"] <= budget
+        finally:
+            sys.setswitchinterval(interval)
+            reg.close()
+        assert _shm_leftovers() == []
+
+    def test_cache_hit_arenas_stay_within_budget(self, tmp_path,
+                                                 monkeypatch):
+        """A cache hit compiles its design to fingerprint it but takes
+        no reference; those compiles must live under the budget too."""
+        from repro.runtime import run_suite
+        from repro.serve.client import ServeClient
+
+        designs = ("dp_mul16", "dp_alu16", "dp_add8")
+        cache_dir = tmp_path / "cache"
+        run_suite(designs, ("baseline",), cache_dir=cache_dir)
+        arrays = {d: sum(v.nbytes for v in
+                         vars(ArenaStore().arena(d)).values()
+                         if isinstance(v, np.ndarray)) for d in designs}
+        # holds dp_add8's compile alone, fewer than the three designs
+        budget = arrays["dp_add8"]
+        monkeypatch.setattr(shm, "ARENA_BUDGET_BYTES", budget,
+                            raising=False)
+        daemon = _pool_daemon(str(tmp_path / "hit.sock"),
+                              cache_dir=str(cache_dir))
+        thread = _serve(daemon)
+        try:
+            with ServeClient(daemon.config.socket_path) as client:
+                for design in designs:
+                    reply = client.submit(design, placer="baseline")
+                    assert reply["cached"] is True
+                stats = client.stats()["stats"]["arena"]
+                assert stats["arena.references"] == 0
+                assert stats["arena.designs"] == 1
+                assert stats["arena.retained_bytes"] <= budget
+                client.shutdown(mode="drain")
+        finally:
+            daemon.request_shutdown("drain")
+            thread.join(30)
         assert _shm_leftovers() == []
 
     def test_acquire_unknown_design_holds_no_ref(self):

@@ -626,6 +626,59 @@ class TestDaemonIntegration:
 
 
 # ----------------------------------------------------------------------
+# pool mode: one long-lived worker per bridge thread
+# ----------------------------------------------------------------------
+
+class TestPoolSlots:
+    def test_one_worker_serves_every_job_bit_identically(
+            self, serve_root):
+        plan = [("dp_add8", "structure"), ("dp_mul16", "baseline"),
+                ("dp_add8", "baseline")]
+        direct = [execute_job(PlacementJob(design=d, placer=p),
+                              cache=None) for d, p in plan]
+        _daemon, thread = _start_daemon(serve_root, pool=True,
+                                        checkpoint_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            for (design, placer), expected in zip(plan, direct):
+                job_id = client.submit(design, placer=placer)["job_id"]
+                reply = client.result(job_id, wait=True, timeout=120,
+                                      positions=True)
+                assert reply["state"] == "done"
+                assert reply["cached"] is False
+                # nothing leaks from one job to the next on one worker
+                assert reply["positions"] == expected.positions
+            stats = client.stats()["stats"]
+            assert stats["executor"]["executor.pool_starts"] == 1
+            assert stats["arena"]["arena.compiles"] == 2
+            assert stats["arena"]["arena.exports"] == 2
+            _drain_and_join(client, thread)
+
+    def test_cancelled_pool_job_keeps_its_worker(self, serve_root):
+        _daemon, thread = _start_daemon(serve_root, pool=True,
+                                        checkpoint_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            job_id = client.submit("ctrl_glue2k",
+                                   placer="structure")["job_id"]
+            deadline = time.monotonic() + 60
+            while (state := client.status(job_id)["state"]) != "running":
+                assert state == "queued", \
+                    f"job ended {state} before it was seen running"
+                assert time.monotonic() < deadline, "job never ran"
+                time.sleep(0.005)
+            # the token reaches the worker through the cancel board:
+            # the job raises inside the worker, which stays alive
+            assert client.cancel(job_id)["was"] == "running"
+            final = client.result(job_id, wait=True, timeout=120)
+            assert final["state"] == "cancelled"
+            after = client.submit("dp_add8", placer="baseline")["job_id"]
+            assert client.result(after, wait=True,
+                                 timeout=120)["state"] == "done"
+            stats = client.stats()["stats"]
+            assert stats["executor"]["executor.pool_starts"] == 1
+            _drain_and_join(client, thread)
+
+
+# ----------------------------------------------------------------------
 # CLI serve/submit round trips
 # ----------------------------------------------------------------------
 
@@ -714,6 +767,50 @@ class TestDaemonProcess:
             assert JobJournal.replay(serve_root / "spool" /
                                      "journal.jsonl") == []
             assert job_id  # accepted before the signal
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=30)
+
+    def test_pool_timeout_keeps_the_daemon_serving(self, serve_root):
+        """A timed-out pool worker is terminated by SIGTERM.  A worker
+        forked from a daemon serving on its main thread must not relay
+        that signal to the daemon's loop as a shutdown request."""
+        socket = str(serve_root / "s.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--socket", socket, "--pool", "--workers", "1",
+             "--timeout", "2.5", "--max-attempts", "1",
+             "--no-cache", "--no-checkpoint", "--no-spool"],
+            cwd=str(REPO), env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        try:
+            assert wait_ready(socket, timeout_s=30)
+            with ServeClient(socket, timeout_s=None) as client:
+                # 600 GP iterations (~10 s on 2 vCPUs): over budget
+                slow = client.submit(
+                    "ctrl_glue2k", placer="structure",
+                    options={"gp": {"max_iterations": 600,
+                                    "target_overflow": 0.0}})
+                final = client.result(slow["job_id"], wait=True,
+                                      timeout=60)
+                assert final["state"] == "quarantined", final
+                assert "timeout" in final["error"]
+                fast = client.submit("dp_add8", placer="baseline")
+                final = client.result(fast["job_id"], wait=True,
+                                      timeout=60)
+                assert final["state"] == "done", final
+                executor = client.stats()["stats"]["executor"]
+                assert executor["worker.timeout"] == 1
+                # the timed-out worker's pool was replaced
+                assert executor["executor.pool_starts"] == 2
+                assert process.poll() is None
+                client.shutdown("drain")
+            out, _ = process.communicate(timeout=60)
+            assert process.returncode == 0, out
         finally:
             if process.poll() is None:
                 process.kill()
