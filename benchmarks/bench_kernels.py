@@ -344,7 +344,7 @@ def bench_engines(n_cells: int, failures: list[str], *,
         lambda: ElectrostaticPlacer(arrays, gd.region).place())
     rows["multilevel_electro"] = run(
         "multilevel + electro",
-        lambda: multilevel_place(arrays, gd.region, engine="electro",
+        lambda: multilevel_place(arrays, gd.region,
                                  ml_options=MultilevelOptions(enabled=True)))
 
     base_t = rows["flat_b2b"]["time_s"]

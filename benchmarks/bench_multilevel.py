@@ -2,8 +2,9 @@
 
 Runs :class:`repro.core.StructureAwarePlacer` end to end — extraction,
 global place, legalization, detailed — on the F4 scalability designs,
-once with the flat quadratic engine and once through the multilevel
-V-cycle, and gates CI on the result:
+once with the flat electrostatic engine and once through the multilevel
+V-cycle (which places every level with electro), all other options the
+same, and gates CI on the result:
 
 - **Quality** (every size, both modes): multilevel final HPWL must stay
   within ``HPWL_TOL`` (2%) of the flat result, and both placements must
@@ -70,10 +71,8 @@ FULL_FLOW_CELLS = 68000  # requested; the generator lands on 99,936 cells
 
 
 def _options(multilevel: bool) -> PlacerOptions:
-    opts = PlacerOptions()
-    if multilevel:
-        opts.multilevel = MultilevelOptions(enabled=True)
-    return opts
+    return PlacerOptions(engine="electro",
+                         multilevel=MultilevelOptions(enabled=multilevel))
 
 
 def _digest(netlist) -> str:
@@ -280,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
                 "quick": bool(args.quick),
                 "hpwl_tolerance": HPWL_TOL,
                 "speedup_min": None if args.quick else SPEEDUP_MIN,
+                "engine": "electro",
                 "options": "MultilevelOptions() defaults",
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,

@@ -101,18 +101,19 @@ def _emit(rows: list[dict], title: str, as_json: bool) -> None:
 
 
 def _placer_options(args: argparse.Namespace) -> PlacerOptions:
-    options = PlacerOptions(
-        engine=getattr(args, "engine", "quadratic"),
+    # the V-cycle knobs are checked first, so a bad --levels or
+    # --cluster-ratio is reported before an engine that cannot run it
+    multilevel = MultilevelOptions(
+        enabled=True,
+        max_levels=args.levels,
+        cluster_ratio=args.cluster_ratio,
+    ) if args.multilevel else MultilevelOptions()
+    return PlacerOptions(
+        engine=args.engine,
         structure_weight=args.structure_weight,
         structure_legalization=args.legalization,
+        multilevel=multilevel,
     )
-    if getattr(args, "multilevel", False):
-        options.multilevel = MultilevelOptions(
-            enabled=True,
-            max_levels=args.levels,
-            cluster_ratio=args.cluster_ratio,
-        )
-    return options
 
 
 def _cmd_suite(_args: argparse.Namespace) -> int:
@@ -418,9 +419,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="promote netlist validation warnings to "
                             "errors (exit 4)")
 
-    def add_placer_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--placer", default="both",
-                       choices=sorted(_PLACER_SETS))
+    def add_option_args(p: argparse.ArgumentParser) -> None:
+        """The placer-option flags ``_placer_options`` reads."""
         p.add_argument("--engine", default="quadratic",
                        choices=ENGINES,
                        help="global-placement engine (electro = FFT "
@@ -429,6 +429,20 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--legalization", default="slices",
                        choices=LEGALIZATION_MODES,
                        help="structure-preserving legalization mode")
+        p.add_argument("--multilevel", action="store_true",
+                       help="run global placement through the multilevel "
+                            "V-cycle (cluster, place coarse, refine "
+                            "down); needs --engine electro")
+        p.add_argument("--levels", type=int, default=3,
+                       help="maximum coarsening levels for --multilevel")
+        p.add_argument("--cluster-ratio", type=float, default=0.4,
+                       help="coarse/fine movable-cell ratio per level "
+                            "for --multilevel")
+
+    def add_placer_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--placer", default="both",
+                       choices=sorted(_PLACER_SETS))
+        add_option_args(p)
         p.add_argument("--seed", type=int, default=0,
                        help="run seed (part of the cache key)")
         p.add_argument("--workers", type=int, default=0,
@@ -446,14 +460,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="print the telemetry span tree (per-phase "
                             "wall time, solve counts, cache hits) after "
                             "the results")
-        p.add_argument("--multilevel", action="store_true",
-                       help="run global placement through the multilevel "
-                            "V-cycle (cluster, place coarse, refine down)")
-        p.add_argument("--levels", type=int, default=3,
-                       help="maximum coarsening levels for --multilevel")
-        p.add_argument("--cluster-ratio", type=float, default=0.4,
-                       help="coarse/fine movable-cell ratio per level "
-                            "for --multilevel")
 
     p_gen = sub.add_parser("gen", help="emit a design as Bookshelf files")
     add_design_args(p_gen, with_aux=False)
@@ -583,12 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument("--priority", type=int, default=0,
                           help="higher runs first; ties are FIFO")
-    p_submit.add_argument("--structure-weight", type=float, default=1.0)
-    p_submit.add_argument("--legalization", default="slices",
-                          choices=["slices", "blocks", "none"])
-    p_submit.add_argument("--multilevel", action="store_true")
-    p_submit.add_argument("--levels", type=int, default=3)
-    p_submit.add_argument("--cluster-ratio", type=float, default=0.4)
+    add_option_args(p_submit)
     p_submit.add_argument("--no-wait", dest="wait", action="store_false",
                           help="return job ids immediately instead of "
                                "waiting for results")

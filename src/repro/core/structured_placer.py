@@ -80,9 +80,11 @@ class PlacerOptions:
         multilevel: V-cycle knobs; when ``multilevel.enabled`` the
             global-placement stage coarsens the netlist (extracted
             bit-slice bundles stay atomic), places the coarsest level,
-            and refines back down with warm-started solves.  A
-            recoverable multilevel failure falls back to flat placement
-            inside the engine (tracer event ``multilevel_fallback``).
+            and refines back down with warm-started solves.  The electro
+            engine only, so ``multilevel.enabled`` under
+            ``engine="quadratic"`` is rejected.  A recoverable
+            multilevel failure falls back to flat placement inside the
+            engine (tracer event ``multilevel_fallback``).
         electro: knobs for the electrostatic engine (when selected).
         extraction: extraction knobs (structure-aware only).
         guard: numerical-guard knobs applied to whichever engine runs;
@@ -108,7 +110,9 @@ class PlacerOptions:
         Raises:
             OptionsError: ``engine`` is not a known engine,
                 ``use_fusion`` is set under ``engine="electro"`` (which
-                would ignore it), ``structure_legalization`` is not a
+                would ignore it), ``multilevel.enabled`` is set under
+                ``engine="quadratic"`` (the V-cycle runs electro only),
+                ``structure_legalization`` is not a
                 known mode, or ``structure_weight`` is not a finite
                 number >= 0 (NaN or infinity would silently fall to the
                 baseline rung; a negative weight repels aligned cells).
@@ -118,6 +122,10 @@ class PlacerOptions:
             raise OptionsError(
                 "use_fusion needs the quadratic engine: electro has no "
                 "rigid-group or reprojection hook", option="use_fusion")
+        if self.multilevel.enabled and self.engine != "electro":
+            raise OptionsError(
+                "multilevel needs the electro engine: the V-cycle places "
+                "every level with it", option="multilevel")
         if self.structure_legalization not in LEGALIZATION_MODES:
             raise OptionsError(
                 f"structure_legalization must be one of "
@@ -430,12 +438,10 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
         resume_x, resume_y = resume.x, resume.y
         resume_iteration = resume.iteration
     common: dict[str, Any] = dict(
-        engine=options.engine, gp_options=options.gp,
         electro_options=options.electro,
         extra_pairs_x=forces.pairs_x if forces else None,
         extra_pairs_y=forces.pairs_y if forces else None,
-        groups=groups, post_solve=post_solve, tracer=tracer,
-        guard=options.guard, checkpoint=checkpoint)
+        tracer=tracer, guard=options.guard, checkpoint=checkpoint)
     if options.multilevel.enabled:
         result = multilevel_place(
             arrays, region, ml_options=options.multilevel,
@@ -443,8 +449,11 @@ def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
             resume_y=resume_y, resume_iteration=resume_iteration,
             **common)
     else:
-        result = place_flat(arrays, region, x0=resume_x, y0=resume_y,
-                            resume_iteration=resume_iteration, **common)
+        result = place_flat(arrays, region, engine=options.engine,
+                            gp_options=options.gp, groups=groups,
+                            post_solve=post_solve, x0=resume_x,
+                            y0=resume_y, resume_iteration=resume_iteration,
+                            **common)
     return result.x, result.y, result.history
 
 

@@ -162,16 +162,13 @@ class QuadraticSystem:
         An ILU factor costs a small fraction of a full factorization
         (drop tolerance keeps the fill sparse) yet takes the PCG
         iteration count from thousands (Jacobi, large meshes) to ~10.
-        Because successive GP systems differ only by re-linearised B2B
-        weights and anchor diagonals, one factor also preconditions the
-        *following* solves well — callers freeze it across a refinement
-        pass and refresh when the CG iteration count creeps up.
+        The electrostatic engine's bounded initial clump solves under
+        it.
 
         Returns:
             A ``LinearOperator`` usable as :meth:`solve`'s ``M``, or
             None when the factorization fails (singular pivot): then
-            :meth:`solve` scales by the diagonal (Jacobi) and the
-            quadratic placer's ILU policy solves directly.
+            :meth:`solve` scales by the diagonal (Jacobi).
         """
         from scipy.sparse.linalg import LinearOperator, spilu
         try:
@@ -258,11 +255,9 @@ class B2BBuilder:
                 a pre-flattened (K, 4) array.
             min_distance: pin-separation clamp for the ``1/|d|`` B2B
                 weights.  The tiny default keeps the historical (exact
-                HPWL at the linearisation point) behaviour; row-aligned
-                placements put many pins at *coincident* y, whose
-                clamped weights then span ~9 decades and defeat any
-                preconditioner — refinement passes raise the clamp to
-                ~1 site to keep their systems well conditioned.
+                HPWL at the linearisation point) behaviour; the
+                electrostatic engine passes its own
+                (``ElectroOptions.min_distance``).
 
         Returns:
             The assembled system.

@@ -2,7 +2,8 @@
 
 Coarsen the netlist with structure-preserving clustering (extracted
 bit-slice bundles stay atomic), place the coarsest level from scratch,
-then interpolate and refine level by level with warm-started solves.
+then interpolate and refine level by level with warm-started solves;
+every level runs the electrostatic engine.
 See :mod:`repro.place.multilevel.vcycle` for the controller, which also
 holds the one flat-engine dispatch (:func:`place_flat`) every global
 placement goes through.

@@ -24,28 +24,11 @@ class MultilevelOptions:
         coarsest_cells: stop coarsening once a level has at most this
             many movable cells; the coarsest level is placed from
             scratch, so it should stay cheap.
-        refine_iterations: the warm-started refinement budget per finer
-            level after declustering: anchored GP rounds under the
-            quadratic engine (every finer level, the finest included);
-            under electro, ``refine_iterations * overflow_every``
-            Nesterov iterations per coarse level only — the finest
-            level runs the engine's own budget to its target overflow.
-        coarsest_iterations: GP iteration cap for the coarsest-level
-            solve.  Cluster granularity often cannot reach the flat
-            ``target_overflow``, so without a cap the coarsest level
-            burns the whole outer budget on a plateau.
-        refine_anchor_iteration: anchor-ramp position refinement starts
-            from (round ``i`` of a refinement pass uses weight
-            ``anchor_alpha * (refine_anchor_iteration + i)``).  Keeps
-            refinement anchors moderate regardless of how many
-            iterations the coarsest level consumed.
-        refine_min_distance: B2B pin-separation clamp used by the
-            refinement solves (in layout units, ~1 site).  Refinement
-            linearises at spread, row-aligned positions where many pins
-            share an exact y coordinate; the flat default clamp (1e-6)
-            turns those into 1e6-weight couplings that defeat the ILU
-            preconditioner, while a ~1-unit clamp keeps the weight
-            spread within a few decades and the solves iterative.
+        refine_iterations: the warm-started refinement budget per
+            coarse level after declustering: ``refine_iterations *
+            overflow_every`` Nesterov iterations of the electrostatic
+            engine.  The finest level runs the engine's own budget to
+            its target overflow.
         max_affinity_degree: nets above this degree contribute no
             clustering affinity (high-fanout control nets would glue
             unrelated logic together).
@@ -59,9 +42,6 @@ class MultilevelOptions:
     cluster_ratio: float = 0.4
     coarsest_cells: int = 500
     refine_iterations: int = 3
-    coarsest_iterations: int = 12
-    refine_anchor_iteration: int = 2
-    refine_min_distance: float = 1.0
     max_affinity_degree: int = 8
     area_cap_factor: float = 6.0
 

@@ -4,31 +4,24 @@ The cycle coarsens the netlist level by level (structure-preserving
 clustering + coarse level construction, both on the CSR arrays: only
 level 0 has a :class:`~repro.netlist.Netlist`), places the coarsest level
 from scratch, then walks back down: interpolate cluster positions to
-members and refine each finer level from that warm start.
+members and refine each finer level from that warm start.  Every level
+runs the electrostatic engine.
 
-Refinement budgets: the quadratic engine runs ``refine_iterations``
-anchored rounds per finer level, the finest included.  The electrostatic
-engine runs ``refine_iterations * overflow_every`` Nesterov iterations
-per coarse level, and the finest level runs under the caller's
-:class:`~repro.place.electrostatic.ElectroOptions` — up to
+Refinement budgets: each coarse level runs ``refine_iterations *
+overflow_every`` Nesterov iterations, and the finest level runs under
+the caller's :class:`~repro.place.electrostatic.ElectroOptions` — up to
 ``max_iterations``, stopping at ``target_overflow`` — as a flat run
 does, so global placement hands legalization a spread placement.
 
 The GP iteration counter accumulates across levels: the coarsest place
-consumes iterations ``1..e``, and the next refinement numbers its own
-iterations (quadratic rounds, electro Nesterov iterations) from ``e``,
-and so on.  Under the quadratic engine the refinement passes
-``start_iteration``, so the SimPL anchor-weight ramp continues
-monotonically down the cycle and each finer level is refined under
-progressively stiffer anchors (small corrections, cheap warm-started CG
-solves).
+consumes iterations ``1..e``, the next refinement numbers its Nesterov
+iterations from ``e``, and so on.
 
 Structure hooks: alignment pair forces are projected through the
 cluster map onto every level (intra-cluster pairs vanish — slice
-formation is the declusterer's job); rigid-group spreading, fusion
-reprojection, and the runtime's job hook (heartbeat, cancel,
-snapshots) apply only at the finest level, where the cell indices they
-were built for are valid.
+formation is the declusterer's job); the runtime's job hook (heartbeat,
+cancel, snapshots) applies only at the finest level, where the cell
+indices it was built for are valid.
 A recoverable numerical failure anywhere in the cycle falls back to
 flat placement (one tracer event + counter, no error escapes).
 
@@ -219,17 +212,12 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
 
 
 def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
-                     gp_options: GlobalPlaceOptions | None = None,
                      ml_options: MultilevelOptions | None = None,
-                     engine: str = "quadratic",
                      electro_options: ElectroOptions | None = None,
                      extra_pairs_x: list[tuple[int, int, float,
                                                float]] | None = None,
                      extra_pairs_y: list[tuple[int, int, float,
                                                float]] | None = None,
-                     groups: np.ndarray | None = None,
-                     post_solve: Callable[[np.ndarray, np.ndarray],
-                                          None] | None = None,
                      tracer: Tracer | None = None,
                      guard: GuardOptions | None = None,
                      checkpoint: CheckpointHook | None = None,
@@ -237,22 +225,19 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                      resume_x: np.ndarray | None = None,
                      resume_y: np.ndarray | None = None,
                      resume_iteration: int = 0) -> GlobalPlaceResult:
-    """Run multilevel global placement; drop-in for a flat engine call.
+    """Run multilevel electrostatic global placement; drop-in for a
+    flat electro call.
 
     Args:
         arrays: flattened fine netlist.
         region: placement region (shared by every level).
-        gp_options / electro_options: engine knobs; refinement passes
-            derive per-level budgets from them.
         ml_options: V-cycle knobs.
-        engine: one of :data:`ENGINES`; under ``"electro"`` V-cycle
-            refinement runs short warm-started Nesterov passes per
-            coarse level and a full one (to ``target_overflow``) at the
-            finest.
+        electro_options: engine knobs; short warm-started Nesterov
+            passes refine each coarse level, and the finest level runs
+            them in full (to ``target_overflow``).
         extra_pairs_x / extra_pairs_y: fine-level alignment pairs;
             projected through the cluster maps onto every level.
-        groups / post_solve / checkpoint: finest-level-only hooks (rigid
-            spreading, fusion reprojection, job hook).
+        checkpoint: the job hook, finest level only.
         atomic_groups: extracted bit-slice cell-index lists (slice
             order); become atomic clusters.
         resume_x / resume_y / resume_iteration: a checkpoint — taken
@@ -262,29 +247,24 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
     Returns:
         The finest-level result; ``history`` concatenates every level's
         iterations under the accumulated counter.
-
-    Raises:
-        OptionsError: ``engine`` is not one of :data:`ENGINES`.
     """
-    check_engine(engine)
     tracer = tracer or Tracer()
-    gp = gp_options or GlobalPlaceOptions()
     ml = ml_options or MultilevelOptions(enabled=True)
+    eo_full = electro_options or ElectroOptions()
     flat = functools.partial(
-        place_flat, arrays, region, engine=engine, gp_options=gp,
-        electro_options=electro_options, extra_pairs_x=extra_pairs_x,
-        extra_pairs_y=extra_pairs_y, groups=groups, post_solve=post_solve,
-        tracer=tracer, guard=guard, checkpoint=checkpoint)
+        place_flat, arrays, region, engine="electro",
+        electro_options=eo_full, extra_pairs_x=extra_pairs_x,
+        extra_pairs_y=extra_pairs_y, tracer=tracer, guard=guard,
+        checkpoint=checkpoint)
 
     if resume_x is not None and resume_iteration > 0:
         # Checkpoints are only recorded at the finest level; the coarse
         # phases are already paid for, so resumption continues flat.
         tracer.event("ml_resume_flat", iteration=resume_iteration)
-        return flat(x0=resume_x, y0=resume_y,
-                    resume_iteration=resume_iteration)
+        return flat(x0=resume_x, y0=resume_y)
 
     try:
-        with tracer.phase("multilevel", engine=engine):
+        with tracer.phase("multilevel"):
             with tracer.phase("ml_coarsen"):
                 levels = _build_levels(arrays, ml, atomic_groups, tracer)
             top = len(levels) - 1
@@ -292,38 +272,23 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             if top == 0:
                 return flat()
 
-            def level_pairs(k: int):
-                if k == 0:
-                    return extra_pairs_x, extra_pairs_y
-                lvl = levels[k]
-                return (_map_pairs(extra_pairs_x, lvl.fine_to_here),
-                        _map_pairs(extra_pairs_y, lvl.fine_to_here))
-
-            def level_placer(k: int, opts_k,
-                             preconditioner: str = "direct",
-                             min_distance: float | None = None):
-                px, py = level_pairs(k)
-                return QuadraticPlacer(
-                    levels[k].arrays, region, options=opts_k,
-                    extra_pairs_x=px, extra_pairs_y=py,
-                    groups=groups if k == 0 else None,
-                    post_solve=post_solve if k == 0 else None,
-                    tracer=tracer, guard=guard,
-                    checkpoint=checkpoint if k == 0 else None,
-                    preconditioner=preconditioner,
-                    min_distance=min_distance)
+            # coarse levels refine for refine_iterations probe rounds of
+            # the (cheap) Nesterov loop; the finest runs the caller's
+            # budget to the target overflow, as a flat run does
+            refine_n = max(1, int(ml.refine_iterations))
+            eo_refine = replace(
+                eo_full, max_iterations=refine_n * eo_full.overflow_every)
 
             def electro_place(k: int, x0, y0, offset: int,
-                              refining: bool) -> GlobalPlaceResult:
-                px, py = level_pairs(k)
-                eo = electro_options or ElectroOptions()
-                if refining:
-                    # warm start: refine_iterations probe rounds of the
-                    # (cheap) Nesterov loop per coarse level
-                    eo = replace(eo, max_iterations=max(
-                        1, int(ml.refine_iterations)) * eo.overflow_every)
+                              options: ElectroOptions) -> GlobalPlaceResult:
+                lvl = levels[k]
+                if k == 0:
+                    px, py = extra_pairs_x, extra_pairs_y
+                else:
+                    px = _map_pairs(extra_pairs_x, lvl.fine_to_here)
+                    py = _map_pairs(extra_pairs_y, lvl.fine_to_here)
                 placer = ElectrostaticPlacer(
-                    levels[k].arrays, region, options=eo,
+                    lvl.arrays, region, options=options,
                     extra_pairs_x=px, extra_pairs_y=py, guard=guard,
                     checkpoint=_shifted(checkpoint, offset) if k == 0
                     else None,
@@ -336,19 +301,11 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             # --- coarsest level: full place from scratch ----------------
             with tracer.phase("ml_coarsest", level=top,
                               cells=levels[top].arrays.num_cells):
-                if engine == "electro":
-                    res = electro_place(top, None, None, 0,
-                                        refining=False)
-                else:
-                    opts_c = replace(gp, max_iterations=min(
-                        gp.max_iterations,
-                        max(1, int(ml.coarsest_iterations))))
-                    res = level_placer(top, opts_c).place()
+                res = electro_place(top, None, None, 0, eo_full)
             history = list(res.history)
             it = history[-1].iteration if history else 0
 
             # --- walk down: interpolate + warm-started refinement -------
-            refine_n = max(1, int(ml.refine_iterations))
             for k in range(top - 1, -1, -1):
                 fine = levels[k]
                 clustering = levels[k + 1].clustering
@@ -365,24 +322,8 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                                   region.y_top - half_h[mv])
                 with tracer.phase("ml_refine", level=k,
                                   cells=fine.arrays.num_cells):
-                    if engine == "electro":
-                        # the finest level runs the caller's budget to
-                        # the target overflow, as a flat run does
-                        res = electro_place(k, x0f, y0f, it,
-                                            refining=k > 0)
-                    else:
-                        # ILU policy: a fresh incomplete factor per
-                        # solve (the B2B linearisation drifts between
-                        # rounds, so a frozen factor stalls) — cheap
-                        # next to the full factorization it replaces.
-                        res = level_placer(
-                            k, gp, preconditioner="ilu",
-                            min_distance=float(
-                                ml.refine_min_distance)).refine(
-                            x0f, y0f, iterations=refine_n,
-                            start_iteration=it,
-                            anchor_iteration=int(
-                                ml.refine_anchor_iteration))
+                    res = electro_place(k, x0f, y0f, it,
+                                        eo_full if k == 0 else eo_refine)
                 history.extend(res.history)
                 it = res.history[-1].iteration if res.history \
                     else it + refine_n

@@ -20,7 +20,9 @@ reach a terminal state) or, in ``now`` mode, cancels running jobs
 through the per-iteration job hook (with checkpoints on, their
 snapshots survive) and leaves
 queued jobs in the journal — a restarted daemon replays them, so no
-accepted job is ever lost.
+accepted job is ever lost.  Then it stops listening and closes every
+open client connection, so each connection handler returns before the
+event loop ends.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ from .workers import WorkerBridge, job_row
 #: daemon tracer event cap — a week-long daemon must not grow a span
 #: per request forever; the JSONL stream keeps the full history.
 _EVENT_CAP = 65536
+
+#: how long shutdown waits for connection handlers to return once their
+#: connections are closed; a handler at ``readline`` returns at once
+_CLOSE_GRACE_S = 5.0
 
 
 @dataclass
@@ -198,6 +204,8 @@ class PlacementDaemon:
         self._dispatch_lock: asyncio.Lock | None = None
         self._shutdown_mode: str | None = None
         self._shutdown_event: asyncio.Event | None = None
+        #: open client connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- telemetry -----------------------------------------------------
     def _emit(self, row: dict) -> None:
@@ -304,6 +312,8 @@ class PlacementDaemon:
             async with server:
                 await self._shutdown_event.wait()
                 await self._graceful_shutdown()
+                server.close()        # no new connections past this point
+                await self._close_connections()
         finally:
             self.supervisor.stop()
             self.bridge.stop()
@@ -393,9 +403,26 @@ class PlacementDaemon:
         while not self.queue.drained():
             await asyncio.sleep(0.05)
 
+    async def _close_connections(self) -> None:
+        """End every open client connection at shutdown.
+
+        Closing a connection hands its handler's ``readline`` an EOF, so
+        the handler returns on its own.  A handler still pending when
+        the loop ends would be cancelled, and asyncio's stream callback
+        logs a cancelled handler as an unhandled exception.
+        """
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=_CLOSE_GRACE_S)
+
     # -- connection handling -------------------------------------------
     async def _client_connected(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -411,6 +438,7 @@ class PlacementDaemon:
                 except (ConnectionResetError, BrokenPipeError):
                     break
         finally:
+            self._connections.pop(task, None)
             with contextlib.suppress(Exception):
                 writer.close()
 

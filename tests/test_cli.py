@@ -196,6 +196,17 @@ class TestExitCodes:
         assert option in err
         assert "Traceback" not in err
 
+    def test_multilevel_without_electro_exits_1(self, capsys):
+        # the V-cycle places every level with electro, so under the
+        # default quadratic engine the CLI refuses before any work
+        code = main(["place", "--design", "dp_add8", "--placer",
+                     "structure", "--multilevel"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [options] multilevel needs the "
+                              "electro engine")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
     def test_bad_structure_weight_exits_1(self, weight, capsys):
         # NaN/inf would drop the job to the baseline rung unnoticed,

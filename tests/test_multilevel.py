@@ -155,8 +155,7 @@ class TestCoarsening:
         xs = [x[i] for i in cl.members[cid]]
         assert xs == sorted(xs)            # left-to-right in slice order
 
-    @pytest.mark.parametrize("engine", ["quadratic", "electro"])
-    def test_no_netlist_above_level_zero(self, engine, monkeypatch):
+    def test_no_netlist_above_level_zero(self, monkeypatch):
         design = build_design("ctrl_glue2k")
         arrays = PlacementArrays.build(design.netlist)
         built: list[str] = []
@@ -171,7 +170,7 @@ class TestCoarsening:
             monkeypatch.setattr(cls, "__init__", counted)
         tracer = Tracer()
         result = multilevel_place(
-            arrays, design.region, engine=engine, tracer=tracer,
+            arrays, design.region, tracer=tracer,
             ml_options=MultilevelOptions(enabled=True))
         assert tracer.count("ml.levels") >= 1       # coarse levels ran
         assert tracer.count("ml.flat_fallbacks") == 0
@@ -359,10 +358,12 @@ class TestOptionsValidation:
 
 
 class TestEndToEnd:
+    """The electro V-cycle against flat electro, all else equal."""
+
     def _run(self, n=800):
         gd = datapath_fraction_design(f"f4_{n}", n, 0.55, seed=9)
-        opts = PlacerOptions()
-        opts.multilevel = MultilevelOptions(enabled=True)
+        opts = PlacerOptions(engine="electro",
+                             multilevel=MultilevelOptions(enabled=True))
         StructureAwarePlacer(opts).place(gd.netlist, gd.region)
         return gd
 
@@ -375,7 +376,7 @@ class TestEndToEnd:
     def test_multilevel_quality_near_flat(self):
         gd_ml = self._run()
         gd_flat = datapath_fraction_design("f4_800", 800, 0.55, seed=9)
-        StructureAwarePlacer(PlacerOptions()).place(
+        StructureAwarePlacer(PlacerOptions(engine="electro")).place(
             gd_flat.netlist, gd_flat.region)
         h_ml = evaluate_placement(gd_ml.netlist, gd_ml.region).hpwl
         h_flat = evaluate_placement(gd_flat.netlist, gd_flat.region).hpwl

@@ -556,6 +556,58 @@ class TestDaemonIntegration:
             assert client.stats()["stats"]["queue"]["failed"] == 0
             _drain_and_join(client, thread)
 
+    def test_multilevel_under_quadratic_is_an_options_error(
+            self, serve_root):
+        daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit("dp_add8",
+                              options={"multilevel": {"enabled": True}})
+            assert excinfo.value.code == "options"
+            assert "multilevel" in str(excinfo.value)
+            # rejected at the door: no job ran
+            assert daemon.supervisor.breaker.snapshot()["window"] == 0
+            assert client.stats()["stats"]["queue"]["failed"] == 0
+            _drain_and_join(client, thread)
+
+    def test_replayed_quadratic_multilevel_job_is_dropped(self,
+                                                          serve_root):
+        spool = serve_root / "spool"
+        spool.mkdir()
+        (spool / "journal.jsonl").write_text(json.dumps({
+            "event": "accept", "job_id": "j000001", "design": "dp_add8",
+            "placer": "structure", "seed": 0, "priority": 0,
+            "attempts": 0, "options": {"multilevel": {"enabled": True}},
+        }) + "\n")
+        daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
+            # replay refuses the row before any work: nothing queued
+            assert daemon.queue.get("j000001") is None
+            assert daemon.tracer.count("errors.options") == 1
+            assert daemon.tracer.count("serve.replayed") == 0
+            _drain_and_join(client, thread)
+
+    def test_cli_submit_sends_the_electro_vcycle(self, serve_root,
+                                                 capsys):
+        from repro.cli import main
+        from repro.core import PlacerOptions
+        from repro.place.multilevel import MultilevelOptions
+        _daemon, thread = _start_daemon(serve_root, cache_dir=None)
+        socket = str(serve_root / "s.sock")
+        code = main(["submit", "--socket", socket, "--design", "dp_add8",
+                     "--engine", "electro", "--multilevel", "--json"])
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        options = PlacerOptions(engine="electro",
+                                multilevel=MultilevelOptions(enabled=True))
+        direct = execute_job(PlacementJob(design="dp_add8",
+                                          placer="structure",
+                                          options=options), cache=None)
+        assert row["hpwl"] == round(direct.hpwl_final, 1)
+        with ServeClient(socket, timeout_s=None) as client:
+            assert client.status(row["job_id"])["state"] == "done"
+            _drain_and_join(client, thread)
+
     def test_unknown_job_id_is_an_error_response(self, serve_root):
         _daemon, thread = _start_daemon(serve_root)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
@@ -767,6 +819,35 @@ class TestDaemonProcess:
             assert JobJournal.replay(serve_root / "spool" /
                                      "journal.jsonl") == []
             assert job_id  # accepted before the signal
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=30)
+
+    def test_drain_with_an_open_connection_logs_nothing(self,
+                                                       serve_root):
+        """A drain ends the connections still open, so no handler is
+        cancelled with the event loop (asyncio would log that as an
+        exception in its stream callback)."""
+        socket = str(serve_root / "s.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--socket", socket,
+             "--no-cache", "--no-checkpoint", "--no-spool"],
+            cwd=str(REPO), env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert wait_ready(socket, timeout_s=30)
+            with ServeClient(socket, timeout_s=10.0) as client:
+                client.shutdown("drain")
+                # the connection stays open until the daemon has exited
+                out, err = process.communicate(timeout=60)
+            assert process.returncode == 0, out + err
+            assert "shut down cleanly" in out
+            assert "Traceback" not in err, err
+            assert "Exception in callback" not in err, err
         finally:
             if process.poll() is None:
                 process.kill()
