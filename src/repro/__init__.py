@@ -18,8 +18,8 @@ caveat).  The package provides:
 - a batch execution runtime — parallel job fan-out, durable artifact
   caching, structured telemetry (:mod:`repro.runtime`);
 - fault tolerance — an error taxonomy (:mod:`repro.errors`), numerical
-  guards, a degradation ladder, and global-place checkpoint/resume
-  (:mod:`repro.robust`).
+  guards, a degradation ladder, and the job hook that heartbeats and
+  cancels a running placement (:mod:`repro.robust`).
 
 Quickstart::
 

@@ -16,8 +16,8 @@ Designs come from the named benchmark suites (see
 :mod:`repro.gen.suites`); ``--aux`` accepts any Bookshelf bundle.
 ``place`` and ``run`` share the batch runtime (:mod:`repro.runtime`):
 jobs fan out over ``--workers`` processes, ``run`` additionally keeps a
-durable artifact cache, global-place checkpoints, and can emit a JSONL
-telemetry trace.
+durable artifact cache and can emit a JSONL telemetry trace.  A retried
+job starts cold and places exactly as an uninterrupted one.
 
 ``serve`` runs the placement daemon (:mod:`repro.serve`): a local
 unix-socket service with a persistent priority queue, the artifact
@@ -206,7 +206,6 @@ def _place_aux(args: argparse.Namespace, placers: tuple[str, ...],
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
-    checkpoint_dir = None if args.no_checkpoint else args.checkpoint_dir
     suite_result = run_suite(
         args.designs or None,
         _PLACER_SETS[args.placer],
@@ -218,7 +217,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         timeout_s=args.timeout,
         retries=args.retries,
-        checkpoint_dir=checkpoint_dir,
         fallback=not args.no_fallback,
         shm=not args.no_shm,
     )
@@ -261,7 +259,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
         cache_budget_mb=args.cache_budget_mb,
-        checkpoint_dir=None if args.no_checkpoint else args.checkpoint_dir,
         spool_dir=None if args.no_spool else args.spool_dir,
         trace_path=args.trace,
         max_pending=args.max_pending,
@@ -491,11 +488,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="per-job timeout in seconds (parallel mode)")
     p_run.add_argument("--retries", type=int, default=1,
                        help="retry budget for crashing jobs")
-    p_run.add_argument("--checkpoint-dir", default=".repro-checkpoints",
-                       help="global-place checkpoint directory (enables "
-                            "timeout/crash resume)")
-    p_run.add_argument("--no-checkpoint", action="store_true",
-                       help="disable global-place checkpoints")
 
     p_serve = sub.add_parser(
         "serve", help="run the placement daemon on a local socket")
@@ -511,11 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--cache-budget-mb", type=float, default=None,
                          help="total cache byte budget in MiB (LRU "
                               "eviction); unbounded if unset")
-    p_serve.add_argument("--checkpoint-dir", default=".repro-checkpoints",
-                         help="checkpoint directory: resume state only "
-                              "(cancel and heartbeats work without it)")
-    p_serve.add_argument("--no-checkpoint", action="store_true",
-                         help="disable global-place checkpoints")
+    # accepted and ignored: perfbench's serve_mix still passes it.
+    # ROADMAP item 4 drops it from perfbench, and then this line goes
+    p_serve.add_argument("--checkpoint-dir", help=argparse.SUPPRESS)
     p_serve.add_argument("--spool-dir", default=".repro-spool",
                          help="job-journal directory (accepted jobs "
                               "survive a daemon restart)")

@@ -30,8 +30,8 @@ import numpy as np
 
 from ..errors import LegalizationError, OptionsError
 from ..netlist import Cell, CellType, Netlist
-from ..robust.checkpoint import Checkpoint, CheckpointHook
 from ..robust.guards import GuardOptions
+from ..robust.jobhook import JobHook
 from ..runtime.telemetry import Tracer
 from ..place.abacus import abacus_legalize
 from ..place.arrays import PlacementArrays
@@ -430,31 +430,28 @@ def optimize_flips(netlist: Netlist, plans: list[ArrayPlan], *,
 
 def _run_engine(arrays: PlacementArrays, region: PlacementRegion,
                 options: PlacerOptions, forces, groups, post_solve=None,
-                tracer: Tracer | None = None, checkpoint=None,
-                resume=None, atomic_groups=None):
-    resume_x = resume_y = None
-    resume_iteration = 0
-    if resume is not None and resume.matches(arrays.num_cells):
-        resume_x, resume_y = resume.x, resume.y
-        resume_iteration = resume.iteration
+                tracer: Tracer | None = None,
+                hook: JobHook | None = None, atomic_groups=None):
     common: dict[str, Any] = dict(
         electro_options=options.electro,
         extra_pairs_x=forces.pairs_x if forces else None,
         extra_pairs_y=forces.pairs_y if forces else None,
-        tracer=tracer, guard=options.guard, checkpoint=checkpoint)
+        tracer=tracer, guard=options.guard, hook=hook)
     if options.multilevel.enabled:
         result = multilevel_place(
             arrays, region, ml_options=options.multilevel,
-            atomic_groups=atomic_groups, resume_x=resume_x,
-            resume_y=resume_y, resume_iteration=resume_iteration,
-            **common)
+            atomic_groups=atomic_groups, **common)
     else:
         result = place_flat(arrays, region, engine=options.engine,
                             gp_options=options.gp, groups=groups,
-                            post_solve=post_solve, x0=resume_x,
-                            y0=resume_y, resume_iteration=resume_iteration,
-                            **common)
+                            post_solve=post_solve, **common)
     return result.x, result.y, result.history
+
+
+def _before(hook: JobHook | None, stage: str) -> None:
+    """Poll the job hook at the boundary into ``stage``."""
+    if hook is not None:
+        hook.before(stage)
 
 
 class StructureAwarePlacer:
@@ -471,8 +468,7 @@ class StructureAwarePlacer:
 
     def place(self, netlist: Netlist, region: PlacementRegion, *,
               tracer: Tracer | None = None,
-              checkpoint: CheckpointHook | None = None,
-              resume: Checkpoint | None = None) -> PlaceOutcome:
+              hook: JobHook | None = None) -> PlaceOutcome:
         """Place the netlist in-place and return the outcome record.
 
         Args:
@@ -482,14 +478,10 @@ class StructureAwarePlacer:
                 phase (``extract``/``global_place``/``legalize``/
                 ``detailed``) and all reported ``*_s`` figures come from
                 its clock.
-            checkpoint: optional ``(iteration, x, y)`` hook the
-                global-placement engine calls once per outer iteration
-                (the runtime's job hook: heartbeat, cancel, snapshots).
-            resume: optional :class:`~repro.robust.checkpoint.Checkpoint`
-                — global placement re-enters its loop from these
-                positions instead of cold-starting (extraction is
-                recomputed either way; it is deterministic and cheap
-                relative to the loop).
+            hook: the runtime's job hook (heartbeat, cancel).  The
+                global-placement engine calls it once per iteration,
+                and the placer once before legalization and once
+                before detailed placement.
 
         Raises:
             NumericalError: a numerical guard tripped during global
@@ -524,13 +516,12 @@ class StructureAwarePlacer:
 
                 x, y, history = _run_engine(arrays, region, opts, forces,
                                             groups, post_solve,
-                                            tracer=tracer,
-                                            checkpoint=checkpoint,
-                                            resume=resume,
+                                            tracer=tracer, hook=hook,
                                             atomic_groups=atomic_groups)
                 arrays.write_back(x, y)
                 hpwl_gp = netlist.hpwl()
 
+            _before(hook, "legalize")
             with tracer.phase(
                     "legalize",
                     mode=opts.structure_legalization) as ph_legal:
@@ -554,6 +545,7 @@ class StructureAwarePlacer:
                         f"{', '.join(LEGALIZATION_MODES)}")
                 hpwl_legal = netlist.hpwl()
 
+            _before(hook, "detailed")
             with tracer.phase("detailed",
                               enabled=opts.run_detailed) as ph_detail:
                 if opts.run_detailed:
@@ -596,8 +588,7 @@ class BaselinePlacer:
 
     def place(self, netlist: Netlist, region: PlacementRegion, *,
               tracer: Tracer | None = None,
-              checkpoint: CheckpointHook | None = None,
-              resume: Checkpoint | None = None) -> PlaceOutcome:
+              hook: JobHook | None = None) -> PlaceOutcome:
         opts = self.options
         tracer = tracer or Tracer()
         with tracer.phase("place", placer=self.name,
@@ -609,14 +600,14 @@ class BaselinePlacer:
             with tracer.phase("global_place", engine=opts.engine) as ph_gp:
                 arrays = PlacementArrays.build(netlist)
                 x, y, history = _run_engine(arrays, region, opts, None,
-                                            None, tracer=tracer,
-                                            checkpoint=checkpoint,
-                                            resume=resume)
+                                            None, tracer=tracer, hook=hook)
                 arrays.write_back(x, y)
                 hpwl_gp = netlist.hpwl()
+            _before(hook, "legalize")
             with tracer.phase("legalize", mode="none") as ph_legal:
                 _legalize_rows(netlist, region, tracer=tracer)
                 hpwl_legal = netlist.hpwl()
+            _before(hook, "detailed")
             with tracer.phase("detailed",
                               enabled=opts.run_detailed) as ph_detail:
                 if opts.run_detailed:

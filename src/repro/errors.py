@@ -202,7 +202,7 @@ class LegalizationError(ReproError):
 
 
 class CacheCorruptionError(ReproError):
-    """A durable artifact or checkpoint failed its digest check."""
+    """A durable cache artifact failed its digest check."""
 
     code = "cache"
     exit_code = 8
@@ -220,12 +220,13 @@ class JobCancelledError(ReproError):
     """A job was cancelled while queued or mid-placement.
 
     Raised at two sites only: :func:`~repro.runtime.executor.execute_job`
-    before a job starts, and the per-iteration job hook
-    (:class:`~repro.robust.checkpoint.CheckpointRecorder`) on any rung
-    of the degradation ladder.  The hook first forces a final snapshot
-    when checkpoints are on, so the work done so far survives.
-    Cancellation is terminal: the batch executor never retries it, and
-    the degradation ladder never falls through it to a lower rung.
+    before a job starts, and the job hook
+    (:class:`~repro.robust.jobhook.JobHook`) on any rung of the
+    degradation ladder, per global-placement iteration or at a stage
+    boundary.  Nothing of the cancelled run is kept: a resubmitted job
+    starts cold.  Cancellation is terminal: the batch executor never
+    retries it, and the degradation ladder never falls through it to a
+    lower rung.
     """
 
     code = "cancelled"

@@ -39,9 +39,9 @@ import numpy as np
 
 from ..errors import OptionsError
 from ..kernels import b2b_grad, rasterize_overlap
-from ..robust.checkpoint import CheckpointHook
 from ..robust.faults import fault_fires
 from ..robust.guards import GuardOptions, IterateGuard
+from ..robust.jobhook import IterationHook
 from ..runtime.telemetry import Tracer
 from .arrays import PlacementArrays
 from .b2b import B2BBuilder, _as_pair_arrays
@@ -252,13 +252,13 @@ class ElectrostaticPlacer:
                  extra_pairs_x: list[tuple[int, int, float, float]] | None = None,
                  extra_pairs_y: list[tuple[int, int, float, float]] | None = None,
                  guard: GuardOptions | None = None,
-                 checkpoint: CheckpointHook | None = None,
+                 hook: IterationHook | None = None,
                  tracer: Tracer | None = None) -> None:
         self.arrays = arrays
         self.region = region
         self.options = options or ElectroOptions()
         self.guard = guard or GuardOptions()
-        self.checkpoint = checkpoint
+        self.hook = hook
         self.tracer = tracer or Tracer()
         self.grid = grid or default_grid(region, arrays.num_movable)
         self.density = ElectrostaticDensity(arrays, self.grid)
@@ -438,8 +438,8 @@ class ElectrostaticPlacer:
                     wl = math.inf
                 history.append((rounds, wl, ovf))
                 iterate_guard.check(rounds, x, y, overflow=ovf, hpwl=wl)
-                if self.checkpoint is not None:
-                    self.checkpoint(rounds, x, y)
+                if self.hook is not None:
+                    self.hook(rounds)
                 if ovf <= opts.target_overflow:
                     break
 

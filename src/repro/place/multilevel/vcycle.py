@@ -20,14 +20,13 @@ iterations from ``e``, and so on.
 Structure hooks: alignment pair forces are projected through the
 cluster map onto every level (intra-cluster pairs vanish — slice
 formation is the declusterer's job); the runtime's job hook (heartbeat,
-cancel, snapshots) applies only at the finest level, where the cell
-indices it was built for are valid.
+cancel) runs on every level, numbered by the accumulated counter.
 A recoverable numerical failure anywhere in the cycle falls back to
 flat placement (one tracer event + counter, no error escapes).
 
-:func:`place_flat` is the one flat-engine dispatch: a flat placement,
-the cycle's fallback and its checkpoint resume all go through it, and
-this module is the only one that branches on the engine name.
+:func:`place_flat` is the one flat-engine dispatch: a flat placement
+and the cycle's fallback both go through it, and this module is the
+only one that branches on the engine name.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ from .coarsen import build_coarse_netlist, interpolate_positions
 from .options import MultilevelOptions
 
 if TYPE_CHECKING:
-    from ...robust.checkpoint import CheckpointHook
     from ...robust.guards import GuardOptions
+    from ...robust.jobhook import IterationHook
 
 #: The global-placement engines: ``"quadratic"`` (B2B + SimPL anchors)
 #: and ``"electro"`` (ePlace FFT electrostatics + Nesterov).
@@ -151,13 +150,13 @@ def _electro_history(probes: list[tuple[int, float, float]],
             for i, h, o in probes]
 
 
-def _shifted(hook: CheckpointHook | None,
-             offset: int) -> CheckpointHook | None:
+def _shifted(hook: IterationHook | None,
+             offset: int) -> IterationHook | None:
     """``hook`` numbering iterations from ``offset``, as the records of
     the same level are."""
     if hook is None or offset == 0:
         return hook
-    return lambda it, x, y: hook(offset + it, x, y)
+    return lambda it: hook(offset + it)
 
 
 def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
@@ -173,10 +172,7 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
                                     None] | None = None,
                tracer: Tracer | None = None,
                guard: GuardOptions | None = None,
-               checkpoint: CheckpointHook | None = None,
-               x0: np.ndarray | None = None,
-               y0: np.ndarray | None = None,
-               resume_iteration: int = 0) -> GlobalPlaceResult:
+               hook: IterationHook | None = None) -> GlobalPlaceResult:
     """One flat global placement with the named engine.
 
     Args:
@@ -186,10 +182,7 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
         extra_pairs_x / extra_pairs_y: alignment pair forces.
         groups / post_solve: rigid-group spreading and fusion
             reprojection (the quadratic engine only).
-        checkpoint: the runtime's per-iteration job hook.
-        x0 / y0: start positions (default: the engine's own start).
-        resume_iteration: the quadratic engine re-enters its loop at
-            this iteration.
+        hook: the runtime's per-iteration job hook.
 
     Raises:
         OptionsError: ``engine`` is not one of :data:`ENGINES`.
@@ -199,16 +192,16 @@ def place_flat(arrays: PlacementArrays, region: PlacementRegion, *,
         placer = ElectrostaticPlacer(
             arrays, region, options=electro_options or ElectroOptions(),
             extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
-            guard=guard, checkpoint=checkpoint, tracer=tracer)
-        res = placer.place(x0, y0)
+            guard=guard, hook=hook, tracer=tracer)
+        res = placer.place()
         return GlobalPlaceResult(x=res.x, y=res.y,
                                  history=_electro_history(res.history, 0))
     placer = QuadraticPlacer(
         arrays, region, options=gp_options,
         extra_pairs_x=extra_pairs_x, extra_pairs_y=extra_pairs_y,
         groups=groups, post_solve=post_solve, tracer=tracer,
-        guard=guard, checkpoint=checkpoint)
-    return placer.place(x0, y0, resume_iteration=resume_iteration)
+        guard=guard, hook=hook)
+    return placer.place()
 
 
 def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
@@ -220,11 +213,9 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                                                float]] | None = None,
                      tracer: Tracer | None = None,
                      guard: GuardOptions | None = None,
-                     checkpoint: CheckpointHook | None = None,
-                     atomic_groups: list[list[int]] | None = None,
-                     resume_x: np.ndarray | None = None,
-                     resume_y: np.ndarray | None = None,
-                     resume_iteration: int = 0) -> GlobalPlaceResult:
+                     hook: IterationHook | None = None,
+                     atomic_groups: list[list[int]] | None = None
+                     ) -> GlobalPlaceResult:
     """Run multilevel electrostatic global placement; drop-in for a
     flat electro call.
 
@@ -237,12 +228,10 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             them in full (to ``target_overflow``).
         extra_pairs_x / extra_pairs_y: fine-level alignment pairs;
             projected through the cluster maps onto every level.
-        checkpoint: the job hook, finest level only.
+        hook: the job hook, called on every level's iterations under
+            the accumulated counter.
         atomic_groups: extracted bit-slice cell-index lists (slice
             order); become atomic clusters.
-        resume_x / resume_y / resume_iteration: a checkpoint — taken
-            during finest-level refinement, so resumption continues flat
-            from those positions (coarser levels are already paid for).
 
     Returns:
         The finest-level result; ``history`` concatenates every level's
@@ -255,13 +244,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
         place_flat, arrays, region, engine="electro",
         electro_options=eo_full, extra_pairs_x=extra_pairs_x,
         extra_pairs_y=extra_pairs_y, tracer=tracer, guard=guard,
-        checkpoint=checkpoint)
-
-    if resume_x is not None and resume_iteration > 0:
-        # Checkpoints are only recorded at the finest level; the coarse
-        # phases are already paid for, so resumption continues flat.
-        tracer.event("ml_resume_flat", iteration=resume_iteration)
-        return flat(x0=resume_x, y0=resume_y)
+        hook=hook)
 
     try:
         with tracer.phase("multilevel"):
@@ -290,9 +273,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
                 placer = ElectrostaticPlacer(
                     lvl.arrays, region, options=options,
                     extra_pairs_x=px, extra_pairs_y=py, guard=guard,
-                    checkpoint=_shifted(checkpoint, offset) if k == 0
-                    else None,
-                    tracer=tracer)
+                    hook=_shifted(hook, offset), tracer=tracer)
                 res = placer.place(x0, y0)
                 return GlobalPlaceResult(
                     x=res.x, y=res.y,

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..robust.checkpoint import CheckpointHook
 from ..robust.guards import GuardedSolve, GuardOptions, IterateGuard
+from ..robust.jobhook import IterationHook
 from ..runtime.telemetry import Tracer
 from .arrays import PlacementArrays
 from .b2b import B2BBuilder
@@ -93,8 +93,8 @@ class QuadraticPlacer:
             iterate is checked (NaN/Inf, blowup, divergence) and raises
             :class:`~repro.errors.NumericalError` instead of emitting
             garbage positions.
-        checkpoint: optional ``(iteration, x, y)`` hook called once per
-            outer iteration — the runtime's checkpoint/resume recorder.
+        hook: optional ``hook(iteration)`` called once per outer
+            iteration — the runtime's job hook (heartbeat, cancel).
 
     Each axis solve is one exact SPD factorization
     (:meth:`~repro.place.b2b.QuadraticSystem.solve_direct`), no CG: the
@@ -112,7 +112,7 @@ class QuadraticPlacer:
                                       None] | None = None,
                  tracer: Tracer | None = None,
                  guard: GuardOptions | None = None,
-                 checkpoint: CheckpointHook | None = None) -> None:
+                 hook: IterationHook | None = None) -> None:
         self.arrays = arrays
         self.region = region
         self.options = options or GlobalPlaceOptions()
@@ -127,9 +127,7 @@ class QuadraticPlacer:
         # solve — used to keep fused rigid groups in formation
         self.post_solve = post_solve
         self.guard = guard or GuardOptions()
-        # checkpoint(iteration, x, y): periodic snapshot hook used by the
-        # runtime's crash/timeout resume path
-        self.checkpoint = checkpoint
+        self.hook = hook
         self._builder = B2BBuilder(arrays)
 
     # ------------------------------------------------------------------
@@ -159,25 +157,12 @@ class QuadraticPlacer:
                         self.region.y_top - half_h[mv])
 
     # ------------------------------------------------------------------
-    def place(self, x0: np.ndarray | None = None,
-              y0: np.ndarray | None = None, *,
-              resume_iteration: int = 0) -> GlobalPlaceResult:
-        """Run global placement from the given (or current) positions.
-
-        Args:
-            x0 / y0: starting positions (defaults to current netlist
-                positions).
-            resume_iteration: when > 0, treat ``x0``/``y0`` as a
-                mid-loop checkpoint taken at that iteration — skip the
-                cold-start centering and initial unanchored solve, and
-                re-enter the loop at the next iteration (so the anchor
-                weight ramp continues where it left off).
-        """
+    def place(self) -> GlobalPlaceResult:
+        """Run global placement from the region centre: every movable
+        cell starts there, fixed cells at their netlist positions."""
         opts = self.options
         arrays = self.arrays
-        if x0 is None or y0 is None:
-            x0, y0 = arrays.initial_positions()
-        x, y = x0.copy(), y0.copy()
+        x, y = arrays.initial_positions()
 
         mv = arrays.movable
         region = self.region
@@ -188,24 +173,21 @@ class QuadraticPlacer:
                              movable=mv)
         history: list[IterationStat] = []
         with self.tracer.phase("gp_loop") as ph:
-            if resume_iteration <= 0:
-                # Initial wirelength-only solve from region center start.
-                cx, cy = region.center
-                x[mv] = cx
-                y[mv] = cy
-                x = self._solve_axis(x, arrays.pin_dx, None, 0.0,
-                                     self.extra_pairs_x, axis="x")
-                y = self._solve_axis(y, arrays.pin_dy, None, 0.0,
-                                     self.extra_pairs_y, axis="y")
-                self._clamp(x, y)
-                if self.post_solve is not None:
-                    self.post_solve(x, y)
-                guard.check(0, x, y)
-            else:
-                self.tracer.event("gp_resume", iteration=resume_iteration)
+            # Initial wirelength-only solve from region center start.
+            cx, cy = region.center
+            x[mv] = cx
+            y[mv] = cy
+            x = self._solve_axis(x, arrays.pin_dx, None, 0.0,
+                                 self.extra_pairs_x, axis="x")
+            y = self._solve_axis(y, arrays.pin_dy, None, 0.0,
+                                 self.extra_pairs_y, axis="y")
+            self._clamp(x, y)
+            if self.post_solve is not None:
+                self.post_solve(x, y)
+            guard.check(0, x, y)
 
             anchors_x, anchors_y = x, y
-            for it in range(resume_iteration + 1, opts.max_iterations + 1):
+            for it in range(1, opts.max_iterations + 1):
                 # upper bound: spread the current lower-bound solution
                 anchors_x, anchors_y = spread_positions(
                     arrays, x, y, self.region,
@@ -225,8 +207,8 @@ class QuadraticPlacer:
                 self.tracer.incr("gp.iterations")
                 guard.check(it, x, y, overflow=ovf_lower,
                             hpwl=stat.hpwl_lower)
-                if self.checkpoint is not None:
-                    self.checkpoint(it, x, y)
+                if self.hook is not None:
+                    self.hook(it)
                 if ovf_lower <= opts.target_overflow:
                     break
                 # lower bound: anchored quadratic solve

@@ -1,4 +1,4 @@
-"""Fault tolerance: numerical guards, degradation ladder, checkpoints.
+"""Fault tolerance: numerical guards, degradation ladder, job hook.
 
 The robustness layer of the pipeline (see DESIGN.md "Failure model"):
 
@@ -7,9 +7,8 @@ The robustness layer of the pipeline (see DESIGN.md "Failure model"):
   solve passes through;
 - :mod:`repro.robust.fallback` — :func:`place_with_fallback`, the
   degradation ladder, and :class:`DegradationReport`;
-- :mod:`repro.robust.checkpoint` — :class:`CheckpointStore` for
-  crash/timeout resume, and :class:`CheckpointRecorder`, the one
-  per-iteration job hook (heartbeat, cancel, snapshots);
+- :mod:`repro.robust.jobhook` — :class:`JobHook`, the one job hook
+  (heartbeat and cancel, per GP iteration and at stage boundaries);
 - :mod:`repro.robust.faults` — the ``REPRO_FAULT_INJECT`` hook used by
   the fault-injection CI job.
 """
@@ -28,9 +27,8 @@ _EXPORTS = {
     "LADDERS": ".fallback",
     "RungAttempt": ".fallback",
     "place_with_fallback": ".fallback",
-    "Checkpoint": ".checkpoint",
-    "CheckpointRecorder": ".checkpoint",
-    "CheckpointStore": ".checkpoint",
+    "IterationHook": ".jobhook",
+    "JobHook": ".jobhook",
     "fault_fires": ".faults",
 }
 
@@ -49,13 +47,12 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointRecorder",
-    "CheckpointStore",
     "DegradationReport",
     "GuardOptions",
     "GuardedSolve",
     "IterateGuard",
+    "IterationHook",
+    "JobHook",
     "LADDERS",
     "RungAttempt",
     "fault_fires",

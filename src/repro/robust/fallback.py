@@ -37,8 +37,8 @@ from ..place.arrays import PlacementArrays
 from ..place.legalize import check_legal, row_scan_place, tetris_legalize
 from ..place.region import PlacementRegion
 from ..runtime.telemetry import Tracer
-from .checkpoint import Checkpoint, CheckpointRecorder
 from .guards import GuardedSolve
+from .jobhook import JobHook
 
 #: default rung sequences per requested placer
 LADDERS: dict[str, tuple[str, ...]] = {
@@ -109,28 +109,26 @@ class DegradationReport:
 # rungs
 # ----------------------------------------------------------------------
 
-def _rung_structure(netlist, region, options, tracer, checkpoint, resume):
+def _rung_structure(netlist, region, options, tracer, hook):
     return StructureAwarePlacer(options).place(
-        netlist, region, tracer=tracer, checkpoint=checkpoint,
-        resume=resume)
+        netlist, region, tracer=tracer, hook=hook)
 
 
-def _rung_structure_relaxed(netlist, region, options, tracer, checkpoint,
-                            resume):
+def _rung_structure_relaxed(netlist, region, options, tracer, hook):
     relaxed = dataclasses.replace(options, use_fusion=False,
                                   structure_legalization="none")
     return StructureAwarePlacer(relaxed).place(
-        netlist, region, tracer=tracer, checkpoint=checkpoint, resume=None)
+        netlist, region, tracer=tracer, hook=hook)
 
 
-def _rung_baseline(netlist, region, options, tracer, checkpoint, resume):
+def _rung_baseline(netlist, region, options, tracer, hook):
     return BaselinePlacer(options).place(
-        netlist, region, tracer=tracer, checkpoint=checkpoint, resume=None)
+        netlist, region, tracer=tracer, hook=hook)
 
 
 def _rung_quadratic_only(netlist: Netlist, region: PlacementRegion,
                          options: PlacerOptions, tracer: Tracer,
-                         checkpoint, resume) -> PlaceOutcome:
+                         hook: JobHook | None) -> PlaceOutcome:
     """Single unanchored wirelength solve + Tetris; no spreading loop."""
     from ..place.b2b import B2BBuilder
 
@@ -148,8 +146,8 @@ def _rung_quadratic_only(netlist: Netlist, region: PlacementRegion,
             solve = GuardedSolve(system.solve, stage="global_place",
                                  design=netlist.name, guard=options.guard)
             coords[system.cells] = solve(x0=coords[system.cells])
-        if checkpoint is not None:
-            checkpoint(0, x, y)
+        if hook is not None:
+            hook(0)
         half_w = arrays.width / 2.0
         half_h = arrays.height / 2.0
         x[mv] = np.clip(x[mv], region.x + half_w[mv],
@@ -175,7 +173,7 @@ def _rung_quadratic_only(netlist: Netlist, region: PlacementRegion,
 
 def _rung_row_scan(netlist: Netlist, region: PlacementRegion,
                    options: PlacerOptions, tracer: Tracer,
-                   checkpoint, resume) -> PlaceOutcome:
+                   hook: JobHook | None) -> PlaceOutcome:
     """Bottom rung: pack everything, quality be damned."""
     with tracer.phase("place", placer="row-scan",
                       design=netlist.name) as ph_all:
@@ -213,8 +211,7 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
                         placer: str = "structure",
                         rungs: tuple[str, ...] | None = None,
                         tracer: Tracer | None = None,
-                        checkpoint: CheckpointRecorder | None = None,
-                        resume: Checkpoint | None = None
+                        hook: JobHook | None = None
                         ) -> tuple[PlaceOutcome, DegradationReport]:
     """Place with the degradation ladder.
 
@@ -228,10 +225,7 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
             be keys of ``repro.robust.fallback._RUNGS``).
         tracer: telemetry; every attempt records a ``rung`` event and
             bumps ``fallback.*`` counters.
-        checkpoint: the per-iteration job hook.  Every rung gets its
-            cancel and heartbeat; only the first rung saves snapshots
-            (lower rungs place a different problem, and are cheap).
-        resume: checkpoint to resume the *first* rung from.
+        hook: the job hook (heartbeat, cancel), passed to every rung.
 
     Returns:
         ``(outcome, report)`` — the outcome of the first rung that
@@ -247,8 +241,6 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
     names = rungs or LADDERS.get(placer, LADDERS["structure"])
     report = DegradationReport(design=netlist.name, requested=names[0])
     snap = _snapshot(netlist)
-    lower = checkpoint.without_snapshots() if checkpoint is not None \
-        else None
 
     # NB: no wrapping phase here — the rung's own "place" phase must keep
     # the seed telemetry schema (path "job/place/...") intact
@@ -260,9 +252,7 @@ def place_with_fallback(netlist: Netlist, region: PlacementRegion,
         tracer.incr("fallback.attempts")
         start = tracer.clock()
         try:
-            outcome = run(netlist, region, options, tracer,
-                          checkpoint if i == 0 else lower,
-                          resume if i == 0 else None)
+            outcome = run(netlist, region, options, tracer, hook)
         except _RECOVERABLE as exc:
             last_error = exc
             attempt = RungAttempt(rung=name, ok=False, error=str(exc),

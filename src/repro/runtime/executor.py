@@ -8,10 +8,9 @@ placing: a hit short-circuits the placer entirely (counted as
 ``cache.hit``; ``placer.invocations`` stays untouched), a miss runs the
 full pipeline under a :class:`~repro.runtime.telemetry.Tracer` and
 stores the artifact.  Placement runs through the degradation ladder
-(:func:`~repro.robust.fallback.place_with_fallback`) by default, and a
-:class:`~repro.robust.checkpoint.CheckpointStore` (when supplied) lets a
-crashed or timed-out attempt resume global placement from its last
-snapshot instead of cold-starting.
+(:func:`~repro.robust.fallback.place_with_fallback`) by default.  Every
+attempt starts cold, so a retried job places exactly as an
+uninterrupted one and the cache holds one placement per key.
 
 :class:`BatchExecutor` adds fan-out policy on top: a
 ``concurrent.futures`` process pool when ``workers > 0`` (graceful
@@ -19,9 +18,8 @@ degradation to serial in-process execution at ``workers=0``), per-job
 timeout, and bounded retry when a job raises or its worker crashes —
 the terminal failure is *reported* in the :class:`JobResult` with its
 taxonomy ``error_kind``, never swallowed and never allowed to sink the
-rest of the batch.  Timeouts become retryable when checkpoints are
-enabled (the retry makes forward progress from the snapshot); without
-checkpoints they stay terminal, as before.
+rest of the batch.  Timeouts are terminal: a cold retry would repeat
+the run that blew its budget.
 
 The pool always comes from a :class:`PoolSlot`.  A batch of ``run``
 owns a slot for its own length; the serve daemon keeps one per bridge
@@ -36,15 +34,14 @@ N-job batch over one design transfers the netlist once instead of N
 times and warm cache hits skip the in-worker generator rebuild entirely
 (the arena digest keys the cache directly).
 
-Every placement runs under one per-iteration job hook
-(:class:`~repro.robust.checkpoint.CheckpointRecorder`), whether or not
-checkpoints are on: it renews a lease heartbeat, turns the executor's
-cancel token into a graceful ``cancelled`` result (forced final
-checkpoint, taxonomy exit) instead of the
-:meth:`BatchExecutor.interrupt` SIGTERM backstop, and saves snapshots
-when a store is given.  In pool mode the executor mirrors the token
-onto a per-batch :class:`CancelBoard` — one shared byte the workers'
-hooks poll.
+Every placement runs under one job hook
+(:class:`~repro.robust.jobhook.JobHook`), called per global-placement
+iteration and at stage boundaries: it renews a lease heartbeat and
+turns the executor's cancel token into a graceful ``cancelled`` result
+(taxonomy exit) instead of the :meth:`BatchExecutor.interrupt` SIGTERM
+backstop.  In pool mode the executor mirrors the token onto a
+per-batch :class:`CancelBoard` — one shared byte the workers' hooks
+poll.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ from ..core import BaselinePlacer, StructureAwarePlacer
 from ..errors import JobCancelledError, ReproError, error_kind
 from ..eval import evaluate_placement
 from ..gen import build_design
-from ..robust.checkpoint import CheckpointRecorder, CheckpointStore
 from ..robust.faults import fault_fires
+from ..robust.jobhook import JobHook
 from .cache import ArtifactCache, cache_from_spec, job_key, \
     job_key_from_digest, snapshot_positions
 from .jobs import JobResult, PlacementJob
@@ -81,7 +78,6 @@ _MIRROR_POLL_S = 0.05
 
 def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
                 tracer: Tracer | None = None,
-                checkpoints: CheckpointStore | None = None,
                 fallback: bool = True,
                 design: "GeneratedDesign | None" = None,
                 design_supplier:
@@ -95,8 +91,6 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
         job: the job to run.
         cache: durable artifact cache (digest-verified on read).
         tracer: telemetry collector.
-        checkpoints: checkpoint store — enables periodic global-place
-            snapshots and resume-from-snapshot on retry.
         fallback: run the degradation ladder (True, default) or the bare
             requested placer.
         design: pre-built design (e.g. reconstructed from a shipped
@@ -108,13 +102,12 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
         netlist_digest: precomputed netlist fingerprint — with an arena
             in hand the cache key needs no netlist walk at all, so a
             warm hit costs neither a rebuild nor a fingerprint.
-        cancel: cancel poll; checked before start and by the
-            per-iteration job hook on every ladder rung, raising
-            :class:`~repro.errors.JobCancelledError` (after forcing a
-            final snapshot when a checkpoint store is present).  A
-            cancelled job keeps its snapshot.
-        heartbeat: called on every global-placement iteration (the
-            serve daemon's lease renewal).
+        cancel: cancel poll; checked before start and by the job hook
+            on every ladder rung, raising
+            :class:`~repro.errors.JobCancelledError`.
+        heartbeat: called by the job hook, on every global-placement
+            iteration and at stage boundaries (the serve daemon's lease
+            renewal).
 
     Raises whatever the pipeline raises — retry/reporting policy belongs
     to :class:`BatchExecutor`, not here.  Degraded results are *not*
@@ -160,26 +153,17 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
                         if design_supplier is not None \
                         else build_design(job.design)
             tracer.incr("placer.invocations")
-            resume = checkpoints.load(key) if checkpoints is not None \
-                else None
-            recorder = CheckpointRecorder(checkpoints, key, cancel=cancel,
-                                          heartbeat=heartbeat)
-            if resume is not None:
-                tracer.incr("checkpoint.resumed")
-                tracer.event("checkpoint_resume", key=key,
-                             iteration=resume.iteration)
+            hook = JobHook(cancel=cancel, heartbeat=heartbeat)
             report = None
             if fallback:
                 from ..robust.fallback import place_with_fallback
                 outcome, report = place_with_fallback(
                     design.netlist, design.region, options,
-                    placer=job.placer, tracer=tracer,
-                    checkpoint=recorder, resume=resume)
+                    placer=job.placer, tracer=tracer, hook=hook)
             else:
                 placer = _PLACERS[job.placer](options)
                 outcome = placer.place(design.netlist, design.region,
-                                       tracer=tracer, checkpoint=recorder,
-                                       resume=resume)
+                                       tracer=tracer, hook=hook)
             with tracer.phase("evaluate"):
                 report_eval = evaluate_placement(design.netlist,
                                                  design.region)
@@ -213,16 +197,9 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
                 positions=snapshot_positions(design.netlist),
                 degradation=report.to_dict() if report is not None
                 else None,
-                resumed_iteration=resume.iteration if resume is not None
-                else 0,
             )
             if cache is not None and not result.degraded:
                 cache.put(key, result.to_artifact())
-            if checkpoints is not None and not (cancel is not None
-                                                and cancel()):
-                # a cancel that landed after the last iteration keeps
-                # the snapshot, as one that landed mid-loop does
-                checkpoints.clear(key)
     result.key = key
     result.events = tracer.events[events_start:]
     result.counters = {
@@ -233,7 +210,6 @@ def execute_job(job: PlacementJob, *, cache: ArtifactCache | None = None,
 
 
 def _worker_execute(job: PlacementJob, cache_spec: dict | None,
-                    checkpoint_root: str | None = None,
                     fallback: bool = True,
                     submitted_s: float | None = None,
                     shipment: Shipment | None = None,
@@ -261,8 +237,6 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
     queue_wait_s = max(tracer.clock() - submitted_s, 0.0) \
         if submitted_s is not None else 0.0
     cache = cache_from_spec(cache_spec)
-    checkpoints = CheckpointStore(checkpoint_root) if checkpoint_root \
-        else None
     supplier: "Callable[[], GeneratedDesign] | None" = None
     digest: str | None = None
     transport = "rebuild"
@@ -289,7 +263,7 @@ def _worker_execute(job: PlacementJob, cache_spec: dict | None,
             board = None  # board gone: job runs uncancellable, as before
     try:
         result = execute_job(job, cache=cache, tracer=tracer,
-                             checkpoints=checkpoints, fallback=fallback,
+                             fallback=fallback,
                              design_supplier=supplier,
                              netlist_digest=digest,
                              cancel=board.is_set if board is not None
@@ -419,13 +393,11 @@ class BatchExecutor:
         workers: process-pool size; ``0`` runs serially in-process.
         cache: durable artifact cache shared by all workers (optional).
         timeout_s: per-job wall-clock budget in parallel mode.  A timed
-            out job is retried only when ``checkpoints`` is set (resume
-            makes the retry cheaper than the attempt that timed out);
-            otherwise it is reported as a terminal ``timeout`` error.
+            out job is reported as a terminal ``timeout`` error, never
+            retried: the retry would start cold and blow the same
+            budget.
         retries: how many times a crashing/raising job is re-executed
             before its failure is reported.
-        checkpoints: checkpoint store shared by all workers — enables
-            crash/timeout resume.
         fallback: run jobs through the degradation ladder (default).
         shm: ship designs to pool workers as shared-memory arenas
             (default).  ``False`` restores the legacy rebuild-in-worker
@@ -439,9 +411,10 @@ class BatchExecutor:
         cancel: the cancel token every job of the batch polls (the
             serve daemon passes the job's own); None makes a private
             one.  :meth:`cancel_all` sets it.
-        heartbeat: called on every global-placement iteration of a
-            serial run (the daemon's lease renewal); heartbeats do not
-            cross the process boundary in pool mode.
+        heartbeat: called on every global-placement iteration and
+            stage boundary of a serial run (the daemon's lease
+            renewal); heartbeats do not cross the process boundary in
+            pool mode.
         slot: the :class:`PoolSlot` a parallel run takes its pool from
             (the serve daemon passes its bridge thread's); None gives
             each run a slot of ``workers`` processes that it closes.
@@ -450,7 +423,6 @@ class BatchExecutor:
     def __init__(self, workers: int = 0, *,
                  cache: ArtifactCache | None = None,
                  timeout_s: float | None = None, retries: int = 1,
-                 checkpoints: CheckpointStore | None = None,
                  fallback: bool = True, shm: bool = True,
                  arenas: ArenaProvider | None = None,
                  cancel: threading.Event | None = None,
@@ -460,7 +432,6 @@ class BatchExecutor:
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = max(retries, 0)
-        self.checkpoints = checkpoints
         self.fallback = fallback
         self.shm = shm
         self.arenas = arenas
@@ -536,7 +507,6 @@ class BatchExecutor:
                 attempts += 1
                 try:
                     result = execute_job(job, cache=self.cache,
-                                         checkpoints=self.checkpoints,
                                          fallback=self.fallback,
                                          cancel=self.cancel.is_set,
                                          heartbeat=self.heartbeat)
@@ -584,8 +554,6 @@ class BatchExecutor:
     def _run_parallel(self, jobs: list[PlacementJob],
                       tracer: Tracer) -> list[JobResult]:
         cache_spec = self.cache.spec() if self.cache else None
-        ckpt_root = str(self.checkpoints.root) if self.checkpoints \
-            else None
 
         # one arena shipment per unique design: compiled/exported here,
         # in the parent, exactly once; every job for that design then
@@ -605,8 +573,8 @@ class BatchExecutor:
 
         def submit(job: PlacementJob) -> cf.Future:
             return slot.pool(tracer).submit(
-                _worker_execute, job, cache_spec, ckpt_root,
-                self.fallback, tracer.clock(), shipments.get(job.design),
+                _worker_execute, job, cache_spec, self.fallback,
+                tracer.clock(), shipments.get(job.design),
                 board_ref)
 
         def rebuild(after: int, pending: dict[int, cf.Future]) -> None:
@@ -639,7 +607,6 @@ class BatchExecutor:
                 attempts = 1
                 while True:
                     future = pending[idx]
-                    kind = "other"
                     try:
                         result = self._await(future, board,
                                              tracer.clock)
@@ -652,19 +619,16 @@ class BatchExecutor:
                                 error="execution interrupted by supervisor",
                                 error_kind="interrupted")
                             break
-                        error = f"timeout after {self.timeout_s}s"
-                        kind = "timeout"
                         # the stuck worker cannot be reclaimed mid-
-                        # flight: replace the pool so the retry (or the
-                        # remaining jobs) get fresh workers
+                        # flight: replace the pool so the remaining jobs
+                        # get fresh workers.  A cold retry would repeat
+                        # the same budget-blowing run, so it is terminal
                         rebuild(idx, pending)
-                        if self.checkpoints is None:
-                            # no snapshot to resume from — retrying
-                            # would repeat the same budget-blowing run
-                            result = JobResult(
-                                job=job, status="error", attempts=attempts,
-                                error=error, error_kind=kind)
-                            break
+                        result = JobResult(
+                            job=job, status="error", attempts=attempts,
+                            error=f"timeout after {self.timeout_s}s",
+                            error_kind="timeout")
+                        break
                     except BrokenProcessPool as exc:
                         if self._interrupted:
                             # the supervisor killed the workers; report

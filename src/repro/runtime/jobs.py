@@ -62,8 +62,7 @@ class JobResult:
     ``numerical``/``legalization``/``timeout``/``crash``/``other``) —
     the CLI maps it to the documented exit code.  ``degradation`` is the
     :class:`~repro.robust.fallback.DegradationReport` dict when the
-    fallback ladder ran; ``resumed_iteration`` is nonzero when global
-    placement resumed from a checkpoint instead of cold-starting.
+    fallback ladder ran.
     ``queue_wait_s`` is the submit→start latency the executor (or the
     serve daemon) measured for this job — execution time is in
     ``runtime_s``, so total latency is their sum.  ``transport`` records
@@ -80,7 +79,6 @@ class JobResult:
     error: str | None = None
     error_kind: str | None = None
     degradation: dict | None = None
-    resumed_iteration: int = 0
     queue_wait_s: float = 0.0
     transport: str | None = None
     bytes_shipped: int = 0

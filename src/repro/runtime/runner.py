@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from ..core import PlacerOptions
 from ..eval import format_table
 from ..gen import design_names
-from ..robust.checkpoint import CheckpointStore
 from .cache import ArtifactCache
 from .executor import BatchExecutor
 from .jobs import JobResult, PlacementJob
@@ -84,7 +83,6 @@ def run_suite(designs: Sequence[str] | None = None,
               trace_path: str | Path | None = None,
               timeout_s: float | None = None,
               retries: int = 1,
-              checkpoint_dir: str | Path | None = None,
               fallback: bool = True,
               shm: bool = True,
               tracer: Tracer | None = None) -> SuiteResult:
@@ -100,9 +98,8 @@ def run_suite(designs: Sequence[str] | None = None,
         cache_dir: enable the durable artifact cache at this directory.
         trace_path: write the full JSONL telemetry trace here.
         timeout_s: per-job timeout in parallel mode.
-        retries: crash/raise retry budget per job.
-        checkpoint_dir: enable global-place checkpoints at this directory
-            — timed-out/crashed jobs resume from their last snapshot.
+        retries: crash/raise retry budget per job (a retry starts
+            cold and places exactly as an uninterrupted run).
         fallback: run jobs through the degradation ladder (default).
         shm: ship designs to pool workers as shared-memory arenas
             (default); ``False`` restores per-job rebuild dispatch.
@@ -112,12 +109,9 @@ def run_suite(designs: Sequence[str] | None = None,
         designs = design_names(suite)
     tracer = tracer or Tracer()
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    checkpoints = CheckpointStore(checkpoint_dir) \
-        if checkpoint_dir is not None else None
     jobs = make_jobs(designs, placers, options=options, seed=seed)
     executor = BatchExecutor(workers, cache=cache, timeout_s=timeout_s,
-                             retries=retries, checkpoints=checkpoints,
-                             fallback=fallback, shm=shm)
+                             retries=retries, fallback=fallback, shm=shm)
     with tracer.phase("suite", designs=list(designs),
                       placers=list(placers), workers=workers):
         results = executor.run(jobs, tracer=tracer)

@@ -467,9 +467,8 @@ class CancelBoard:
 
     The executor creates the board (zeroed) and mirrors its cancel
     token onto it with :meth:`set`; pool workers attach and poll
-    :meth:`is_set` from the per-iteration job hook, which forces a
-    final checkpoint save and raises ``JobCancelledError`` — graceful,
-    unlike the SIGTERM backstop.
+    :meth:`is_set` from the job hook, which raises
+    ``JobCancelledError`` — graceful, unlike the SIGTERM backstop.
     """
 
     _SEQ = 0

@@ -17,9 +17,8 @@ span (the TEL03 contract).
 Graceful shutdown (``shutdown`` op, SIGTERM, or SIGINT) stops
 admission and then either **drains** (waits for every accepted job to
 reach a terminal state) or, in ``now`` mode, cancels running jobs
-through the per-iteration job hook (with checkpoints on, their
-snapshots survive) and leaves
-queued jobs in the journal — a restarted daemon replays them, so no
+through the job hook and leaves them and the queued jobs in the
+journal — a restarted daemon replays them from a cold start, so no
 accepted job is ever lost.  Then it stops listening and closes every
 open client connection, so each connection handler returns before the
 event loop ends.
@@ -69,10 +68,6 @@ class ServeConfig:
             run`` writes; None disables caching.
         cache_budget_mb: total cache byte budget (LRU eviction); None
             means unbounded.
-        checkpoint_dir: checkpoint store root, holding resume state
-            only: periodic global-place snapshots and the final
-            snapshot a cancelled job leaves.  None disables it; cancel
-            and lease heartbeats work either way.
         spool_dir: job-journal directory; None disables persistence.
         trace_path: streaming JSONL telemetry file; None disables.
         max_pending: bounded-admission cap (queued + running).
@@ -106,7 +101,6 @@ class ServeConfig:
     workers: int = 1
     cache_dir: str | None = ".repro-cache"
     cache_budget_mb: float | None = None
-    checkpoint_dir: str | None = ".repro-checkpoints"
     spool_dir: str | None = ".repro-spool"
     trace_path: str | None = None
     max_pending: int = 2048
@@ -190,7 +184,7 @@ class PlacementDaemon:
 
         self.bridge = WorkerBridge(
             self.queue, workers=config.workers, cache=self.cache,
-            checkpoint_root=config.checkpoint_dir, pool=config.pool,
+            pool=config.pool,
             timeout_s=config.timeout_s, retries=config.retries,
             fallback=config.fallback, clock=self._clock,
             metrics=self.metrics, emit=self._emit,
@@ -395,7 +389,7 @@ class PlacementDaemon:
         self.queue.stop_admission()
         if mode == "now":
             # queued jobs stay "accepted" in the journal -> replayed by
-            # the next daemon; running jobs checkpoint and cancel
+            # the next daemon; running jobs cancel, and rerun cold there
             self.bridge.requeue_cancelled = True
             self.queue.cancel_all_queued()
             for record in self.queue.running():

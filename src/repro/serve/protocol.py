@@ -61,8 +61,9 @@ CANCELLED = "cancelled"
 QUARANTINED = "quarantined"
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, QUARANTINED)
 
-#: shutdown modes: drain finishes all accepted work; "now" stops after
-#: the in-flight jobs checkpoint (queued work is journaled for restart).
+#: shutdown modes: drain finishes all accepted work; "now" cancels the
+#: in-flight jobs (they and the queued work are journaled for restart,
+#: and rerun cold).
 SHUTDOWN_MODES = ("drain", "now")
 
 

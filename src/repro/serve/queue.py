@@ -210,7 +210,7 @@ class JobJournal:
         - ``attempts``: executions already spent (accept seed + one per
           ``lease`` row — a lease without a matching finish means the
           job was running when the previous daemon died, and that
-          attempt is *counted*, not resumed);
+          attempt is *counted*; the job reruns cold);
         - ``quarantined``: True when the job's last event stream left it
           parked in quarantine (it must be re-registered, not re-run).
 
@@ -451,8 +451,8 @@ class JobQueue:
         quarantined the job while this execution was stuck.
 
         ``journal=False`` leaves the job "accepted" in the journal — the
-        immediate-shutdown path uses it so interrupted (checkpointed)
-        jobs replay on the next start instead of being forgotten.
+        immediate-shutdown path uses it so interrupted jobs replay on
+        the next start instead of being forgotten.
         """
         with self._cond:
             if record.terminal:

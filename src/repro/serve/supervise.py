@@ -4,11 +4,12 @@ The worker bridge trusts the batch executor to come back; production
 traffic does not extend that trust.  This module is the supervision
 layer between the two:
 
-- every running job holds a :class:`JobLease` that the executor's
-  per-iteration job hook renews (a heartbeat per global-placement
-  iteration, with or without checkpoints).  Leases are journaled, so a restarted daemon can tell
-  "was running when we died" from "never started" and count execution
-  attempts *across process lifetimes*;
+- every running job holds a :class:`JobLease` that the executor's job
+  hook renews (a heartbeat per global-placement iteration, on every
+  V-cycle level, and at each stage boundary).  Leases are journaled,
+  so a restarted daemon can tell "was running when we died" from
+  "never started" and count execution attempts *across process
+  lifetimes*;
 - a :class:`Watchdog` thread scans the lease table: a lease with no
   heartbeat for ``stall_timeout_s`` is declared stuck, its execution is
   interrupted through the existing cancel-token path (pool mode: the

@@ -5,7 +5,7 @@ time and runs it through :class:`~repro.runtime.executor.BatchExecutor`
 — the exact engine ``repro-place run`` uses — so the daemon inherits
 its execution semantics wholesale: bit-identical results,
 degradation-ladder fallback, taxonomy ``error_kind`` reporting, and
-checkpoint/resume.  In ``pool`` mode each bridge thread keeps one
+cold, exact retries.  In ``pool`` mode each bridge thread keeps one
 single-worker process pool (a :class:`~repro.runtime.executor.PoolSlot`)
 that runs its jobs in a separate process: it starts on the thread's
 first job, serves every later one, and is replaced only after a crash,
@@ -15,18 +15,18 @@ thread (the executor's ``workers=0`` path, same results by
 construction).
 
 The bridge hands the executor only the job's cancel token
-(``record.cancel``) and a lease heartbeat; neither needs checkpoints.
-The executor's one per-iteration job hook
-(:class:`~repro.robust.checkpoint.CheckpointRecorder`) renews the lease
-and turns a set token into :class:`~repro.errors.JobCancelledError` on
-any ladder rung, first forcing a final snapshot when checkpoints are
-on, so a resubmitted job resumes instead of cold-starting.  The
-executor reports the cancellation terminally (never retried, never
-degraded past).  In pool mode it mirrors the token onto its
+(``record.cancel``) and a lease heartbeat.  The executor's one job hook
+(:class:`~repro.robust.jobhook.JobHook`) renews the lease and turns a
+set token into :class:`~repro.errors.JobCancelledError` on any ladder
+rung, per global-placement iteration and at stage boundaries.  A
+resubmitted job starts cold and places exactly as an uninterrupted
+one.  The executor reports the cancellation terminally (never retried,
+never degraded past).  In pool mode it mirrors the token onto its
 shared-memory cancel board itself; heartbeats stay in-process.
 
 Supervision (:mod:`repro.serve.supervise`) watches those heartbeats: a
-healthy in-thread placement beats once per global-placement iteration.
+healthy in-thread placement beats once per global-placement iteration
+and at each stage boundary.
 When the watchdog declares an execution stuck it calls
 :meth:`~repro.runtime.executor.BatchExecutor.interrupt`, which trips
 the job's *original* cancel token (pool mode: kills the worker process
@@ -48,7 +48,6 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
-from ..robust.checkpoint import CheckpointStore
 from ..robust.faults import fault_fires
 from ..runtime.cache import ArtifactCache
 from ..runtime.executor import BatchExecutor, PoolSlot
@@ -79,9 +78,6 @@ class WorkerBridge:
         workers: number of bridge threads (concurrent placements).
         cache: shared artifact cache (hits recorded inside the
             executor; the submit fast-path usually catches them first).
-        checkpoint_root: checkpoint directory: resume state only (a
-            cancelled job's final snapshot, crash/timeout resume).
-            Cancel and heartbeats work without it.
         pool: run jobs in a separate worker process instead of
             in-thread: one long-lived single-worker pool per bridge
             thread, started on its first job (crash and timeout
@@ -108,7 +104,6 @@ class WorkerBridge:
 
     def __init__(self, queue: JobQueue, *, workers: int = 1,
                  cache: ArtifactCache | None = None,
-                 checkpoint_root: str | None = None,
                  pool: bool = False, timeout_s: float | None = None,
                  retries: int = 1, fallback: bool = True,
                  shm: bool = True,
@@ -120,7 +115,6 @@ class WorkerBridge:
         self.queue = queue
         self.workers = max(workers, 1)
         self.cache = cache
-        self.checkpoint_root = checkpoint_root
         self.pool = pool
         self.timeout_s = timeout_s
         self.retries = retries
@@ -240,14 +234,11 @@ class WorkerBridge:
         heartbeat = functools.partial(supervisor.heartbeat,
                                       record.job_id) \
             if supervisor is not None else None
-        checkpoints = CheckpointStore(self.checkpoint_root) \
-            if self.checkpoint_root is not None else None
         executor = BatchExecutor(
             workers=1 if self.pool else 0, cache=self.cache,
             timeout_s=self.timeout_s, retries=self.retries,
-            checkpoints=checkpoints, fallback=self.fallback,
-            shm=self.shm, arenas=self.arenas, cancel=token,
-            heartbeat=heartbeat, slot=self._slot())
+            fallback=self.fallback, shm=self.shm, arenas=self.arenas,
+            cancel=token, heartbeat=heartbeat, slot=self._slot())
 
         if supervisor is not None:
             lease = supervisor.acquire(record, worker=worker,

@@ -401,8 +401,7 @@ class TestDaemonLeakGate:
         sock = str(tmp_path / "leak.sock")
         daemon = PlacementDaemon(ServeConfig(
             socket_path=sock, workers=2, pool=True, shm=True,
-            cache_dir=None, checkpoint_dir=None, spool_dir=None,
-            retries=0, max_attempts=2, backoff_base_s=0.05,
+            cache_dir=None, spool_dir=None, retries=0, max_attempts=2, backoff_base_s=0.05,
             backoff_cap_s=0.1, scan_interval_s=0.05))
         thread = threading.Thread(target=daemon.run, daemon=True)
         thread.start()
@@ -431,7 +430,7 @@ def _pool_daemon(sock: str, **overrides):
     from repro.serve.daemon import PlacementDaemon, ServeConfig
 
     config = dict(socket_path=sock, workers=1, pool=True, shm=True,
-                  cache_dir=None, checkpoint_dir=None, spool_dir=None)
+                  cache_dir=None, spool_dir=None)
     config.update(overrides)
     return PlacementDaemon(ServeConfig(**config))
 

@@ -49,7 +49,6 @@ def _start_daemon(root: Path, **overrides) -> tuple:
     defaults = dict(
         socket_path=str(root / "s.sock"),
         cache_dir=str(root / "cache"),
-        checkpoint_dir=str(root / "ckpt"),
         spool_dir=str(root / "spool"),
         workers=1,
     )
@@ -250,7 +249,6 @@ def _spawn_daemon(serve_root: Path, *flags: str,
         [sys.executable, "-m", "repro.cli", "serve",
          "--socket", str(serve_root / "s.sock"),
          "--cache-dir", str(serve_root / "cache"),
-         "--checkpoint-dir", str(serve_root / "ckpt"),
          "--spool-dir", str(serve_root / "spool"),
          *flags],
         cwd=str(REPO), env=env,

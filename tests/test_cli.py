@@ -132,6 +132,31 @@ class TestRunCommand:
         assert cache["hits"] == 1  # warm rerun served from the cache
         assert cache["bytes"] > 0
 
+    def test_retried_run_is_exact(self, capsys, tmp_path, monkeypatch):
+        # default flags: a NaN injected mid-GP fails the first attempt;
+        # the retry starts cold, so it and the cache entry it writes
+        # carry the uninterrupted placement
+        from repro.robust import faults
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--designs", "dp_add8", "--placer", "structure",
+                "--no-fallback", "--json"]
+
+        def run(*extra):
+            faults.reset()
+            assert main(argv + list(extra)) == 0
+            return json.loads(capsys.readouterr().out)
+
+        monkeypatch.setenv(faults.ENV_VAR, "solver_nan:1:12")
+        faulted = run()
+        monkeypatch.delenv(faults.ENV_VAR)
+        clean = run("--no-cache")
+        rerun = run()
+        faults.reset()
+        assert faulted["counters"]["executor.retry"] == 1
+        assert faulted["rows"][0]["hpwl"] == clean["rows"][0]["hpwl"]
+        assert rerun["rows"][0]["cached"] is True
+        assert rerun["rows"][0]["hpwl"] == clean["rows"][0]["hpwl"]
+
 
 class TestArgErrors:
     def test_missing_command(self):
@@ -141,6 +166,28 @@ class TestArgErrors:
     def test_bad_placer_choice(self):
         with pytest.raises(SystemExit):
             main(["place", "--placer", "nope"])
+
+    @pytest.mark.parametrize("flag", [["--no-checkpoint"],
+                                      ["--checkpoint-dir", "X"]])
+    def test_run_has_no_checkpoint_flags(self, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["run", *flag])
+        assert info.value.code == 2
+
+    def test_serve_checkpoint_dir_parses_hidden_and_inert(self, monkeypatch,
+                                                          capsys):
+        import repro.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_serve",
+                            lambda args: seen.append(args) or 0)
+        assert main(["serve", "--checkpoint-dir", "X"]) == 0
+        assert len(seen) == 1
+        with pytest.raises(SystemExit):
+            main(["serve", "--no-checkpoint"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "checkpoint" not in capsys.readouterr().out.lower()
 
 
 class TestExitCodes:
@@ -247,28 +294,23 @@ class TestExitCodes:
         faults.reset()
         code = main(["run", "--designs", "dp_add8",
                      "--placer", "structure", "--no-cache",
-                     "--no-checkpoint", "--no-fallback",
-                     "--retries", "0"])
+                     "--no-fallback", "--retries", "0"])
         assert code == 5
         assert "error:" in capsys.readouterr().err
 
-    def test_run_with_checkpoints_and_fallback_recovers(
-            self, monkeypatch, capsys, tmp_path):
+    def test_run_with_fallback_recovers(self, monkeypatch, capsys):
         from repro.robust import faults
         monkeypatch.setenv(faults.ENV_VAR, "solver_nan")
         faults.reset()
         code = main(["run", "--designs", "dp_add8",
-                     "--placer", "structure", "--no-cache",
-                     "--checkpoint-dir", str(tmp_path / "ckpt"),
-                     "--json"])
+                     "--placer", "structure", "--no-cache", "--json"])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[0]["legal"] is True
         assert rows[0]["rung"] == "structure-relaxed"
 
     def test_unknown_suite_exits_1_without_traceback(self, capsys):
-        code = main(["run", "--suite", "no_such_suite", "--no-cache",
-                     "--no-checkpoint"])
+        code = main(["run", "--suite", "no_such_suite", "--no-cache"])
         assert code == 1
         err = capsys.readouterr().err
         assert "[options]" in err and "no_such_suite" in err

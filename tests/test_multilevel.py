@@ -177,6 +177,22 @@ class TestCoarsening:
         assert built == []
         assert np.isfinite(result.x).all() and np.isfinite(result.y).all()
 
+    def test_job_hook_runs_on_every_level(self):
+        # every level's iterations reach the job hook (heartbeat and
+        # cancel), numbered as the level's records are
+        design = build_design("ctrl_glue2k")
+        arrays = PlacementArrays.build(design.netlist)
+        tracer = Tracer()
+        hooked: list[int] = []
+        result = multilevel_place(
+            arrays, design.region, tracer=tracer, hook=hooked.append,
+            ml_options=MultilevelOptions(enabled=True))
+        assert tracer.count("ml.levels") >= 1
+        records = [h.iteration for h in result.history]
+        assert len(hooked) == len(records)
+        assert hooked[0] == records[0]
+        assert hooked == records
+
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit-identical arrays: same dtype kind, shape and bytes."""

@@ -9,15 +9,29 @@ from repro.core import (BaselinePlacer, PlacerOptions, StructureAwarePlacer,
                         extract_datapaths)
 from repro.core.groups import group_ids, make_reprojector, plan_arrays
 from repro.core.alignment import build_alignment
-from repro.core.structured_placer import _run_engine
 from repro.errors import OptionsError
 from repro.gen import UnitSpec, build_design, compose_design
 from repro.place import PlacementArrays, QuadraticPlacer, check_legal
 from repro.place.b2b import B2BBuilder
 from repro.place.electrostatic import ElectroOptions
 from repro.place.multilevel import MultilevelOptions, place_flat
-from repro.robust.checkpoint import Checkpoint
+from repro.robust import JobHook
 from repro.runtime.telemetry import Tracer
+
+
+class RecordingHook(JobHook):
+    """A job hook that records what the placer calls it with."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.iterations: list[int] = []
+        self.stages: list[str] = []
+
+    def __call__(self, iteration: int) -> None:
+        self.iterations.append(iteration)
+
+    def before(self, stage: str) -> None:
+        self.stages.append(stage)
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +168,16 @@ class TestStructureAwarePlacer:
         # gp_history, the job hook and the gp.iterations counter count
         # the same Nesterov iterations (the hook runs at every probe)
         d = build_design("dp_mix32")
-        hooked: list[int] = []
+        hook = RecordingHook()
         tracer = Tracer()
         out = StructureAwarePlacer(PlacerOptions(engine="electro")).place(
-            d.netlist, d.region, tracer=tracer,
-            checkpoint=lambda it, _x, _y: hooked.append(it))
+            d.netlist, d.region, tracer=tracer, hook=hook)
+        hooked = hook.iterations
         every = ElectroOptions().overflow_every
         assert hooked[:3] == [every, 2 * every, 3 * every]
         assert [h.iteration for h in out.gp_history] == hooked
         assert tracer.count("gp.iterations") == hooked[-1]
+        assert hook.stages == ["legalize", "detailed"]
 
     @pytest.mark.parametrize("placer_cls", [StructureAwarePlacer,
                                             BaselinePlacer])
@@ -170,21 +185,20 @@ class TestStructureAwarePlacer:
                                                            placer_cls):
         # the V-cycle's finest electro level runs to the target, as a
         # flat run does; coarse levels keep their short refinement.
-        # Records and the finest level's job hook count Nesterov
-        # iterations across the levels
+        # Records and the job hook count Nesterov iterations across the
+        # levels, and the hook runs on every level
         d = build_design("ctrl_glue2k")
         opts = PlacerOptions(engine="electro",
                              multilevel=MultilevelOptions(enabled=True))
-        hooked: list[int] = []
+        hook = RecordingHook()
         tracer = Tracer()
-        out = placer_cls(opts).place(
-            d.netlist, d.region, tracer=tracer,
-            checkpoint=lambda it, _x, _y: hooked.append(it))
+        out = placer_cls(opts).place(d.netlist, d.region, tracer=tracer,
+                                     hook=hook)
         assert tracer.count("ml.levels") >= 1
         assert out.gp_overflow <= ElectroOptions().target_overflow
         assert out.legal
         records = [h.iteration for h in out.gp_history]
-        assert records[-len(hooked):] == hooked
+        assert hook.iterations == records
         assert tracer.count("gp.iterations") == records[-1]
 
     def test_gp_overflow_without_history_is_nan(self):
@@ -335,25 +349,6 @@ class TestEngineDispatch:
             assert tracer.count("ml.levels") == 0
             positions.append(d.netlist.positions())
         assert (positions[0] == positions[1]).all()
-
-    def test_flat_quadratic_resume_seeds_cold_solves_directly(self):
-        d = build_design("dp_add8")
-        arrays = PlacementArrays.build(d.netlist)
-        snaps = []
-
-        def hook(iteration, x, y):
-            if iteration == 4:
-                snaps.append(Checkpoint(iteration, x.copy(), y.copy()))
-
-        QuadraticPlacer(arrays, d.region, checkpoint=hook).place()
-        (snap,) = snaps
-        got = Tracer()
-        x, y, _history = _run_engine(arrays, d.region, PlacerOptions(),
-                                     None, None, tracer=got, resume=snap)
-        want = QuadraticPlacer(arrays, d.region).place(
-            snap.x, snap.y, resume_iteration=snap.iteration)
-        assert (x == want.x).all() and (y == want.y).all()
-        assert got.count("gp.solves") > 0
 
     def test_flat_quadratic_runs_no_cg(self, monkeypatch):
         """The default flat quadratic flow never calls CG: both placers

@@ -173,3 +173,13 @@ class TestQuadraticPlacer:
                         options=GlobalPlaceOptions(max_iterations=3),
                         post_solve=hook).place()
         assert len(calls) >= 2
+
+    def test_job_hook_called_once_per_iteration(self, design):
+        arrays = PlacementArrays.build(design.netlist)
+        hooked: list[int] = []
+        result = QuadraticPlacer(
+            arrays, design.region,
+            options=GlobalPlaceOptions(max_iterations=5),
+            hook=hooked.append).place()
+        assert hooked == [h.iteration for h in result.history]
+        assert hooked[0] == 1

@@ -1,5 +1,5 @@
 """Tests for the fault-tolerance layer: taxonomy, guards, ladder,
-cache-corruption handling, checkpoints, and crash/timeout resume."""
+cache-corruption handling, the job hook, and exact retries."""
 
 import json
 import pickle
@@ -12,10 +12,9 @@ from repro.errors import (CacheCorruptionError, JobCancelledError,
                           ReproError, ValidationError, error_kind,
                           exit_code_for)
 from repro.gen import build_design
-from repro.robust import (CheckpointRecorder, CheckpointStore,
-                          DegradationReport,
-                          GuardOptions, GuardedSolve, IterateGuard,
-                          LADDERS, place_with_fallback)
+from repro.robust import (DegradationReport, GuardOptions, GuardedSolve,
+                          IterateGuard, JobHook, LADDERS,
+                          place_with_fallback)
 from repro.robust import faults
 from repro.runtime import (ArtifactCache, BatchExecutor, PlacementJob,
                            Tracer, execute_job)
@@ -344,78 +343,28 @@ class TestCacheCorruption:
 
 
 # ----------------------------------------------------------------------
-# checkpoints
+# job hook
 # ----------------------------------------------------------------------
 
-class TestCheckpoints:
-    def test_save_load_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        x = np.array([1.0, 2.5])
-        y = np.array([3.0, 4.5])
-        store.save("k" * 64, 7, x, y)
-        ckpt = store.load("k" * 64)
-        assert ckpt is not None
-        assert ckpt.iteration == 7
-        assert np.array_equal(ckpt.x, x)
-        assert np.array_equal(ckpt.y, y)
-        assert ckpt.matches(2)
-        assert not ckpt.matches(3)
-
-    def test_corrupt_checkpoint_is_dropped(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save("k" * 64, 7, np.ones(2), np.ones(2))
-        path = store.path("k" * 64)
-        path.write_text(path.read_text()[:15])
-        assert store.load("k" * 64) is None
-        assert not path.exists()
-        with pytest.raises(CacheCorruptionError):
-            store.save("k" * 64, 7, np.ones(2), np.ones(2))
-            path.write_text("junk")
-            store.load_verified("k" * 64)
-
-    def test_recorder_respects_interval(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt", interval=4)
-        rec = CheckpointRecorder(store, "k" * 64)
-        rec(1, np.ones(1), np.ones(1))
-        assert store.load("k" * 64) is None
-        rec(4, np.full(1, 9.0), np.ones(1))
-        ckpt = store.load("k" * 64)
-        assert ckpt is not None and ckpt.iteration == 4
-
-    def test_hook_beats_and_cancels_without_a_store(self):
+class TestJobHook:
+    def test_hook_beats_and_cancels(self):
         beats = []
         cancelled = [False]
-        hook = CheckpointRecorder(None, "k" * 64,
-                                  cancel=lambda: cancelled[0],
-                                  heartbeat=lambda: beats.append(1))
-        hook(0, np.ones(1), np.ones(1))
-        assert len(beats) == 1
+        hook = JobHook(cancel=lambda: cancelled[0],
+                       heartbeat=lambda: beats.append(1))
+        hook(0)
+        hook.before("legalize")
+        assert len(beats) == 2
         cancelled[0] = True
         with pytest.raises(JobCancelledError, match="iteration 3"):
-            hook(3, np.ones(1), np.ones(1))
-        assert len(beats) == 2
-
-    def test_cancel_forces_a_final_snapshot(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt", interval=5)
-        hook = CheckpointRecorder(store, "k" * 64, cancel=lambda: True)
-        with pytest.raises(JobCancelledError):
-            hook(3, np.full(1, 7.0), np.ones(1))  # off the interval
-        ckpt = store.load("k" * 64)
-        assert ckpt is not None and ckpt.iteration == 3
-        # the lower-rung view keeps cancel and heartbeat, drops the store
-        lower = hook.without_snapshots()
-        assert lower.store is None and lower.cancel is hook.cancel
-
-    def test_clear(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save("k" * 64, 1, np.ones(1), np.ones(1))
-        store.clear("k" * 64)
-        assert store.load("k" * 64) is None
-        store.clear("k" * 64)  # idempotent
+            hook(3)
+        with pytest.raises(JobCancelledError, match="before detailed"):
+            hook.before("detailed")
+        assert len(beats) == 4
 
 
 # ----------------------------------------------------------------------
-# executor integration: retry, resume, degradation threading
+# executor integration: retry, cancel, degradation threading
 # ----------------------------------------------------------------------
 
 class TestExecutorRecovery:
@@ -443,30 +392,26 @@ class TestExecutorRecovery:
         assert back.degraded
         assert back.row()["rung"] == "structure-relaxed"
 
-    def test_retry_resumes_from_checkpoint(self, tmp_path, monkeypatch):
-        # first attempt checkpoints a few iterations, then a one-shot
-        # injected NaN kills it; the serial retry must resume rather
-        # than cold-start, i.e. run strictly fewer GP iterations
+    def test_retry_is_exact(self, monkeypatch):
+        # a one-shot injected NaN kills the first attempt mid-GP; the
+        # serial retry starts cold and lands on the positions of an
+        # uninterrupted run
         monkeypatch.setenv(faults.ENV_VAR, "solver_nan:1:8")
         faults.reset()
-        store = CheckpointStore(tmp_path / "ckpt", interval=1)
         job = PlacementJob(design="dp_add8", placer="structure")
-        executor = BatchExecutor(0, checkpoints=store, fallback=False,
-                                 retries=1)
+        executor = BatchExecutor(0, fallback=False, retries=1)
         tracer = Tracer()
         [result] = executor.run([job], tracer=tracer)
         assert result.ok
         assert result.attempts == 2
-        assert result.resumed_iteration > 0
-        assert tracer.count("checkpoint.resumed") == 1
         assert tracer.count("errors.numerical") == 1
 
         faults.reset()
         monkeypatch.delenv(faults.ENV_VAR)
         cold = execute_job(job, fallback=False)
-        warm_iters = result.counters.get("gp.iterations", 0)
-        cold_iters = cold.counters.get("gp.iterations", 0)
-        assert 0 < warm_iters < cold_iters
+        assert result.positions == cold.positions
+        assert result.counters["gp.iterations"] \
+            == cold.counters["gp.iterations"]
         assert result.violations == 0
 
     def test_cancel_lands_on_a_lower_rung(self, monkeypatch):
@@ -487,12 +432,31 @@ class TestExecutorRecovery:
             execute_job(job, cancel=cancel)
         assert polls[0] is False  # the pre-start poll let the job run
 
-    def test_checkpoint_cleared_after_success(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt", interval=1)
-        job = PlacementJob(design="dp_add8", placer="structure")
-        result = execute_job(job, checkpoints=store, fallback=False)
-        assert result.ok
-        assert store.load(result.key) is None
+    @pytest.mark.parametrize("late, stage", [(1, "legalize"),
+                                             (2, "detailed")])
+    def test_cancel_after_gp_is_seen_at_a_stage_boundary(self, late, stage):
+        # a clean job polls once before start and once per GP
+        # iteration, then once before legalization and once before
+        # detailed placement; a cancel that turns true after GP's last
+        # poll ends the job instead of letting it finish
+        job = PlacementJob(design="dp_mix32", placer="structure")
+        polls = []
+        cancel_from = [None]
+
+        def cancel() -> bool:
+            polls.append(1)
+            return cancel_from[0] is not None \
+                and len(polls) >= cancel_from[0]
+
+        clean = execute_job(job, cancel=cancel)
+        gp_polls = 1 + clean.counters["gp.iterations"]
+        assert len(polls) == gp_polls + 2
+
+        polls.clear()
+        cancel_from[0] = gp_polls + late
+        with pytest.raises(JobCancelledError, match=f"before {stage}"):
+            execute_job(job, cancel=cancel)
+        assert len(polls) == gp_polls + late
 
     def test_terminal_failure_reports_kind(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "solver_nan:*")

@@ -210,6 +210,17 @@ class TestBatchExecutor:
         assert result.attempts == 3
         assert tracer.count("executor.retry") == 2
 
+    def test_timeout_is_terminal(self):
+        # a retry starts cold and would blow the same budget, so a
+        # timed-out job is reported at once, whatever the retry budget
+        tracer = Tracer()
+        executor = BatchExecutor(workers=1, retries=2, timeout_s=0.3)
+        slow = PlacementJob(design="ctrl_glue2k", placer="structure")
+        [result] = executor.run([slow], tracer=tracer)
+        assert result.error_kind == "timeout"
+        assert result.attempts == 1
+        assert tracer.count("executor.retry") == 0
+
 
 class TestRunSuite:
     def test_serial_and_parallel_bit_identical(self, tmp_path):

@@ -333,7 +333,6 @@ def _start_daemon(root: Path, **overrides) -> tuple:
     defaults = dict(
         socket_path=str(root / "s.sock"),
         cache_dir=str(root / "cache"),
-        checkpoint_dir=str(root / "ckpt"),
         spool_dir=str(root / "spool"),
         workers=1,
     )
@@ -437,26 +436,21 @@ class TestDaemonIntegration:
             assert done["state"] == "done"
             _drain_and_join(client, thread)
 
-    # ids: execution mode, then checkpoints on/off
-    @pytest.mark.parametrize("pool, checkpoints", [
-        (False, True), (False, False), (True, True), (True, False)],
-        ids=["thread-on", "thread-off", "pool-on", "pool-off"])
-    def test_cancel_running_job_preserves_checkpoint(
-            self, serve_root, pool, checkpoints):
-        from repro.robust.checkpoint import CheckpointStore
-        store = CheckpointStore(serve_root / "ckpt")
-        _daemon, thread = _start_daemon(
-            serve_root, pool=pool,
-            checkpoint_dir=str(store.root) if checkpoints else None)
+    @pytest.mark.parametrize("pool", [False, True], ids=["thread", "pool"])
+    def test_cancel_running_job(self, serve_root, pool):
+        # the cancel lands through the job hook; nothing of the
+        # cancelled run is kept, so the resubmitted job starts cold and
+        # places exactly as a direct execution
+        direct = execute_job(PlacementJob(design="dp_mix32",
+                                          placer="structure"), cache=None)
+        _daemon, thread = _start_daemon(serve_root, pool=pool)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
-            submitted = client.submit("dp_mix32", placer="structure")
-            job_id = submitted["job_id"]
+            job_id = client.submit("dp_mix32", placer="structure")["job_id"]
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if client.status(job_id)["state"] == "running" and (
-                        not checkpoints
-                        or store.path(submitted["key"]).exists()):
-                    break  # with checkpoints: cancel inside the GP loop
+            while (state := client.status(job_id)["state"]) != "running":
+                assert state == "queued", \
+                    f"job ended {state} before it was seen running"
+                assert time.monotonic() < deadline, "job never ran"
                 time.sleep(0.005)
             cancelled = client.cancel(job_id)
             assert cancelled["was"] == "running"
@@ -464,17 +458,17 @@ class TestDaemonIntegration:
             final = client.result(job_id, wait=True, timeout=120)
             assert final["state"] == "cancelled"
             assert final["error_kind"] == "cancelled"
-            if checkpoints:
-                # the forced snapshot survives for a later resume
-                checkpoint = store.load(submitted["key"])
-                assert checkpoint is not None
-                assert checkpoint.iteration >= 0
-            else:
-                assert not store.root.exists()
+            again = client.submit("dp_mix32", placer="structure")["job_id"]
+            reply = client.result(again, wait=True, timeout=120,
+                                  positions=True)
+            assert reply["state"] == "done"
+            assert reply["cached"] is False
+            assert reply["hpwl"] == direct.hpwl_final
+            assert reply["positions"] == direct.positions
             _drain_and_join(client, thread)
 
-    def test_leases_renew_without_checkpoints(self, serve_root):
-        _daemon, thread = _start_daemon(serve_root, checkpoint_dir=None)
+    def test_leases_renew(self, serve_root):
+        _daemon, thread = _start_daemon(serve_root)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
             job_id = client.submit("dp_add8",
                                    placer="structure")["job_id"]
@@ -688,8 +682,7 @@ class TestPoolSlots:
                 ("dp_add8", "baseline")]
         direct = [execute_job(PlacementJob(design=d, placer=p),
                               cache=None) for d, p in plan]
-        _daemon, thread = _start_daemon(serve_root, pool=True,
-                                        checkpoint_dir=None)
+        _daemon, thread = _start_daemon(serve_root, pool=True)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
             for (design, placer), expected in zip(plan, direct):
                 job_id = client.submit(design, placer=placer)["job_id"]
@@ -706,8 +699,7 @@ class TestPoolSlots:
             _drain_and_join(client, thread)
 
     def test_cancelled_pool_job_keeps_its_worker(self, serve_root):
-        _daemon, thread = _start_daemon(serve_root, pool=True,
-                                        checkpoint_dir=None)
+        _daemon, thread = _start_daemon(serve_root, pool=True)
         with ServeClient(serve_root / "s.sock", timeout_s=None) as client:
             job_id = client.submit("ctrl_glue2k",
                                    placer="structure")["job_id"]
@@ -798,7 +790,6 @@ class TestDaemonProcess:
             [sys.executable, "-m", "repro.cli", "serve",
              "--socket", socket,
              "--cache-dir", str(serve_root / "cache"),
-             "--checkpoint-dir", str(serve_root / "ckpt"),
              "--spool-dir", str(serve_root / "spool")],
             cwd=str(REPO), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -835,7 +826,7 @@ class TestDaemonProcess:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--socket", socket,
-             "--no-cache", "--no-checkpoint", "--no-spool"],
+             "--no-cache", "--no-spool"],
             cwd=str(REPO), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
@@ -864,7 +855,7 @@ class TestDaemonProcess:
             [sys.executable, "-m", "repro.cli", "serve",
              "--socket", socket, "--pool", "--workers", "1",
              "--timeout", "2.5", "--max-attempts", "1",
-             "--no-cache", "--no-checkpoint", "--no-spool"],
+             "--no-cache", "--no-spool"],
             cwd=str(REPO), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
