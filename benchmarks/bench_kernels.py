@@ -47,7 +47,7 @@ from repro.kernels.reference import (bell_value_grad_reference,
                                      rasterize_overlap_reference)
 from repro.place import PlacementArrays
 from repro.place.b2b import B2BBuilder
-from repro.place.electrostatic import ElectroOptions, ElectrostaticPlacer
+from repro.place.electrostatic import MIN_DISTANCE, ElectrostaticPlacer
 from repro.place.multilevel import MultilevelOptions
 from repro.place.multilevel.vcycle import multilevel_place
 from repro.place.quadratic import QuadraticPlacer
@@ -246,7 +246,7 @@ def bench_kernels(n_cells: int, failures: list[str], *,
     # --- B2B gradient: per-pin kernel vs the enumerated pair list -----
     # (the electro engine's clamp; error relative to the largest entry,
     # because a cell pulled equally both ways sums to ~0 on both paths)
-    eps = ElectroOptions().min_distance
+    eps = MIN_DISTANCE
 
     def pair_grad() -> np.ndarray:
         pin_pos = x[arrays.pin_cell] + arrays.pin_dx

@@ -32,20 +32,18 @@ class CongestionReport:
 
 
 def rudy_map(netlist: Netlist, grid: BinGrid, *,
-             wire_width: float = 1.0,
-             skip_zero_weight: bool = True) -> np.ndarray:
+             wire_width: float = 1.0) -> np.ndarray:
     """(nx, ny) RUDY routing-demand map.
 
-    Each net deposits ``hpwl * wire_width / bbox_area`` uniformly over the
-    bins its bounding box overlaps (partial overlaps pro-rated).
+    Each net of degree >= 2 and weight != 0 deposits ``hpwl *
+    wire_width / bbox_area`` uniformly over the bins its bounding box
+    overlaps (partial overlaps pro-rated).
     """
     nx, ny = grid.nx, grid.ny
     demand = np.zeros((nx, ny))
     ex, ey = grid.edges()
     for net in netlist.nets:
-        if net.degree < 2:
-            continue
-        if skip_zero_weight and net.weight == 0.0:
+        if net.degree < 2 or net.weight == 0.0:
             continue
         xmin, ymin, xmax, ymax = net.bounding_box()
         hpwl = (xmax - xmin) + (ymax - ymin)
@@ -72,10 +70,9 @@ def rudy_map(netlist: Netlist, grid: BinGrid, *,
     return demand
 
 
-def congestion_report(netlist: Netlist, grid: BinGrid,
-                      **kwargs: object) -> CongestionReport:
+def congestion_report(netlist: Netlist, grid: BinGrid) -> CongestionReport:
     """Summarise a RUDY map into scalar metrics."""
-    demand = rudy_map(netlist, grid, **kwargs)
+    demand = rudy_map(netlist, grid)
     flat = demand.ravel()
     mean = float(flat.mean())
     return CongestionReport(

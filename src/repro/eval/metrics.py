@@ -92,7 +92,7 @@ def evaluate_placement(netlist: Netlist, region: PlacementRegion,
     violations = check_legal(netlist, region)
     return PlacementReport(
         design=netlist.name,
-        hpwl=netlist.hpwl() - _zero_weight_hpwl(netlist),
+        hpwl=netlist.hpwl(),
         steiner=total_steiner(netlist),
         max_density=float(den.max()),
         overflow_fraction=float(over.sum() / max(movable_area, 1e-12)),
@@ -138,9 +138,3 @@ def formation_score(netlist: Netlist,
                for a, b in zip(ordered, ordered[1:])):
             formed += 1
     return formed / len(slices)
-
-
-def _zero_weight_hpwl(netlist: Netlist) -> float:
-    """HPWL contribution of zero-weight nets (always zero by definition —
-    Netlist.hpwl already weights; kept for clarity/extension)."""
-    return 0.0

@@ -10,8 +10,9 @@ uses the standard academic ladder:
   placements so ratios are meaningful.
 
 :func:`steiner_length` evaluates one pin set; :func:`total_steiner`
-evaluates a whole placement.  ``total_steiner`` flattens the netlist once
-and scores every <= 3-pin net in one batched HPWL kernel call — for
+evaluates a whole placement.  ``total_steiner`` reads the placement
+arrays (cut from the netlist's cached flat view, no object walk) and
+scores every <= 3-pin net in one batched HPWL kernel call — for
 typical designs that covers the overwhelming majority of nets, leaving
 the Prim loop only for the multi-pin tail.  MST *total weight* is unique
 even under distance ties, so the compacted Prim here and the masked
@@ -68,17 +69,14 @@ def steiner_length(xs: np.ndarray, ys: np.ndarray) -> float:
     return rmst_length(xs, ys)
 
 
-def total_steiner(netlist: Netlist, *, use_weights: bool = True,
-                  skip_zero_weight: bool = True) -> float:
-    """Total Steiner-estimate wirelength of a placement."""
-    arrays = PlacementArrays.build(netlist, min_degree=2,
-                                   skip_zero_weight=skip_zero_weight)
+def total_steiner(netlist: Netlist) -> float:
+    """Total weighted Steiner-estimate wirelength of a placement."""
+    arrays = PlacementArrays.build(netlist)
     if arrays.num_nets == 0:
         return 0.0
     x, y = arrays.initial_positions()
     px, py = arrays.pin_positions(x, y)
-    weights = arrays.net_weight if use_weights \
-        else np.ones(arrays.num_nets)
+    weights = arrays.net_weight
     degs = arrays.net_degrees()
     small = degs <= 3
 

@@ -25,18 +25,20 @@ Kernel inventory:
   perfbench's ``kernels.density`` layer.
 - :mod:`~repro.kernels.incremental` — :class:`IncrementalHPWL`:
   per-net cached bounds with touched-net invalidation, so detailed
-  placement rescores only affected nets per move.
+  placement rescores only affected nets per move; built from the
+  compaction of the netlist's flat view.
 - :mod:`~repro.kernels.b2b` — bound-to-bound boundary-pin selection and
   pair/system assembly for the quadratic engine; the per-pin gradient
   (:func:`b2b_pin_grad` over a per-design :class:`NetSplit`: 2-pin nets
   in one closed-form expression, larger nets reduced per net) for the
   electrostatic engine's Nesterov loop; and the pair-list gradient
   (:func:`b2b_grad`) for the structure-alignment pairs.
-- :mod:`~repro.kernels.arena` — CSR net-filter compaction so the
-  placement array builder consumes shared-memory arenas directly.
+
+No kernel flattens a netlist: the CSR arrays they read come from the
+netlist's one flat view and its net compaction
+(:mod:`repro.netlist.flat`).
 """
 
-from .arena import compact_csr
 from .b2b import (NetSplit, assemble_pairs, b2b_grad, b2b_pairs,
                   b2b_pin_grad, boundary_pins, split_nets)
 from .density import bell_value_grad, rasterize_overlap
@@ -55,7 +57,6 @@ __all__ = [
     "b2b_pin_grad",
     "bell_value_grad",
     "boundary_pins",
-    "compact_csr",
     "expand_pin_net",
     "hpwl_kernel",
     "hpwl_per_net_kernel",

@@ -17,9 +17,10 @@ Two consumers motivate the split between arrays and metadata:
   .Netlist` per job with :meth:`to_design` — bit-exactly, including pin
   order and per-cell incidence order, so placement results are
   indistinguishable from a generator rebuild;
-- **placement math** (:meth:`repro.place.arrays.PlacementArrays
-  .from_arena`) consumes the CSR arrays directly, skipping the
-  Python-object walk entirely.
+- **placement math**: the rebuilt netlist's flat view
+  (:class:`~repro.netlist.flat.FlatNetlist`, which every array consumer
+  reads) is a view over the arena's own arrays, so a pool worker never
+  walks the Python objects for it.
 
 The compile is strict: any structural surprise (non-dense indices, a pin
 spec that is not on its master) raises
@@ -39,6 +40,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from .cell import Cell
+from .flat import FlatNetlist
 from .net import Net, PinRef
 from .netlist import Netlist
 
@@ -73,6 +75,10 @@ def _pad(n: int) -> int:
 class NetlistArena:
     """Flat SoA image of one generated design.
 
+    ``cell_w``, ``cell_h``, ``cell_fixed``, ``net_weight``,
+    ``net_start``, ``pin_cell``, ``pin_off_x`` and ``pin_off_y`` are the
+    source netlist's :class:`~repro.netlist.flat.FlatNetlist` arrays.
+
     Attributes:
         digest: netlist fingerprint (cache-key compatible).
         cell_x / cell_y: (N,) lower-left cell coordinates (initial
@@ -90,7 +96,7 @@ class NetlistArena:
         pin_slot: (P,) index of the pin spec within its master's pin
             tuple.
         pin_off_x / pin_off_y: (P,) pin offsets from the cell *origin*
-            (PinSpec offsets, precomputed for array consumers).
+            (PinSpec offsets).
         inc_start / inc_net / inc_pos: per-cell incidence CSR preserving
             the original ``connect`` order — ``(net index, position in
             net.pins)`` pairs for cell i at ``[inc_start[i],
@@ -166,9 +172,6 @@ class NetlistArena:
         slot_maps: dict[str, dict[str, int]] = {}
         cell_x = np.empty(n)
         cell_y = np.empty(n)
-        cell_w = np.empty(n)
-        cell_h = np.empty(n)
-        cell_fixed = np.zeros(n, dtype=np.uint8)
         cell_type = np.empty(n, dtype=np.int32)
         cell_names: list[str] = []
         cell_attrs: dict[int, dict[str, Any]] = {}
@@ -187,18 +190,11 @@ class NetlistArena:
                     spec.name: k for k, spec in enumerate(master.pins)}
             cell_x[i] = cell.x
             cell_y[i] = cell.y
-            cell_w[i] = master.width
-            cell_h[i] = master.height
-            cell_fixed[i] = 1 if cell.fixed else 0
             cell_type[i] = ti
             cell_names.append(cell.name)
             if cell.attributes:
                 cell_attrs[i] = dict(cell.attributes)
 
-        m = len(nets)
-        net_weight = np.empty(m)
-        net_start = np.zeros(m + 1, dtype=np.int64)
-        pin_cell: list[int] = []
         pin_slot: list[int] = []
         net_names: list[str] = []
         net_attrs: dict[int, dict[str, Any]] = {}
@@ -220,11 +216,8 @@ class NetlistArena:
                         f"arena compile of {netlist.name!r}: net "
                         f"{net.name!r} pin {ref.pin.name!r} is not a "
                         f"pin of master {ref.cell.cell_type.name!r}")
-                pin_cell.append(ref.cell.index)
                 pin_slot.append(slot)
                 ref_pos[id(ref)] = (j, k)
-            net_start[j + 1] = len(pin_cell)
-            net_weight[j] = net.weight
             net_names.append(net.name)
             if net.attributes:
                 net_attrs[j] = dict(net.attributes)
@@ -268,34 +261,22 @@ class NetlistArena:
             "truth": design.truth,
             "label_table": label_table,
         }
+        flat = netlist.flat()
         return cls(
             digest=netlist_fingerprint(netlist),
-            cell_x=cell_x, cell_y=cell_y, cell_w=cell_w, cell_h=cell_h,
-            cell_fixed=cell_fixed, cell_type=cell_type,
+            cell_x=cell_x, cell_y=cell_y,
+            cell_w=flat.cell_w, cell_h=flat.cell_h,
+            cell_fixed=flat.cell_fixed, cell_type=cell_type,
             cell_label=cell_label,
-            net_weight=net_weight, net_start=net_start,
-            pin_cell=np.asarray(pin_cell, dtype=np.int64),
+            net_weight=flat.net_weight, net_start=flat.net_start,
+            pin_cell=flat.pin_cell,
             pin_slot=np.asarray(pin_slot, dtype=np.int32),
-            pin_off_x=np.empty(0), pin_off_y=np.empty(0),
+            pin_off_x=flat.pin_off_x, pin_off_y=flat.pin_off_y,
             inc_start=inc_start,
             inc_net=np.asarray(inc_net, dtype=np.int64),
             inc_pos=np.asarray(inc_pos, dtype=np.int64),
             meta=meta,
-        )._with_pin_offsets(netlist)
-
-    def _with_pin_offsets(self, netlist: Netlist) -> "NetlistArena":
-        """Precompute per-pin offsets from the cell origin."""
-        off_x = np.empty(self.num_pins)
-        off_y = np.empty(self.num_pins)
-        k = 0
-        for net in netlist.nets:
-            for ref in net.pins:
-                off_x[k] = ref.pin.x_offset
-                off_y[k] = ref.pin.y_offset
-                k += 1
-        self.pin_off_x = off_x
-        self.pin_off_y = off_y
-        return self
+        )
 
     # ------------------------------------------------------------------
     # reconstruction
@@ -363,10 +344,10 @@ class NetlistArena:
                 incid.append((net, net.pins[ipos[t]]))
             cell_pins.append(incid)
         netlist._cell_pins = cell_pins
-        # back-reference for array fast paths (sizes/movable_mask and
-        # PlacementArrays.build); positions are never served from the
-        # arena — they mutate during placement
-        netlist._arena = self  # type: ignore[attr-defined]
+        # the flat view is this arena's own arrays, so no array consumer
+        # walks the objects just built; positions are never served from
+        # the arena — they mutate during placement
+        netlist._flat = FlatNetlist.view_of(self)
         return GeneratedDesign(netlist=netlist,
                                region=copy.deepcopy(meta["region"]),
                                truth=copy.deepcopy(meta["truth"]))

@@ -6,8 +6,9 @@ neighbours).  It is deliberately a plain in-memory object model — large
 enough for the synthetic benchmark scales this reproduction targets while
 staying easy to reason about.
 
-Array views (positions, sizes, movable masks) for vectorised placement math
-live here too, since they must stay consistent with the dense indices.
+Array views for vectorised placement math live here too, since they must
+stay consistent with the dense indices; all but positions come from one
+cached flat CSR view (:meth:`Netlist.flat`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .cell import Cell
+from .flat import FlatNetlist
 from .library import CellType, Library, PinSpec
 from .net import Net, PinRef
 from ..errors import OptionsError, ValidationError
@@ -40,22 +42,14 @@ class Netlist:
     _net_by_name: dict[str, Net] = field(default_factory=dict)
     # cell index -> list of (net, pin ref) incidences
     _cell_pins: list[list[tuple[Net, PinRef]]] = field(default_factory=list)
+    # the cached flat view (see flat()); every mutator resets it to None
+    # first, since any edit of cells, nets or connectivity makes it stale
+    _flat: FlatNetlist | None = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _drop_arena(self) -> None:
-        """Detach the flat-array mirrors after a structural edit.
-
-        Netlists rebuilt from a shared-memory arena keep a reference to
-        it (``_arena``) so array builders can skip the object walk, and
-        :meth:`hpwl` caches a flat pin view (``_pin_view``); any
-        mutation of cells, nets, or connectivity makes both stale, so
-        every mutator calls this first.
-        """
-        self.__dict__.pop("_arena", None)
-        self.__dict__.pop("_pin_view", None)
-
     def add_cell(self, name: str, cell_type: CellType | str, *,
                  x: float = 0.0, y: float = 0.0, fixed: bool = False,
                  **attributes: object) -> Cell:
@@ -68,7 +62,7 @@ class Netlist:
             ValueError: duplicate instance name, or name lookup without a
                 library.
         """
-        self._drop_arena()
+        self._flat = None
         if name in self._cell_by_name:
             raise ValidationError(f"duplicate cell name {name!r}")
         if isinstance(cell_type, str):
@@ -90,7 +84,7 @@ class Netlist:
         Raises:
             ValueError: duplicate net name.
         """
-        self._drop_arena()
+        self._flat = None
         if name in self._net_by_name:
             raise ValidationError(f"duplicate net name {name!r}")
         net = Net(name=name, weight=weight)
@@ -103,7 +97,7 @@ class Netlist:
     def connect(self, net: Net | str, cell: Cell | str,
                 pin: PinSpec | str) -> PinRef:
         """Connect ``cell.pin`` to ``net`` and index the incidence."""
-        self._drop_arena()
+        self._flat = None
         if isinstance(net, str):
             net = self.net(net)
         if isinstance(cell, str):
@@ -259,25 +253,26 @@ class Netlist:
                 continue
             c.set_center(float(centers[i, 0]), float(centers[i, 1]))
 
+    def flat(self) -> FlatNetlist:
+        """The flat CSR view of this netlist's hypergraph and geometry.
+
+        Built with one object walk on first use and cached until a
+        mutator drops it.  A netlist rebuilt from an arena starts with
+        a view over the arena's arrays.
+        """
+        if self._flat is None:
+            self._flat = FlatNetlist.build(self)
+        return self._flat
+
     def sizes(self) -> np.ndarray:
-        """(N, 2) array of (width, height)."""
-        arena = getattr(self, "_arena", None)
-        if arena is not None:
-            # arena-rebuilt netlist: stack the flat mirror (mutators
-            # drop ``_arena``, so the mirror is always in sync here)
-            return np.stack([arena.cell_w, arena.cell_h], axis=1)
-        out = np.empty((self.num_cells, 2), dtype=float)
-        for i, c in enumerate(self._cells):
-            out[i, 0] = c.width
-            out[i, 1] = c.height
-        return out
+        """(N, 2) array of (width, height), read from the flat view."""
+        flat = self.flat()
+        return np.stack([flat.cell_w, flat.cell_h], axis=1)
 
     def movable_mask(self) -> np.ndarray:
-        """(N,) boolean array, True where the cell is movable."""
-        arena = getattr(self, "_arena", None)
-        if arena is not None:
-            return ~arena.cell_fixed.astype(bool)
-        return np.array([c.movable for c in self._cells], dtype=bool)
+        """(N,) boolean array, True where the cell is movable, read from
+        the flat view."""
+        return ~self.flat().cell_fixed.astype(bool)
 
     def total_movable_area(self) -> float:
         return float(sum(c.area for c in self._cells if c.movable))
@@ -296,7 +291,7 @@ class Netlist:
             ValueError: if merging would give the net two drivers, or if
                 both arguments are the same net.
         """
-        self._drop_arena()
+        self._flat = None
         if isinstance(keep, str):
             keep = self.net(keep)
         if isinstance(absorb, str):
@@ -323,7 +318,7 @@ class Netlist:
         Only empty nets can be removed safely (no incidences to unhook).
         Returns the number of nets removed.
         """
-        self._drop_arena()
+        self._flat = None
         keep = [net for net in self._nets if net.degree > 0]
         removed = len(self._nets) - len(keep)
         if removed:
@@ -338,46 +333,30 @@ class Netlist:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def _hpwl_pins(self) -> tuple[np.ndarray, ...]:
-        """Flat pins of every net of degree >= 2, built once per edit.
-
-        Returns ``(pin_cell, pin_x_offset, pin_y_offset, net_start,
-        net_weight)``; offsets are from the cell's lower-left corner.
-        """
-        view = self.__dict__.get("_pin_view")
-        if view is None:
-            nets = [net for net in self._nets if net.degree >= 2]
-            refs = [ref for net in nets for ref in net.pins]
-            view = (np.array([r.cell.index for r in refs], dtype=np.int64),
-                    np.array([r.pin.x_offset for r in refs], dtype=float),
-                    np.array([r.pin.y_offset for r in refs], dtype=float),
-                    np.cumsum([0] + [net.degree for net in nets]),
-                    np.array([net.weight for net in nets], dtype=float))
-            self._pin_view = view
-        return view
-
     def hpwl(self) -> float:
         """Total weighted half-perimeter wirelength at current positions.
 
         Same IEEE operations as summing ``net.weight * net.hpwl()`` over
         the nets of degree >= 2: pins at corner plus offset, per-net
-        ``(max - min x) + (max - min y)``, accumulated in net order.
+        ``(max - min x) + (max - min y)``, accumulated in net order.  It
+        reads the flat view's compaction, which leaves out zero-weight
+        nets: at finite positions each adds exactly +0.0 to the sum.
         """
-        pin_cell, off_x, off_y, start, weight = self._hpwl_pins()
-        if weight.shape[0] == 0:
+        wired = self.flat().compact()
+        if wired.num_nets == 0:
             return 0.0
         n = len(self._cells)
         x = np.fromiter((c.x for c in self._cells), dtype=float, count=n)
         y = np.fromiter((c.y for c in self._cells), dtype=float, count=n)
-        px = x[pin_cell] + off_x
-        py = y[pin_cell] + off_y
-        heads = start[:-1]
+        px = x[wired.pin_cell] + wired.pin_off_x
+        py = y[wired.pin_cell] + wired.pin_off_y
+        heads = wired.net_start[:-1]
         span = (np.maximum.reduceat(px, heads)
                 - np.minimum.reduceat(px, heads)) \
             + (np.maximum.reduceat(py, heads)
                - np.minimum.reduceat(py, heads))
         # accumulate sums sequentially, as the per-net loop did
-        return float(np.add.accumulate(weight * span)[-1])
+        return float(np.add.accumulate(wired.net_weight * span)[-1])
 
     def iter_connected(self, start: Cell) -> Iterator[Cell]:
         """Breadth-first iteration over the connected component of

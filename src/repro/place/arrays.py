@@ -2,8 +2,10 @@
 
 Analytical placement needs the hypergraph in CSR-like numpy form: one flat
 array of pins, per-pin cell indices and offsets, and net start/stop ranges.
-:class:`PlacementArrays` builds those views once; the wirelength and
-density models and both global-placement engines consume it.
+:class:`PlacementArrays` is that view for one placement — the nets that
+carry wirelength, cut from the netlist's flat view
+(:mod:`repro.netlist.flat`) — and the wirelength and density models and
+both global-placement engines consume it.
 
 Positions are handled as *cell center* arrays ``(N,)`` x and y.  Pin
 positions are ``center + offset`` where offsets are pin offsets relative to
@@ -18,15 +20,11 @@ own name and fixed cell centers instead (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import OptionsError
 from ..netlist import Netlist
-
-if TYPE_CHECKING:
-    from ..netlist.arena import NetlistArena
 
 
 @dataclass
@@ -62,102 +60,29 @@ class PlacementArrays:
     center_y: np.ndarray | None = None
 
     @classmethod
-    def build(cls, netlist: Netlist,
-              min_degree: int = 2,
-              max_degree: int | None = None,
-              skip_zero_weight: bool = True) -> "PlacementArrays":
-        """Flatten a netlist.
+    def build(cls, netlist: Netlist) -> "PlacementArrays":
+        """Flatten a netlist: the nets that carry wirelength.
 
-        Args:
-            netlist: source design.
-            min_degree: nets below this degree are dropped (degree-1 nets
-                contribute nothing to wirelength).
-            max_degree: nets above this degree are dropped (huge nets —
-                clock/reset — drown analytic models; None keeps all).
-            skip_zero_weight: drop nets with weight == 0 (our clock
-                convention).
-
-        Netlists reconstructed from a shared-memory arena carry the
-        flat hypergraph already; those skip the Python object walk and
-        build from the arena arrays directly (elementwise-identical
-        result, same IEEE operations in the same order).
+        Reads the compaction of the netlist's flat view
+        (:meth:`repro.netlist.flat.FlatNetlist.compact`: nets of degree
+        >= 2 and weight != 0, in netlist order) and moves each pin
+        offset from the cell's corner to its center.  Every array is a
+        fresh writable copy: the view is cached and read-only, and on a
+        netlist rebuilt from an arena it is shared memory.
         """
-        arena = getattr(netlist, "_arena", None)
-        if arena is not None:
-            return cls.from_arena(netlist, arena,
-                                  min_degree=min_degree,
-                                  max_degree=max_degree,
-                                  skip_zero_weight=skip_zero_weight)
-        pin_cell: list[int] = []
-        pin_dx: list[float] = []
-        pin_dy: list[float] = []
-        net_start: list[int] = [0]
-        net_weight: list[float] = []
-        for net in netlist.nets:
-            if net.degree < min_degree:
-                continue
-            if max_degree is not None and net.degree > max_degree:
-                continue
-            if skip_zero_weight and net.weight == 0.0:
-                continue
-            for ref in net.pins:
-                cell = ref.cell
-                pin_cell.append(cell.index)
-                pin_dx.append(ref.pin.x_offset - cell.width / 2.0)
-                pin_dy.append(ref.pin.y_offset - cell.height / 2.0)
-            net_start.append(len(pin_cell))
-            net_weight.append(net.weight)
-
-        sizes = netlist.sizes()
-        return cls(
-            netlist=netlist,
-            name=netlist.name,
-            pin_cell=np.asarray(pin_cell, dtype=np.int64),
-            pin_dx=np.asarray(pin_dx, dtype=float),
-            pin_dy=np.asarray(pin_dy, dtype=float),
-            net_start=np.asarray(net_start, dtype=np.int64),
-            net_weight=np.asarray(net_weight, dtype=float),
-            movable=netlist.movable_mask(),
-            width=sizes[:, 0].copy(),
-            height=sizes[:, 1].copy(),
-        )
-
-    @classmethod
-    def from_arena(cls, netlist: Netlist, arena: "NetlistArena",
-                   min_degree: int = 2,
-                   max_degree: int | None = None,
-                   skip_zero_weight: bool = True) -> "PlacementArrays":
-        """Flatten from arena arrays without re-walking Python objects.
-
-        Produces the same arrays as the object walk in :meth:`build`:
-        net order is arena order (= netlist order), pin offsets use the
-        identical ``offset - size / 2`` float expression, and every
-        output array is a fresh writable copy (arena views are
-        read-only shared memory).
-        """
-        from ..kernels.arena import compact_csr
-
-        degrees = np.diff(arena.net_start)
-        keep = degrees >= min_degree
-        if max_degree is not None:
-            keep &= degrees <= max_degree
-        if skip_zero_weight:
-            keep &= arena.net_weight != 0.0
-        net_start, pin_keep = compact_csr(arena.net_start, keep)
-        pin_cell = arena.pin_cell[pin_keep]
+        wired = netlist.flat().compact()
+        pin_cell = wired.pin_cell.copy()
         return cls(
             netlist=netlist,
             name=netlist.name,
             pin_cell=pin_cell,
-            pin_dx=arena.pin_off_x[pin_keep]
-            - arena.cell_w[pin_cell] / 2.0,
-            pin_dy=arena.pin_off_y[pin_keep]
-            - arena.cell_h[pin_cell] / 2.0,
-            net_start=net_start,
-            net_weight=arena.net_weight[keep],
-            movable=~arena.cell_fixed.astype(bool),
-            width=arena.cell_w.copy(),
-            height=arena.cell_h.copy(),
+            pin_dx=wired.pin_off_x - wired.cell_w[pin_cell] / 2.0,
+            pin_dy=wired.pin_off_y - wired.cell_h[pin_cell] / 2.0,
+            net_start=wired.net_start.copy(),
+            net_weight=wired.net_weight.copy(),
+            movable=~wired.cell_fixed.astype(bool),
+            width=wired.cell_w.copy(),
+            height=wired.cell_h.copy(),
         )
 
     # ------------------------------------------------------------------

@@ -257,7 +257,7 @@ class B2BBuilder:
                 weights.  The tiny default keeps the historical (exact
                 HPWL at the linearisation point) behaviour; the
                 electrostatic engine passes its own
-                (``ElectroOptions.min_distance``).
+                (:data:`repro.place.electrostatic.MIN_DISTANCE`).
 
         Returns:
             The assembled system.

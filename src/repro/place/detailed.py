@@ -3,8 +3,8 @@
 Two passes, both HPWL-greedy and legality-preserving:
 
 - **Global swap** (:func:`global_swap_pass`): for each cell, try swapping
-  with same-width cells near its HPWL-optimal region; accept improving
-  swaps.
+  with the nearest same-footprint cells it shares a small net with
+  (:func:`swap_partners`); accept improving swaps.
 - **Row reorder** (:func:`row_reorder_pass`): within each row, slide a
   window of ``k`` consecutive cells and try all permutations, keeping the
   best (branch-free exact for small k).  A window re-packs only where the
@@ -54,53 +54,71 @@ class DetailedStats:
         return (self.initial_hpwl - self.final_hpwl) / self.initial_hpwl
 
 
+def swap_partners(netlist: Netlist, frozen: set[str] | None = None, *,
+                  max_net_degree: int = 16) -> dict[int, list[int]]:
+    """Same-footprint swap partners of every movable, unfrozen cell.
+
+    Two such cells are partners when they share a net of non-zero weight
+    with 2..``max_net_degree`` pins (high-fanout control nets relate
+    everything to everything) and have equal width and height.  The map
+    depends only on connectivity, sizes and ``frozen``, so
+    :func:`detailed_place` builds it once, from the flat CSR: cell index
+    -> ascending partner indices, in ascending cell order.
+    """
+    flat = netlist.flat()
+    eligible = (flat.cell_fixed == 0).tolist()
+    for name in frozen or ():
+        if netlist.has_cell(name):
+            eligible[netlist.cell(name).index] = False
+    # one small int per distinct (width, height)
+    footprint = np.unique(np.stack([flat.cell_w, flat.cell_h], axis=1),
+                          axis=0, return_inverse=True)[1].ravel().tolist()
+    degree = np.diff(flat.net_start)
+    small = np.flatnonzero((flat.net_weight != 0.0) & (degree >= 2)
+                           & (degree <= max_net_degree))
+    partners: dict[int, set[int]] = {}
+    for s, e in zip(flat.net_start[small], flat.net_start[small + 1]):
+        members = [c for c in dict.fromkeys(flat.pin_cell[s:e].tolist())
+                   if eligible[c]]
+        for k, a in enumerate(members):
+            for b in members[k + 1:]:
+                if footprint[a] == footprint[b]:
+                    partners.setdefault(a, set()).add(b)
+                    partners.setdefault(b, set()).add(a)
+    return {c: sorted(partners[c]) for c in sorted(partners)}
+
+
 def global_swap_pass(netlist: Netlist, *, frozen: set[str] | None = None,
                      inc: IncrementalHPWL | None = None,
-                     max_candidates: int = 8,
-                     max_net_degree: int = 16) -> int:
+                     partners: dict[int, list[int]] | None = None,
+                     max_candidates: int = 8) -> int:
     """One pass of improving same-footprint cell swaps.
 
-    Candidate partners are cells sharing a *small* net (they are the
-    cells whose positions matter to the same wires; high-fanout control
-    nets relate everything to everything and are skipped).  The
-    same-footprint partner sets are precomputed in one sweep over the
-    nets — the per-cell object-model neighbourhood walk used to dominate
-    this pass — and each cell then tries at most ``max_candidates``
-    partners, nearest first by current squared distance (ties by cell
+    Candidate partners are cells sharing a *small* net
+    (:func:`swap_partners`); each cell tries at most ``max_candidates``
+    of them, nearest first by current squared distance (ties by cell
     index, so the pass is deterministic).
 
     Args:
+        frozen: cell names that must not move (read only to build
+            ``partners``).
         inc: shared incremental-HPWL oracle; built locally when absent.
             Must be in sync with the netlist's current positions.
+        partners: :func:`swap_partners` of the netlist and ``frozen``;
+            built locally when absent.
         max_candidates: swap attempts per cell (nearest-K cap).
-        max_net_degree: nets above this degree contribute no candidates.
 
     Returns:
         Number of accepted swaps.
     """
-    frozen = frozen or set()
     inc = inc or IncrementalHPWL(netlist)
-    eligible: dict[int, Cell] = {
-        c.index: c for c in netlist.movable_cells()
-        if c.name not in frozen}
-    partners_of: dict[int, set[int]] = {}
-    for net in netlist.nets:
-        if net.weight == 0.0 or not 2 <= net.degree <= max_net_degree:
-            continue
-        members = [c for c in net.cells() if c.index in eligible]
-        for ai, a in enumerate(members):
-            for b in members[ai + 1:]:
-                if (a.width == b.width and a.height == b.height
-                        and a is not b):
-                    partners_of.setdefault(a.index, set()).add(b.index)
-                    partners_of.setdefault(b.index, set()).add(a.index)
-
+    if partners is None:
+        partners = swap_partners(netlist, frozen)
+    cells = netlist.cells
     accepted = 0
-    for cell in eligible.values():
-        ids = partners_of.get(cell.index)
-        if not ids:
-            continue
-        candidates = [eligible[i] for i in sorted(ids)]
+    for index, ids in partners.items():
+        cell = cells[index]
+        candidates = [cells[i] for i in ids]
         if len(candidates) > max_candidates:
             d2 = np.array([(p.x - cell.x) ** 2 + (p.y - cell.y) ** 2
                            for p in candidates])
@@ -224,14 +242,16 @@ def detailed_place(netlist: Netlist, region: PlacementRegion, *,
     tracer = tracer or Tracer()
     stats = DetailedStats(initial_hpwl=netlist.hpwl(),
                           final_hpwl=netlist.hpwl())
-    # one shared oracle: both passes mutate positions exclusively through
-    # it, so per-pass rebuild costs vanish
+    # one shared oracle and one partner map: both passes mutate
+    # positions exclusively through the oracle, and no pass changes
+    # what the partners depend on, so per-pass rebuild costs vanish
     inc = IncrementalHPWL(netlist)
+    partners = swap_partners(netlist, frozen)
     for _round in range(max_passes):
         before = stats.final_hpwl
         with tracer.phase("detailed.swap"):
-            stats.swaps_accepted += global_swap_pass(netlist, frozen=frozen,
-                                                     inc=inc)
+            stats.swaps_accepted += global_swap_pass(
+                netlist, inc=inc, partners=partners)
         with tracer.phase("detailed.reorder"):
             stats.reorders_accepted += row_reorder_pass(
                 netlist, region, window=window, frozen=frozen, inc=inc,

@@ -50,9 +50,24 @@ from .region import BinGrid, PlacementRegion, default_grid
 from .wirelength import hpwl
 
 
+#: overflow-probe / history cadence, in Nesterov iterations.  Every
+#: iteration rasterizes the exact cell footprints for the density charge;
+#: a probe adds the exact overflow and HPWL evaluation, the guard check
+#: and the job hook, so it is not run every iteration
+OVERFLOW_EVERY = 5
+
+#: B2B distance clamp for the wirelength gradient's pair weights
+MIN_DISTANCE = 1e-2
+
+
 @dataclass
 class ElectroOptions:
     """Knobs for :class:`ElectrostaticPlacer`.
+
+    The probe cadence and the B2B distance clamp are the module
+    constants :data:`OVERFLOW_EVERY` and :data:`MIN_DISTANCE`, not
+    options: no caller tunes them, and a zero or negative value would
+    only crash the loop.
 
     Attributes:
         max_iterations: Nesterov iteration budget.
@@ -63,12 +78,6 @@ class ElectroOptions:
         lambda_growth: multiplier ramp per iteration (gentle — the loop
             runs hundreds of cheap iterations, not a dozen expensive
             rounds).
-        min_distance: B2B distance clamp for pair weights.
-        overflow_every: overflow-probe / history cadence (iterations).
-            Every iteration rasterizes the exact cell footprints for the
-            density charge; a probe adds the exact overflow and HPWL
-            evaluation, the guard check and the job hook, so it is not
-            run every iteration.
         step_cap_bins: upper bound on the per-iteration displacement of
             the steepest cell, in bin pitches (keeps early BB steps from
             catapulting cells across the die).
@@ -78,8 +87,6 @@ class ElectroOptions:
     target_overflow: float = 0.12
     lambda_init_frac: float = 0.05
     lambda_growth: float = 1.05
-    min_distance: float = 1e-2
-    overflow_every: int = 5
     step_cap_bins: float = 3.0
 
 
@@ -282,12 +289,11 @@ class ElectrostaticPlacer:
                  ) -> tuple[np.ndarray, np.ndarray]:
         """B2B wirelength gradient, both axes, plus the
         structure-alignment pair terms."""
-        opts = self.options
         with self.tracer.phase("kernel.wl_grad"):
             gx = self.builder.grad_axis(
-                x, self.arrays.pin_dx, min_distance=opts.min_distance)
+                x, self.arrays.pin_dx, min_distance=MIN_DISTANCE)
             gy = self.builder.grad_axis(
-                y, self.arrays.pin_dy, min_distance=opts.min_distance)
+                y, self.arrays.pin_dy, min_distance=MIN_DISTANCE)
         _, pgx = b2b_grad(*self._pairs_x, x)
         _, pgy = b2b_grad(*self._pairs_y, y)
         return gx + pgx, gy + pgy
@@ -331,14 +337,13 @@ class ElectrostaticPlacer:
         clump in near-linear time, which is all the spreading
         trajectory needs.
         """
-        opts = self.options
         for _ in range(iterations):
             for coords, offsets, extra in (
                     (x, self.arrays.pin_dx, self.extra_pairs_x),
                     (y, self.arrays.pin_dy, self.extra_pairs_y)):
                 system = self.builder.build_axis(
                     coords, offsets, extra_pairs=extra,
-                    min_distance=opts.min_distance)
+                    min_distance=MIN_DISTANCE)
                 sol = system.solve(x0=coords[system.cells],
                                    M=system.ilu_preconditioner(),
                                    tol=1e-6, max_iterations=100,
@@ -419,7 +424,7 @@ class ElectrostaticPlacer:
             lam *= opts.lambda_growth
             self.tracer.incr("gp.iterations")
 
-            probe = (rounds % opts.overflow_every == 0
+            probe = (rounds % OVERFLOW_EVERY == 0
                      or rounds == opts.max_iterations)
             if fault_fires("solver_nan"):
                 u = u.copy()

@@ -25,10 +25,12 @@ class MultilevelOptions:
             many movable cells; the coarsest level is placed from
             scratch, so it should stay cheap.
         refine_iterations: the warm-started refinement budget per
-            coarse level after declustering: ``refine_iterations *
-            overflow_every`` Nesterov iterations of the electrostatic
-            engine.  The finest level runs the engine's own budget to
-            its target overflow.
+            coarse level after declustering, in overflow-probe rounds
+            of the electrostatic engine: ``refine_iterations *
+            OVERFLOW_EVERY`` Nesterov iterations
+            (:data:`repro.place.electrostatic.OVERFLOW_EVERY`).  The
+            finest level runs the engine's own budget to its target
+            overflow.
         max_affinity_degree: nets above this degree contribute no
             clustering affinity (high-fanout control nets would glue
             unrelated logic together).

@@ -7,9 +7,11 @@ from scratch, then walks back down: interpolate cluster positions to
 members and refine each finer level from that warm start.  Every level
 runs the electrostatic engine.
 
-Refinement budgets: each coarse level runs ``refine_iterations *
-overflow_every`` Nesterov iterations, and the finest level runs under
-the caller's :class:`~repro.place.electrostatic.ElectroOptions` — up to
+Refinement budgets: each coarse level runs ``refine_iterations``
+overflow-probe rounds, ``refine_iterations * OVERFLOW_EVERY`` Nesterov
+iterations (:data:`repro.place.electrostatic.OVERFLOW_EVERY`), and the
+finest level runs under the caller's
+:class:`~repro.place.electrostatic.ElectroOptions` — up to
 ``max_iterations``, stopping at ``target_overflow`` — as a flat run
 does, so global placement hands legalization a spread placement.
 
@@ -41,7 +43,8 @@ from typing import TYPE_CHECKING, Callable
 from ...errors import NumericalError, OptionsError
 from ...runtime.telemetry import Tracer
 from ..arrays import PlacementArrays
-from ..electrostatic import ElectroOptions, ElectrostaticPlacer
+from ..electrostatic import (OVERFLOW_EVERY, ElectroOptions,
+                             ElectrostaticPlacer)
 from ..quadratic import (GlobalPlaceOptions, GlobalPlaceResult,
                          IterationStat, QuadraticPlacer)
 from ..region import PlacementRegion
@@ -260,7 +263,7 @@ def multilevel_place(arrays: PlacementArrays, region: PlacementRegion, *,
             # budget to the target overflow, as a flat run does
             refine_n = max(1, int(ml.refine_iterations))
             eo_refine = replace(
-                eo_full, max_iterations=refine_n * eo_full.overflow_every)
+                eo_full, max_iterations=refine_n * OVERFLOW_EVERY)
 
             def electro_place(k: int, x0, y0, offset: int,
                               options: ElectroOptions) -> GlobalPlaceResult:

@@ -3,7 +3,7 @@
 Covers the full dispatch stack bottom-up: bit-exact compile/serialize/
 reconstruct round-trips (property-based, including zero-pin nets and
 fixed-only designs), the shared-memory store and its pickled fallback,
-the arena-direct ``PlacementArrays`` construction path, cross-process
+the rebuilt netlist's flat view over the arena's arrays, cross-process
 cancel boards, parallel-vs-serial placement bit-identity, the
 worker-crash leak gate, the long-lived pool slot a daemon thread keeps,
 and the serve registry's refcount lifecycle and byte-budget LRU.
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ValidationError
 from repro.gen import build_design
 from repro.gen.composer import GeneratedDesign
+from repro.kernels import IncrementalHPWL
 from repro.netlist import Netlist, default_library
 from repro.netlist.arena import NetlistArena
 from repro.place import PlacementRegion
@@ -174,41 +175,80 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 # arena-direct placement arrays
 # ----------------------------------------------------------------------
+def _walk_arrays(netlist):
+    """The placement arrays and oracle lists of the nets that carry
+    wirelength, walked from ``Net.pins`` as the flat view replaced."""
+    pin_cell, pin_dx, pin_dy, start, weight = [], [], [], [0], []
+    net_pins = []
+    cell_nets = [[] for _ in netlist.cells]
+    cell_pins = [[] for _ in netlist.cells]
+    for net in netlist.nets:
+        if net.degree < 2 or net.weight == 0.0:
+            continue
+        j = len(weight)
+        pins = []
+        for ref in net.pins:
+            cell, pin = ref.cell, ref.pin
+            pin_cell.append(cell.index)
+            pin_dx.append(pin.x_offset - cell.width / 2.0)
+            pin_dy.append(pin.y_offset - cell.height / 2.0)
+            pins.append((cell.index, pin.x_offset, pin.y_offset))
+            cell_pins[cell.index].append((j, pin.x_offset, pin.y_offset))
+            if j not in cell_nets[cell.index]:
+                cell_nets[cell.index].append(j)
+        start.append(len(pin_cell))
+        weight.append(net.weight)
+        net_pins.append(pins)
+    arrays = (np.asarray(pin_cell, dtype=np.int64), np.asarray(pin_dx),
+              np.asarray(pin_dy), np.asarray(start, dtype=np.int64),
+              np.asarray(weight))
+    return arrays, (net_pins, cell_nets, cell_pins, weight)
+
+
 class TestArenaArrays:
-    def test_fast_path_matches_object_walk(self):
-        design = build_design("dp_add8")
-        arena = NetlistArena.compile(design)
-        rebuilt = arena.to_design()
-        fast = PlacementArrays.build(rebuilt.netlist)
-        rebuilt.netlist.__dict__.pop("_arena")
-        slow = PlacementArrays.build(rebuilt.netlist)
+    @pytest.mark.parametrize("name", ["dp_add8", "dp_mix32"])
+    def test_rebuilt_matches_generator_build(self, name):
+        """A netlist rebuilt from an arena reads the arena's own arrays
+        as its flat view, and every array consumer gives exactly what
+        the generator-built netlist gives — and what an object walk
+        gives."""
+        built = build_design(name).netlist
+        arena = NetlistArena.compile(build_design(name))
+        rebuilt = arena.to_design().netlist
+        assert rebuilt.flat().pin_cell is arena.pin_cell
+        rng = np.random.default_rng(3)
+        for a, b in zip(built.cells, rebuilt.cells):
+            a.x = b.x = a.x + float(rng.uniform(-30.0, 30.0))
+            a.y = b.y = a.y + float(rng.uniform(-12.0, 12.0))
+
+        one, two = PlacementArrays.build(built), \
+            PlacementArrays.build(rebuilt)
         for f in ("pin_cell", "pin_dx", "pin_dy", "net_start",
                   "net_weight", "movable", "width", "height"):
-            a, b = getattr(fast, f), getattr(slow, f)
-            assert a.dtype == b.dtype
+            a, b = getattr(one, f), getattr(two, f)
+            assert a.dtype == b.dtype, f
             np.testing.assert_array_equal(a, b)
-            assert a.flags.writeable
+            assert a.flags.writeable and b.flags.writeable, f
+        assert built.hpwl() == rebuilt.hpwl()
+        np.testing.assert_array_equal(built.sizes(), rebuilt.sizes())
+        np.testing.assert_array_equal(built.movable_mask(),
+                                      rebuilt.movable_mask())
 
-    def test_degree_filters_match(self):
-        design = build_design("dp_add8")
-        arena = NetlistArena.compile(design)
-        rebuilt = arena.to_design()
-        fast = PlacementArrays.from_arena(rebuilt.netlist, arena,
-                                          min_degree=3, max_degree=8,
-                                          skip_zero_weight=False)
-        rebuilt.netlist.__dict__.pop("_arena")
-        slow = PlacementArrays.build(rebuilt.netlist, min_degree=3,
-                                     max_degree=8,
-                                     skip_zero_weight=False)
-        np.testing.assert_array_equal(fast.net_start, slow.net_start)
-        np.testing.assert_array_equal(fast.pin_cell, slow.pin_cell)
-        np.testing.assert_array_equal(fast.net_weight, slow.net_weight)
+        inc_one, inc_two = IncrementalHPWL(built), IncrementalHPWL(rebuilt)
+        assert inc_one.total == inc_two.total
+        assert [inc_one.cost_of_nets([j]) for j in range(inc_one.num_nets)] \
+            == [inc_two.cost_of_nets([j]) for j in range(inc_two.num_nets)]
+        np.testing.assert_array_equal(inc_one.pin_cell, inc_two.pin_cell)
+        np.testing.assert_array_equal(inc_one.net_start, inc_two.net_start)
 
-    def test_mutation_drops_fast_path(self):
-        rebuilt = NetlistArena.compile(build_design("dp_add8")).to_design()
-        assert getattr(rebuilt.netlist, "_arena", None) is not None
-        rebuilt.netlist.add_net("__fresh")
-        assert getattr(rebuilt.netlist, "_arena", None) is None
+        arrays, lists = _walk_arrays(built)
+        for got, want in zip((one.pin_cell, one.pin_dx, one.pin_dy,
+                              one.net_start, one.net_weight), arrays):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        for inc in (inc_one, inc_two):
+            assert (inc._net_pins, inc._cell_nets, inc._cell_pins,
+                    inc._weight) == lists
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,15 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core import StructureAwarePlacer
 from repro.gen import build_design
 from repro.kernels import IncrementalHPWL
-from repro.place import (PlacementArrays, QuadraticPlacer, abacus_legalize,
-                         check_legal, detailed_place, global_swap_pass,
-                         row_reorder_pass)
+from repro.place import (DetailedStats, PlacementArrays, QuadraticPlacer,
+                         abacus_legalize, check_legal, detailed_place,
+                         global_swap_pass, row_reorder_pass)
 from repro.place.abacus import _Segment
 from repro.place.legalize import blocked, row_blockages, rows_spanned
 from repro.runtime.telemetry import Tracer
@@ -138,8 +139,91 @@ def _reference_reorder(netlist, region, *, inc, window=3, frozen=None):
     return accepted
 
 
+def _reference_swap_pass(netlist, *, frozen=None, inc, max_candidates=8,
+                         max_net_degree=16):
+    """The global swap pass with its partner sets rebuilt from
+    ``Net.cells()`` on every call."""
+    frozen = frozen or set()
+    eligible = {c.index: c for c in netlist.movable_cells()
+                if c.name not in frozen}
+    partners_of = {}
+    for net in netlist.nets:
+        if net.weight == 0.0 or not 2 <= net.degree <= max_net_degree:
+            continue
+        members = [c for c in net.cells() if c.index in eligible]
+        for ai, a in enumerate(members):
+            for b in members[ai + 1:]:
+                if (a.width == b.width and a.height == b.height
+                        and a is not b):
+                    partners_of.setdefault(a.index, set()).add(b.index)
+                    partners_of.setdefault(b.index, set()).add(a.index)
+    accepted = 0
+    for cell in eligible.values():
+        ids = partners_of.get(cell.index)
+        if not ids:
+            continue
+        candidates = [eligible[i] for i in sorted(ids)]
+        if len(candidates) > max_candidates:
+            d2 = np.array([(p.x - cell.x) ** 2 + (p.y - cell.y) ** 2
+                           for p in candidates])
+            keep = np.argsort(d2, kind="stable")[:max_candidates]
+            candidates = [candidates[i] for i in keep]
+        for other in candidates:
+            cell.x, other.x = other.x, cell.x
+            cell.y, other.y = other.y, cell.y
+            before, after = inc.propose([cell.index, other.index],
+                                        [cell.x, other.x],
+                                        [cell.y, other.y])
+            if after + 1e-9 < before:
+                inc.commit()
+                accepted += 1
+            else:
+                cell.x, other.x = other.x, cell.x
+                cell.y, other.y = other.y, cell.y
+                inc.rollback()
+    return accepted
+
+
+def _reference_detailed(netlist, region, *, frozen, min_gain,
+                        max_passes=3):
+    """``detailed_place`` with the reference swap pass."""
+    stats = DetailedStats(initial_hpwl=netlist.hpwl(),
+                          final_hpwl=netlist.hpwl())
+    inc = IncrementalHPWL(netlist)
+    for _round in range(max_passes):
+        before = stats.final_hpwl
+        stats.swaps_accepted += _reference_swap_pass(netlist, frozen=frozen,
+                                                     inc=inc)
+        stats.reorders_accepted += row_reorder_pass(
+            netlist, region, frozen=frozen, inc=inc)
+        stats.passes += 1
+        stats.final_hpwl = netlist.hpwl()
+        if before <= 0 or (before - stats.final_hpwl) / before < min_gain:
+            break
+    return stats
+
+
 class TestRowPassEquivalence:
     """The row passes decide exactly as their reference loops do."""
+
+    @pytest.mark.parametrize("name", ["dp_alu16", "ctrl_glue2k"])
+    @pytest.mark.parametrize("with_frozen", [False, True])
+    def test_swap_partners_built_once_match_per_pass_rebuild(
+            self, name, with_frozen):
+        # min_gain 0 runs every pass, so the partner map built once is
+        # reused by later passes over moved cells
+        runs = []
+        for place in (detailed_place, _reference_detailed):
+            design = _at_gp(name)
+            nl, region = design.netlist, design.region
+            abacus_legalize(nl, region)
+            frozen = {c.name for c in nl.movable_cells()[::7]} \
+                if with_frozen else None
+            stats = place(nl, region, frozen=frozen, min_gain=0.0)
+            runs.append((stats, _positions(nl)))
+        assert runs[0][0].passes == 3
+        assert runs[0][0].swaps_accepted > 0
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", ["dp_alu16", "ctrl_glue2k"])
     @pytest.mark.parametrize("with_frozen", [False, True])

@@ -145,30 +145,41 @@ class TestHpwl:
         assert nl.hpwl() == pytest.approx(abs(ax - bx) + abs(ay - by))
 
     def test_flat_view_matches_object_walk(self):
-        """``hpwl`` reads a cached flat pin view; it must equal the
-        per-net object walk exactly after moves and after every
-        mutator, each of which drops the view."""
+        """``hpwl`` reads the cached flat view; it must equal the per-net
+        object walk exactly after moves and after every mutator, each of
+        which drops the view so that the next use rebuilds it."""
         nl = build_design("dp_alu16").netlist
         rng = np.random.default_rng(5)
+        last = [nl.flat()]
 
-        def move_and_check():
+        def move_and_check(edited=True):
             for c in nl.cells:
                 c.x += float(rng.uniform(-40.0, 40.0))
                 c.y += float(rng.uniform(-16.0, 16.0))
             assert nl.hpwl() == _ref_hpwl(nl)
-            assert "_pin_view" in nl.__dict__
+            view = nl.flat()
+            assert (view is not last[0]) == edited
+            last[0] = view
+            assert view.cell_w.shape == (nl.num_cells,)
+            np.testing.assert_array_equal(np.diff(view.net_start),
+                                          [net.degree for net in nl.nets])
+            np.testing.assert_array_equal(
+                nl.sizes(), [[c.width, c.height] for c in nl.cells])
+            np.testing.assert_array_equal(
+                nl.movable_mask(), [c.movable for c in nl.cells])
 
-        move_and_check()
-        move_and_check()                   # cached view, new positions
+        move_and_check(edited=False)
+        move_and_check(edited=False)       # cached view, new positions
         a = nl.add_cell("extra_a", "NAND2", x=5.0, y=8.0)
-        assert "_pin_view" not in nl.__dict__
         move_and_check()
-        b = nl.add_cell("extra_b", "INV", x=90.0, y=40.0)
+        b = nl.add_cell("extra_b", "INV", x=90.0, y=40.0, fixed=True)
+        move_and_check()
         net = nl.add_net("extra_n", weight=2.5)
         move_and_check()
         nl.connect(net, a, "Y")
         move_and_check()                   # degree 1: still left out
         nl.connect(net, b, "A")
+        move_and_check()
         nl.connect(net, a, "B")            # two pins of one cell
         move_and_check()
         c = nl.add_cell("extra_c", "INV", x=40.0, y=0.0)

@@ -11,9 +11,11 @@ from repro.core.groups import group_ids, make_reprojector, plan_arrays
 from repro.core.alignment import build_alignment
 from repro.errors import OptionsError
 from repro.gen import UnitSpec, build_design, compose_design
+from repro.netlist.arena import NetlistArena
+from repro.netlist.flat import FlatNetlist
 from repro.place import PlacementArrays, QuadraticPlacer, check_legal
 from repro.place.b2b import B2BBuilder
-from repro.place.electrostatic import ElectroOptions
+from repro.place.electrostatic import OVERFLOW_EVERY, ElectroOptions
 from repro.place.multilevel import MultilevelOptions, place_flat
 from repro.robust import JobHook
 from repro.runtime.telemetry import Tracer
@@ -173,7 +175,7 @@ class TestStructureAwarePlacer:
         out = StructureAwarePlacer(PlacerOptions(engine="electro")).place(
             d.netlist, d.region, tracer=tracer, hook=hook)
         hooked = hook.iterations
-        every = ElectroOptions().overflow_every
+        every = OVERFLOW_EVERY
         assert hooked[:3] == [every, 2 * every, 3 * every]
         assert [h.iteration for h in out.gp_history] == hooked
         assert tracer.count("gp.iterations") == hooked[-1]
@@ -379,3 +381,30 @@ class TestEngineDispatch:
         arrays = PlacementArrays.build(d.netlist)
         with pytest.raises(OptionsError, match="engine"):
             place_flat(arrays, d.region, engine=engine)
+
+
+class TestFlatNetlist:
+    @pytest.mark.parametrize("placer_cls", [StructureAwarePlacer,
+                                            BaselinePlacer])
+    def test_one_flat_walk_per_placement(self, placer_cls, monkeypatch):
+        # every array consumer (placement arrays, hpwl, the detailed
+        # oracle, swap partners) reads one flat view: a generator-built
+        # design is walked once per placement, an arena-rebuilt one never
+        walked: list[str] = []
+        build = FlatNetlist.build.__func__
+
+        def counting_build(cls, netlist):
+            walked.append(netlist.name)
+            return build(cls, netlist)
+
+        monkeypatch.setattr(FlatNetlist, "build",
+                            classmethod(counting_build))
+        d = build_design("dp_mix32")
+        placer_cls().place(d.netlist, d.region)
+        assert walked == ["dp_mix32"]
+
+        rebuilt = NetlistArena.compile(build_design("dp_mix32")).to_design()
+        walked.clear()
+        out = placer_cls().place(rebuilt.netlist, rebuilt.region)
+        assert out.legal
+        assert walked == []

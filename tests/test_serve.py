@@ -507,7 +507,11 @@ class TestDaemonIntegration:
     @pytest.mark.parametrize("bad", [
         {"gp": 3}, {"multilevel": 5}, {"structure_weight": "x"},
         {"gp": {"max_iterations": "x"}}, {"gp": {"max_iterations": 2.5}},
-        {"structure_weight": True}, {"nonlinear": {}}, {"seed": 3}])
+        {"structure_weight": True}, {"nonlinear": {}}, {"seed": 3},
+        # electro's probe cadence and B2B clamp are module constants; as
+        # leaves these values queued a job that crashed
+        {"electro": {"overflow_every": 0}}, {"electro": {"min_distance": 0.0}},
+        {"electro": {"min_distance": -1.0}}])
     def test_malformed_options_are_a_protocol_error(self, serve_root,
                                                    bad):
         daemon, thread = _start_daemon(serve_root, cache_dir=None)
@@ -515,10 +519,11 @@ class TestDaemonIntegration:
             with pytest.raises(ServeError) as excinfo:
                 client.submit("dp_add8", options=bad)
             assert excinfo.value.code == "protocol"
-            # rejected at the door: no job ran, so the breaker heard
-            # nothing (a bad client cannot shed other clients' work)
+            # rejected at the door: no job was queued or ran, so the
+            # breaker heard nothing (a bad client cannot shed other
+            # clients' work)
             assert daemon.supervisor.breaker.snapshot()["window"] == 0
-            assert client.stats()["stats"]["queue"]["failed"] == 0
+            assert not any(client.stats()["stats"]["queue"].values())
             _drain_and_join(client, thread)
 
     def test_non_finite_structure_weight_is_an_options_error(
